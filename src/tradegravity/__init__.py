@@ -18,7 +18,7 @@ from .gravity import (DEFAULT_PERIODS, ExporterClass, GravityDataset,
                       run_split_regressions, standardize, summary_stats,
                       trend_test)
 from .ingest import (CountryMeta, DyadMeta, FilterConfig, ReconcilePolicy,
-                     Reporter, TradeFlowRecord, TradeTensor, filter_countries,
+                     Reporter, TradeBatch, TradeTensor, filter_countries,
                      load_trade_csv, reconcile)
 from .oracle import (SyntheticWorld, SyntheticWorldConfig, brute_force_ols,
                      brute_force_relatedness, generate_world)
@@ -36,7 +36,7 @@ __all__ = [
     "ProximityMatrix", "RcaMatrix", "ReconcilePolicy", "RegressionResult",
     "RelatednessValues", "Reporter", "SingularDesignError", "StreamingOLS",
     "SyntheticWorld", "SyntheticWorldConfig", "TradeDataError",
-    "TradeFlowRecord", "TradeTensor", "TrendResult", "binarize",
+    "TradeBatch", "TradeTensor", "TrendResult", "binarize",
     "brute_force_ols", "brute_force_relatedness", "build_dataset",
     "classify_exporter", "compute_proximity", "compute_rca",
     "compute_relatedness", "correlation_matrix", "dense_relatedness",

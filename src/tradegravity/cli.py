@@ -21,11 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import complexity, gravity, ingest, oracle, relatedness
-from .errors import TradeDataError
+from .errors import ParseError, TradeDataError
 
 log = logging.getLogger(__name__)
-
-DEFAULT_PERIODS = gravity.DEFAULT_PERIODS
 
 
 def _sha256(path):
@@ -66,22 +64,42 @@ def _parse_periods(text):
     return tuple(_parse_period(part) for part in text.split(","))
 
 
+def _thread_count(text):
+    try:
+        threads = int(str(text))  # str() first: no truncating 2.5 or reading true as 1
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"threads must be a whole number >= 1, got {text!r}")
+    return threads
+
+
 def _load_config_file(args):
     """Overlay config-file values onto parser defaults; explicit flags win."""
     if not getattr(args, "config", None):
         return args
     with open(args.config, encoding="utf-8") as fh:
-        values = json.load(fh)
+        try:
+            values = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(args.config, exc.lineno, exc.msg) from None
+    if not isinstance(values, dict):
+        raise ParseError(args.config, 1, "expected a JSON object of option values")
     for key, value in values.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise TradeDataError(f"unknown config key {key!r}")
         if attr in args._explicit:
             continue
-        if attr in ("period", "window", "years") and isinstance(value, str):
-            value = _parse_period(value)
-        elif attr == "periods" and isinstance(value, str):
-            value = _parse_periods(value)
+        try:
+            if attr in ("period", "window", "years") and isinstance(value, str):
+                value = _parse_period(value)
+            elif attr == "periods" and isinstance(value, str):
+                value = _parse_periods(value)
+            elif attr == "threads":
+                value = _thread_count(value)
+        except argparse.ArgumentTypeError as exc:
+            raise TradeDataError(f"{args.config}: {key}: {exc}") from None
         setattr(args, attr, value)
     return args
 
@@ -91,15 +109,18 @@ class _TrackingParser(argparse.ArgumentParser):
 
     def parse_args(self, argv=None, namespace=None):
         ns = super().parse_args(argv, namespace)
-        sentinel = argparse.Namespace()
-        for action in self._get_all_actions():
-            setattr(sentinel, action.dest, None)
-        explicit = set()
-        seen = super().parse_known_args(argv, argparse.Namespace(**vars(sentinel)))[0]
-        for key, value in vars(seen).items():
-            if value is not None:
-                explicit.add(key)
-        ns._explicit = explicit
+        # parse again with every default None: what is set then came from argv
+        # (a subcommand copies its own defaults over any sentinel namespace)
+        actions = self._get_all_actions()
+        defaults = [action.default for action in actions]
+        try:
+            for action in actions:
+                action.default = None
+            seen = super().parse_known_args(argv)[0]
+        finally:
+            for action, default in zip(actions, defaults):
+                action.default = default
+        ns._explicit = {key for key, value in vars(seen).items() if value is not None}
         return ns
 
     def _get_all_actions(self):
@@ -121,8 +142,8 @@ def cmd_ingest(args):
     started = time.perf_counter()
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records, rejects = ingest.load_trade_csv(args.trade)
-    tensor, audit = ingest.reconcile(records, policy=args.policy)
+    batch, rejects = ingest.load_trade_csv(args.trade)
+    tensor, audit = ingest.reconcile(batch, policy=args.policy)
     removed = {}
     inputs = [args.trade]
     if args.filter:
@@ -148,7 +169,7 @@ def cmd_ingest(args):
         "exclude": args.exclude,
     }
     counts = {
-        "records": len(records), "rejects": len(rejects),
+        "records": len(batch), "rejects": len(rejects),
         "cells": sum(tensor.n_cells(y) for y in tensor.years),
         "countries": tensor.n_countries, "products": tensor.n_products,
         "removed_countries": len(removed),
@@ -240,7 +261,7 @@ def cmd_gravity(args):
 
     outputs = []
     if args.split == "period":
-        periods = args.periods or DEFAULT_PERIODS
+        periods = args.periods or gravity.DEFAULT_PERIODS
         results = {}
         for period in periods:
             ds = _build_period_dataset(tensor, rel_by_year, meta, dyads, period, args)
@@ -352,7 +373,7 @@ def cmd_synth(args):
     trade_path = out / "trade.csv"
     country_path = out / "country.csv"
     dyad_path = out / "dyad.csv"
-    _write_raw_trade_csv(world.tensor, trade_path)
+    ingest.write_tensor_csv(world.tensor, trade_path, reporter="exporter")
     world.country_meta.write_csv(country_path)
     world.dyad_meta.write_csv(dyad_path)
     manifest_cfg = {
@@ -366,19 +387,6 @@ def cmd_synth(args):
     _write_manifest(out, "synth", [], manifest_cfg,
                     [trade_path, country_path, dyad_path], counts, started)
     return 0
-
-
-def _write_raw_trade_csv(tensor, path):
-    """Emit the raw single-reporter trade CSV that the ingest stage expects."""
-    import csv as _csv
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh)
-        w.writerow(list(ingest.TRADE_COLUMNS))
-        for year in tensor.years:
-            o, p, d, v = tensor.flows(year)
-            for i in range(o.size):
-                w.writerow([year, tensor.countries[o[i]], tensor.countries[d[i]],
-                            tensor.products[p[i]], repr(float(v[i])), "exporter"])
 
 
 def build_parser():
@@ -430,7 +438,7 @@ def build_parser():
     p.add_argument("--dyad-csv", required=True)
     p.add_argument("--years", type=_parse_period, default=None,
                    help="inclusive year range (default: all years)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(func=cmd_relatedness)
 
     def gravity_common(p):
@@ -443,7 +451,7 @@ def build_parser():
         p.add_argument("--horizon", type=int, default=2)
         p.add_argument("--zeros", default="drop", choices=["drop", "log1p"])
         p.add_argument("--standardize-response", action="store_true")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_thread_count, default=1)
 
     p = sub.add_parser("gravity", help="fit the pooled two-year-ahead model")
     gravity_common(p)

@@ -9,12 +9,12 @@ ubiquities.
 """
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import code_index, code_text, float_text, read_table, repeats, write_rows
 from .errors import TradeDataError
 
 log = logging.getLogger(__name__)
@@ -134,8 +134,8 @@ def export_product_space(prox, cutoff, edges_path, histogram_path, bins=50):
     """Write the thresholded edge list and the phi distribution histogram.
 
     Edges are (product_i, product_j, phi) with i < j and phi >= cutoff, phi
-    printed with 6 decimals. The histogram covers all unordered product pairs
-    with equal bins on [0, 1] and a running cumulative fraction.
+    printed at round-trip precision. The histogram covers all unordered
+    product pairs with equal bins on [0, 1] and a running cumulative fraction.
 
     Returns (n_edges, n_pairs).
     """
@@ -145,52 +145,41 @@ def export_product_space(prox, cutoff, edges_path, histogram_path, bins=50):
     iu, ju = np.triu_indices(n, k=1)
     vals = prox.phi[iu, ju]
     mask = vals >= cutoff
-    with open(edges_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["product_i", "product_j", "phi"])
-        for i, j, phi in zip(iu[mask], ju[mask], vals[mask]):
-            w.writerow([prox.products[i], prox.products[j], f"{phi:.6f}"])
+    write_rows(edges_path, ("product_i", "product_j", "phi"),
+               [code_text(prox.products, iu[mask]), code_text(prox.products, ju[mask]),
+                float_text(vals[mask])])
     counts, edges = np.histogram(vals, bins=bins, range=(0.0, 1.0))
-    cumulative = np.cumsum(counts)
-    total = max(vals.size, 1)
-    with open(histogram_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_lower", "bin_upper", "count", "cumulative_fraction"])
-        for b in range(bins):
-            w.writerow([f"{edges[b]:.6f}", f"{edges[b + 1]:.6f}", int(counts[b]),
-                        f"{cumulative[b] / total:.6f}"])
+    fraction = np.cumsum(counts) / max(vals.size, 1)
+    six = lambda xs: [f"{x:.6f}" for x in xs]
+    write_rows(histogram_path, ("bin_lower", "bin_upper", "count", "cumulative_fraction"),
+               [six(edges[:-1]), six(edges[1:]), [str(c) for c in counts], six(fraction)])
     return int(mask.sum()), int(vals.size)
 
 
 def write_rca_csv(rca, path):
     """Long-form country,product,rca rows; absent (NaN) rows are skipped."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["country", "product", "rca"])
-        for i, country in enumerate(rca.countries):
-            row = rca.values[i]
-            if np.isnan(row[0]) and np.all(np.isnan(row)):
-                continue
-            for j, product in enumerate(rca.products):
-                w.writerow([country, product, f"{row[j]:.10g}"])
+    rows = np.flatnonzero(~np.all(np.isnan(rca.values), axis=1))
+    n_products = len(rca.products)
+    write_rows(path, ("country", "product", "rca"),
+               [code_text(rca.countries, np.repeat(rows, n_products)),
+                code_text(rca.products, np.tile(np.arange(n_products), rows.size)),
+                [f"{x:.10g}" for x in rca.values[rows].ravel()]])
 
 
 def read_proximity_csv(path, products):
     """Rebuild a ProximityMatrix from an edge-list CSV over a known vocabulary."""
     products = tuple(products)
-    index = {p: i for i, p in enumerate(products)}
+    table = read_table(path, ("product_i", "product_j", "phi"), numeric={"phi": float})
+    first, second, value = table["product_i"], table["product_j"], table["phi"]
+    i, j = code_index(products, first), code_index(products, second)
+    table.check(
+        (i < 0, lambda r: f"unknown product '{first[r]}'"),
+        (j < 0, lambda r: f"unknown product '{second[r]}'"),
+        (~((value >= 0) & (value <= 1)), lambda r: f"phi {float(value[r])} outside [0, 1]"),
+        (repeats(np.minimum(i, j).astype(np.int64) * len(products) + np.maximum(i, j)),
+         lambda r: f"duplicate edge {first[r]},{second[r]}"))
     phi = np.zeros((len(products), len(products)))
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != ("product_i", "product_j", "phi"):
-            raise TradeDataError(f"{path}: expected header product_i,product_j,phi")
-        for row in reader:
-            if not row:
-                continue
-            i, j = index.get(row[0].strip()), index.get(row[1].strip())
-            if i is None or j is None:
-                raise TradeDataError(f"{path}: unknown product in edge {row[:2]}")
-            phi[i, j] = phi[j, i] = float(row[2])
+    phi[i, j] = value
+    phi[j, i] = value
     np.fill_diagonal(phi, 0.0)
     return ProximityMatrix(phi, products)

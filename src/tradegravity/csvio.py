@@ -1,0 +1,213 @@
+"""Whole-file CSV reading and writing on column arrays.
+
+``read_table`` parses a file into typed columns in one pass and keeps the
+line and reason of its first malformed row; ``write_rows`` writes text
+columns in the csv module's default dialect (CRLF line ends, minimal
+quoting), byte-identical to a row-by-row ``csv.writer`` loop.
+"""
+from __future__ import annotations
+
+import csv
+import io
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import ParseError
+
+_DTYPE = {int: "i8", float: "f8"}
+_TEXT_WIDTH = 16  # longest text field the array parser takes
+_WRITE_CHUNK = 1 << 16
+
+
+@dataclass
+class Table:
+    """Typed columns of a CSV file's data rows, cut before the first malformed row.
+
+    ``line`` holds each row's line number (the header is line 1). A row with
+    the wrong field count or an unparseable number is held back as
+    ``pending`` (line, reason), so that ``check`` can still report an
+    earlier row that fails one of the caller's own tests. ``raw_line(n)``
+    gives line n as the csv module reads it: its fields joined by commas.
+    """
+
+    path: str
+    columns: dict
+    line: np.ndarray
+    pending: tuple | None
+    raw_line: object
+
+    def __getitem__(self, name):
+        return self.columns[name]
+
+    def __len__(self):
+        return self.line.size
+
+    def check(self, *tests):
+        """Raise ParseError at the first row failing a test, else at the pending row.
+
+        ``tests`` are (mask, reason) pairs in the order they apply within a
+        row; ``reason(i)`` words the failure of row i.
+        """
+        limit, failed = len(self), None
+        for mask, reason in tests:
+            hits = np.flatnonzero(mask[:limit])
+            if hits.size:
+                limit, failed = int(hits[0]), reason
+        if failed is not None:
+            raise ParseError(self.path, int(self.line[limit]), failed(limit))
+        if self.pending:
+            raise ParseError(self.path, *self.pending)
+
+    def raw(self, rows):
+        """Text of the given rows as the csv module reads them."""
+        return [self.raw_line(int(self.line[i])) for i in rows]
+
+
+def read_table(path, fields, numeric=(), exact=True):
+    """Parse a CSV file with a header line into a Table.
+
+    ``fields`` maps each Table column name to its header name (a sequence
+    of names maps each to itself). With ``exact`` the stripped header must
+    equal those names in order; otherwise it must contain them and may hold
+    others. ``numeric`` maps Table names to ``int`` or ``float``, in the
+    order their parse failures take precedence within a row; other columns
+    are text with surrounding whitespace stripped. Blank lines are skipped
+    but counted.
+
+    Files without quotes or lone CR line ends go to ``np.loadtxt``, which
+    accepts a strict subset of what Python's int and float accept and gives
+    the same values. Other files, and any it refuses, go to the csv module and
+    Python's int and float, which find the exact line and reason of a
+    malformed row.
+    """
+    path = str(path)
+    fields = fields if isinstance(fields, dict) else dict(zip(fields, fields))
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    header = next(csv.reader(io.StringIO(text, newline="")), None)
+    if header is None:
+        raise ParseError(path, 1, "empty file, header required")
+    header = [h.strip() for h in header]
+    if exact and header != list(fields.values()):
+        raise ParseError(path, 1, f"expected header {','.join(fields.values())}")
+    for name, column in fields.items():
+        if column not in header:
+            raise ParseError(path, 1, f"missing column '{column}' for field '{name}'")
+    position = {name: header.index(column) for name, column in fields.items()}
+    numbers = [(position[name], name, kind) for name, kind in dict(numeric).items()]
+    columns, line, pending, raw = (_read_array(text, len(header), numbers)
+                                   or _read_records(text, len(header), numbers))
+    return Table(path, {name: columns[i] for name, i in position.items()}, line, pending, raw)
+
+
+def _read_array(text, width, numbers):
+    """np.loadtxt parse, or None where it could differ from the csv module."""
+    if '"' in text or text.count("\r") != text.count("\r\n"):
+        return None
+    kinds = {j: kind for j, _, kind in numbers}
+    dtype = [(f"c{j}", _DTYPE[kinds[j]] if j in kinds else f"U{_TEXT_WIDTH}")
+             for j in range(width)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a header-only file is "empty input"
+            parsed = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",", skiprows=1,
+                                comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if parsed.size != text.count("\n") + (not text.endswith("\n")) - 1:
+        return None  # blank lines moved the line numbers
+    columns = [parsed[f"c{j}"] for j in range(width)]
+    for j in range(width):
+        if j not in kinds:
+            longest = int(np.strings.str_len(columns[j]).max(initial=1))
+            if longest >= _TEXT_WIDTH:
+                return None  # possibly cut at the field width
+            columns[j] = np.strings.strip(columns[j]).astype(f"U{longest}")
+    lines = []
+
+    def raw(line_no):
+        if not lines:
+            lines.extend(text.split("\n"))
+        return lines[line_no - 1].removesuffix("\r")
+
+    return columns, np.arange(2, parsed.size + 2), None, raw
+
+
+def _read_records(text, width, numbers):
+    """csv module parse with Python's int and float."""
+    records = list(csv.reader(io.StringIO(text, newline="")))
+    keep = [i for i in range(1, len(records)) if records[i]]
+    pending = None
+    for n, i in enumerate(keep):
+        if len(records[i]) != width:
+            pending = (i + 1, f"expected {width} fields, got {len(records[i])}")
+            del keep[n:]
+            break
+    fields = list(zip(*(records[i] for i in keep))) or [()] * width
+    values = {}
+    for j, name, kind in numbers:
+        values[j] = []
+        try:
+            for field in fields[j][:len(keep)]:
+                values[j].append(kind(field))
+        except ValueError:
+            n = len(values[j])
+            pending = (keep[n] + 1, f"unparseable {name} '{fields[j][n].strip()}'")
+            del keep[n:]
+    n = len(keep)
+    kinds = {j: kind for j, _, kind in numbers}
+    columns = [np.array(values[j][:n], dtype=_DTYPE[kinds[j]]) if j in kinds
+               else np.array([f.strip() for f in fields[j][:n]], dtype=str)
+               for j in range(width)]
+    return columns, np.array(keep, dtype=np.int64) + 1, pending, \
+        lambda line_no: ",".join(records[line_no - 1])
+
+
+def write_rows(path, header, columns):
+    """Write a header line and rows built from equal-length text columns."""
+    n = len(columns[0]) if columns else 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n, _WRITE_CHUNK):
+            chunk = [c[lo:lo + _WRITE_CHUNK] for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*chunk))) + "\r\n")
+
+
+def float_text(values):
+    """Shortest round-trip text of each value, as ``repr(float)`` gives it."""
+    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+def code_text(vocab, index):
+    """Text of vocab[index] for each index, quoted where csv.writer would quote it."""
+    quoted = ['"' + c.replace('"', '""') + '"' if any(ch in c for ch in ',"\r\n') else c
+              for c in vocab]
+    return np.array(quoted, dtype=object)[np.asarray(index)]
+
+
+def vocabulary(*columns):
+    """Sorted distinct codes over text columns, and each column's int32 indices."""
+    codes = sorted(set().union(*(c.tolist() for c in columns)))
+    keys = np.array(codes, dtype=str)
+    return tuple(codes), [np.searchsorted(keys, c).astype(np.int32) for c in columns]
+
+
+def code_index(vocab, codes):
+    """Index of each code in a vocabulary (in any order), -1 for unknown codes."""
+    keys = np.array(vocab, dtype=str)
+    codes = np.asarray(codes, dtype=str)
+    if keys.size == 0:
+        return np.full(codes.size, -1, dtype=np.int32)
+    order = np.argsort(keys)
+    at = order[np.minimum(np.searchsorted(keys[order], codes), keys.size - 1)]
+    return np.where(keys[at] == codes, at, -1).astype(np.int32)
+
+
+def repeats(key):
+    """Mask of rows whose key already appeared on an earlier row."""
+    order = np.argsort(key, kind="stable")
+    seen = np.zeros(key.size, dtype=bool)
+    seen[order[1:]] = key[order[1:]] == key[order[:-1]]
+    return seen

@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import CoverageError, SingularDesignError, TradeDataError
 
@@ -491,6 +490,16 @@ def _cholesky_with_diagnostics(a, names, tol=1e-10):
     return l
 
 
+def t_pvalue(tstat, df):
+    """Two-sided p-value of t statistics on df degrees of freedom.
+
+    stdtr(df, -|t|) is the t distribution's survival function at |t|, the
+    same kernel scipy.stats.t.sf calls, without importing scipy.stats.
+    """
+    from scipy.special import stdtr  # here: CLI stages that fit nothing skip its import
+    return 2.0 * stdtr(df, -np.abs(tstat))
+
+
 def solve_normal_equations(xtx, xty, syy, sy, n, names):
     """Classical homoskedastic OLS from accumulated cross products."""
     k = len(names)
@@ -508,7 +517,7 @@ def solve_normal_equations(xtx, xty, syy, sy, n, names):
     se = np.sqrt(np.maximum(sigma2 * np.diag(inv), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = np.where(se > 0, beta / se, np.where(beta == 0, 0.0, np.inf * np.sign(beta)))
-    pvalue = 2.0 * stats.t.sf(np.abs(tstat), n - k)
+    pvalue = t_pvalue(tstat, n - k)
     r2 = 1.0 - rss / tss if tss > 0 else 0.0
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - k)
     resid = xty - xtx @ beta
@@ -755,7 +764,7 @@ def trend_test(coefficients, std_errors):
     if slope_se == 0:
         pvalue = 1.0 if slope == 0 else 0.0
     else:
-        pvalue = float(2.0 * stats.t.sf(abs(slope / slope_se), 3))
+        pvalue = float(t_pvalue(slope / slope_se, 3))
     return TrendResult(slope=slope, se=slope_se, pvalue=pvalue,
                        significant=pvalue < 0.1)
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import code_index, code_text, float_text, read_table, repeats, vocabulary, write_rows
 from .errors import CoverageError, ParseError, TradeDataError
 
 log = logging.getLogger(__name__)
@@ -25,6 +26,9 @@ PRODUCT_RE = re.compile(r"^[0-9]{4}$")
 COUNTRY_RE = re.compile(r"^[A-Z]{3}$")
 
 TRADE_COLUMNS = ("year", "origin", "destination", "product", "value", "reporter")
+TENSOR_COLUMNS = TRADE_COLUMNS[:5]
+REJECT_REASONS = ("bad_origin_code", "bad_destination_code", "self_trade",
+                  "bad_product_code", "zero_value")
 COUNTRY_COLUMNS = ("code", "year", "population", "gdp_per_capita")
 DYAD_COLUMNS = ("country_a", "country_b", "distance_km", "border", "colony",
                 "language", "lang_proximity")
@@ -44,14 +48,28 @@ class ReconcilePolicy(str, enum.Enum):
     MEAN = "mean"
 
 
-@dataclass(frozen=True, slots=True)
-class TradeFlowRecord:
-    year: int
-    origin: str
-    destination: str
-    product: str
-    value: float
-    reporter: Reporter
+@dataclass(frozen=True)
+class TradeBatch:
+    """Accepted raw trade rows as parallel columns, in file order.
+
+    ``importer`` is True where the importer reported the row. Codes are text
+    arrays; ``value`` is float64 and ``year`` int64.
+    """
+
+    year: np.ndarray
+    origin: np.ndarray
+    destination: np.ndarray
+    product: np.ndarray
+    value: np.ndarray
+    importer: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("year", np.int64), ("origin", str), ("destination", str),
+                            ("product", str), ("value", np.float64), ("importer", bool)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+
+    def __len__(self):
+        return self.year.size
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,24 +147,28 @@ class TradeTensor:
             self._flows[int(year)] = (o, p, d, v)
 
     @classmethod
+    def from_arrays(cls, countries, products, year, o, p, d, v):
+        """Build from parallel cell arrays in any order; o, p, d index the vocabularies."""
+        order = np.argsort(year_cell_keys(year, o, p, d, len(countries), len(products)),
+                           kind="stable")
+        year, o, p, d, v = (np.asarray(a)[order] for a in (year, o, p, d, v))
+        years, starts = np.unique(year, return_index=True)
+        ends = np.append(starts[1:], year.size)
+        flows = {int(y): (o[s:e], p[s:e], d[s:e], v[s:e])
+                 for y, s, e in zip(years, starts, ends)}
+        return cls(countries, products, sorted(flows), flows)
+
+    @classmethod
     def from_cells(cls, countries, products, cells):
         """Build from a mapping (year, origin, product, destination) -> value."""
-        countries = tuple(sorted(countries))
-        products = tuple(sorted(products))
-        cidx = {c: i for i, c in enumerate(countries)}
-        pidx = {p: i for i, p in enumerate(products)}
-        per_year = {}
-        for (year, o, p, d), v in cells.items():
-            per_year.setdefault(int(year), []).append((cidx[o], pidx[p], cidx[d], float(v)))
-        flows = {}
-        for year, quads in per_year.items():
-            quads.sort(key=lambda q: (q[0], q[1], q[2]))
-            o = np.array([q[0] for q in quads])
-            p = np.array([q[1] for q in quads])
-            d = np.array([q[2] for q in quads])
-            v = np.array([q[3] for q in quads])
-            flows[year] = (o, p, d, v)
-        return cls(countries, products, sorted(per_year), flows)
+        countries, products = tuple(sorted(countries)), tuple(sorted(products))
+        keys = np.array(list(cells), dtype=object).reshape(-1, 4)
+        o, p, d = (code_index(vocab, keys[:, j].astype(str))
+                   for vocab, j in ((countries, 1), (products, 2), (countries, 3)))
+        if min(o.min(initial=0), p.min(initial=0), d.min(initial=0)) < 0:
+            raise TradeDataError("cell code missing from the vocabularies")
+        return cls.from_arrays(countries, products, keys[:, 0].astype(np.int64), o, p, d,
+                               np.array(list(cells.values()), dtype=np.float64))
 
     @property
     def n_countries(self):
@@ -264,29 +286,14 @@ class CountryMeta:
 
     @classmethod
     def from_csv(cls, path):
+        table = read_table(path, COUNTRY_COLUMNS,
+                           numeric={"year": int, "population": float, "gdp_per_capita": float})
+        pop, gdp = table["population"], table["gdp_per_capita"]
+        table.check((~(pop > 0), lambda i: f"population must be positive, got {pop[i]}"),
+                    (~(gdp > 0), lambda i: f"gdp_per_capita must be positive, got {gdp[i]}"))
         meta = cls()
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(h.strip() for h in header) != COUNTRY_COLUMNS:
-                raise ParseError(path, 1, f"expected header {','.join(COUNTRY_COLUMNS)}")
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 4:
-                    raise ParseError(path, line_no, f"expected 4 fields, got {len(row)}")
-                code = row[0].strip()
-                try:
-                    year = int(row[1])
-                    pop = float(row[2])
-                    gdp = float(row[3])
-                except ValueError as exc:
-                    raise ParseError(path, line_no, f"unparseable numeric field: {exc}") from None
-                if pop <= 0:
-                    raise ParseError(path, line_no, f"population must be positive, got {pop}")
-                if gdp <= 0:
-                    raise ParseError(path, line_no, f"gdp_per_capita must be positive, got {gdp}")
-                meta.add(code, year, pop, gdp)
+        for row in zip(table["code"].tolist(), table["year"].tolist(), pop.tolist(), gdp.tolist()):
+            meta.add(*row)
         return meta
 
     def add(self, code, year, population, gdp_per_capita):
@@ -340,28 +347,17 @@ class DyadMeta:
 
     @classmethod
     def from_csv(cls, path):
+        table = read_table(path, DYAD_COLUMNS,
+                           numeric={"distance_km": float, "border": int, "colony": int,
+                                    "language": int, "lang_proximity": float})
+        table.check()
         dyads = cls()
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(h.strip() for h in header) != DYAD_COLUMNS:
-                raise ParseError(path, 1, f"expected header {','.join(DYAD_COLUMNS)}")
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 7:
-                    raise ParseError(path, line_no, f"expected 7 fields, got {len(row)}")
-                a, b = row[0].strip(), row[1].strip()
-                try:
-                    dist = float(row[2])
-                    border, colony, language = int(row[3]), int(row[4]), int(row[5])
-                    prox = float(row[6])
-                except ValueError as exc:
-                    raise ParseError(path, line_no, f"unparseable field: {exc}") from None
-                try:
-                    dyads.add(a, b, dist, border, colony, language, prox)
-                except TradeDataError as exc:
-                    raise ParseError(path, line_no, str(exc)) from None
+        for line_no, *row in zip(table.line.tolist(),
+                                 *(table[name].tolist() for name in DYAD_COLUMNS)):
+            try:
+                dyads.add(*row)
+            except TradeDataError as exc:
+                raise ParseError(path, line_no, str(exc)) from None
         return dyads
 
     def add(self, a, b, distance_km, border, colony, language, lang_proximity):
@@ -437,7 +433,7 @@ class DyadMeta:
 
 
 def load_trade_csv(path, schema=None):
-    """Parse a raw trade CSV into records plus a list of rejected rows.
+    """Parse a raw trade CSV into a TradeBatch plus a list of rejected rows.
 
     ``schema`` maps the logical column names (year, origin, destination,
     product, value, reporter) to the actual header names; identity by default.
@@ -448,63 +444,36 @@ def load_trade_csv(path, schema=None):
     are collected as rejects, as are zero-value rows, which are dropped.
     """
     schema = dict(schema or {})
-    colmap = {logical: schema.get(logical, logical) for logical in TRADE_COLUMNS}
-    records = []
-    rejects = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(path, 1, "empty file, header required")
-        header = [h.strip() for h in header]
-        positions = {}
-        for logical, actual in colmap.items():
-            if actual not in header:
-                raise ParseError(path, 1, f"missing column '{actual}' for field '{logical}'")
-            positions[logical] = header.index(actual)
-        width = len(header)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise ParseError(path, line_no, f"expected {width} fields, got {len(row)}")
-            raw = ",".join(row)
-            get = lambda logical: row[positions[logical]].strip()
-            try:
-                year = int(get("year"))
-            except ValueError:
-                raise ParseError(path, line_no, f"unparseable year '{get('year')}'") from None
-            try:
-                value = float(get("value"))
-            except ValueError:
-                raise ParseError(path, line_no, f"unparseable value '{get('value')}'") from None
-            if value < 0:
-                raise ParseError(path, line_no, f"negative trade value {value}")
-            reporter_raw = get("reporter").lower()
-            try:
-                reporter = Reporter(reporter_raw)
-            except ValueError:
-                raise ParseError(path, line_no, f"unknown reporter '{get('reporter')}'") from None
-            origin, destination, product = get("origin"), get("destination"), get("product")
-            if not COUNTRY_RE.match(origin):
-                rejects.append(RejectedRow(line_no, "bad_origin_code", raw))
-                continue
-            if not COUNTRY_RE.match(destination):
-                rejects.append(RejectedRow(line_no, "bad_destination_code", raw))
-                continue
-            if origin == destination:
-                rejects.append(RejectedRow(line_no, "self_trade", raw))
-                continue
-            if not PRODUCT_RE.match(product):
-                rejects.append(RejectedRow(line_no, "bad_product_code", raw))
-                continue
-            if value == 0:
-                rejects.append(RejectedRow(line_no, "zero_value", raw))
-                continue
-            records.append(TradeFlowRecord(year, origin, destination, product, value, reporter))
+    table = read_table(path, {name: schema.get(name, name) for name in TRADE_COLUMNS},
+                       numeric={"year": int, "value": float}, exact=False)
+    value, reporter = table["value"], table["reporter"]
+    sides = {r.value for r in Reporter}
+    table.check((value < 0, lambda i: f"negative trade value {float(value[i])}"),
+                (~_per_code(reporter, lambda c: c.lower() in sides),
+                 lambda i: f"unknown reporter '{reporter[i]}'"))
+    origin, destination, product = table["origin"], table["destination"], table["product"]
+    reason = np.select([~_per_code(origin, COUNTRY_RE.match),
+                        ~_per_code(destination, COUNTRY_RE.match),
+                        origin == destination,
+                        ~_per_code(product, PRODUCT_RE.match),
+                        value == 0], list(range(1, len(REJECT_REASONS) + 1)), 0)
+    bad = np.flatnonzero(reason)
+    rejects = [RejectedRow(int(table.line[i]), REJECT_REASONS[reason[i] - 1], raw)
+               for i, raw in zip(bad, table.raw(bad))]
+    ok = reason == 0
+    importer = _per_code(reporter, lambda c: c.lower() == Reporter.IMPORTER.value)
+    batch = TradeBatch(table["year"][ok], origin[ok], destination[ok], product[ok],
+                       value[ok], importer[ok])
     if rejects:
-        log.info("load_trade_csv: %d records parsed, %d rows rejected", len(records), len(rejects))
-    return records, rejects
+        log.info("load_trade_csv: %d records parsed, %d rows rejected", len(batch), len(rejects))
+    return batch, rejects
+
+
+def _per_code(codes, test):
+    """Truth of test(code), evaluated once per distinct code, for each row."""
+    codes = codes.tolist()
+    result = {c: bool(test(c)) for c in set(codes)}
+    return np.fromiter(map(result.__getitem__, codes), dtype=bool, count=len(codes))
 
 
 def write_rejects_report(rejects, path):
@@ -515,53 +484,44 @@ def write_rejects_report(rejects, path):
             w.writerow([r.line_no, r.reason, r.raw])
 
 
-def reconcile(records, policy=ReconcilePolicy.IMPORTER):
+def reconcile(batch, policy=ReconcilePolicy.IMPORTER):
     """Collapse exporter- and importer-reported rows into one value per cell.
 
-    Multiple reports from the same side of the same cell are summed before
-    the policy applies. Returns the reconciled TradeTensor and an audit of
-    {exporter-only, importer-only, agreeing, discrepant} cell counts.
-    Discrepancies are data, not failures.
+    Multiple reports from the same side of the same cell are summed, in file
+    order, before the policy applies. Returns the reconciled TradeTensor and
+    an audit of {exporter-only, importer-only, agreeing, discrepant} cell
+    counts. Discrepancies are data, not failures.
     """
     policy = ReconcilePolicy(policy)
-    sides = {}
-    for rec in records:
-        key = (rec.year, rec.origin, rec.product, rec.destination)
-        cell = sides.setdefault(key, [0.0, 0.0])
-        cell[0 if rec.reporter is Reporter.EXPORTER else 1] += rec.value
-
-    audit = ReconcileAudit()
-    cells = {}
-    countries = set()
-    products = set()
-    for key, (exp_val, imp_val) in sides.items():
-        if exp_val > 0 and imp_val > 0:
-            if exp_val == imp_val:
-                audit.both_agree += 1
-            else:
-                audit.both_discrepant += 1
-            if policy is ReconcilePolicy.IMPORTER:
-                value = imp_val
-            elif policy is ReconcilePolicy.EXPORTER:
-                value = exp_val
-            elif policy is ReconcilePolicy.MAX:
-                value = max(exp_val, imp_val)
-            else:
-                value = 0.5 * (exp_val + imp_val)
-        elif exp_val > 0:
-            audit.exporter_only += 1
-            value = exp_val
-        else:
-            audit.importer_only += 1
-            value = imp_val
-        cells[key] = value
-        countries.add(key[1])
-        countries.add(key[3])
-        products.add(key[2])
-    if not cells:
+    if not len(batch):
         raise TradeDataError("no records to reconcile")
-    tensor = TradeTensor.from_cells(countries, products, cells)
+    countries, (o, d) = vocabulary(batch.origin, batch.destination)
+    products, (p,) = vocabulary(batch.product)
+    key = year_cell_keys(batch.year, o, p, d, len(countries), len(products))
+    _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+    imp = batch.importer
+    exp_val = np.bincount(cell[~imp], weights=batch.value[~imp], minlength=first.size)
+    imp_val = np.bincount(cell[imp], weights=batch.value[imp], minlength=first.size)
+    has_exp = exp_val > 0
+    both = has_exp & (imp_val > 0)
+    agree = both & (exp_val == imp_val)
+    audit = ReconcileAudit(exporter_only=int(np.sum(has_exp & ~both)),
+                           importer_only=int(np.sum(~has_exp)),
+                           both_agree=int(agree.sum()),
+                           both_discrepant=int(np.sum(both & ~agree)))
+    chosen = {ReconcilePolicy.IMPORTER: imp_val, ReconcilePolicy.EXPORTER: exp_val,
+              ReconcilePolicy.MAX: np.maximum(exp_val, imp_val),
+              ReconcilePolicy.MEAN: 0.5 * (exp_val + imp_val)}[policy]
+    value = np.where(both, chosen, np.where(has_exp, exp_val, imp_val))
+    tensor = TradeTensor.from_arrays(countries, products, batch.year[first], o[first],
+                                     p[first], d[first], value)
     return tensor, audit
+
+
+def year_cell_keys(year, o, p, d, n_countries, n_products):
+    """One int64 key per (year, origin, product, destination) cell, ordered like the tuple."""
+    _, y = np.unique(year, return_inverse=True)
+    return ((y.astype(np.int64) * n_countries + o) * n_products + p) * n_countries + d
 
 
 def filter_countries(tensor, meta, rules=None):
@@ -599,47 +559,38 @@ def filter_countries(tensor, meta, rules=None):
     return tensor.subset_countries(keep), removed
 
 
-def write_tensor_csv(tensor, path):
-    """Persist a reconciled tensor as year,origin,destination,product,value rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["year", "origin", "destination", "product", "value"])
-        for year in tensor.years:
-            o, p, d, v = tensor.flows(year)
-            for i in range(o.size):
-                w.writerow([year, tensor.countries[o[i]], tensor.countries[d[i]],
-                            tensor.products[p[i]], repr(float(v[i]))])
+def write_tensor_csv(tensor, path, reporter=None):
+    """Persist a tensor as year,origin,destination,product,value rows.
+
+    With ``reporter`` ("exporter" or "importer") every row also carries that
+    reporter column: the raw trade format that load_trade_csv reads.
+    """
+    flows = [tensor.flows(year) for year in tensor.years]
+    o, p, d, v = (np.concatenate([f[j] for f in flows] or [np.empty(0, dtype=np.int64)])
+                  for j in range(4))
+    columns = [np.repeat(np.array([str(y) for y in tensor.years], dtype=object),
+                         [f[0].size for f in flows]),
+               code_text(tensor.countries, o), code_text(tensor.countries, d),
+               code_text(tensor.products, p), float_text(v)]
+    header = TENSOR_COLUMNS
+    if reporter is not None:
+        header, columns = TRADE_COLUMNS, columns + [[Reporter(reporter).value] * v.size]
+    write_rows(path, header, columns)
 
 
 def read_tensor_csv(path):
     """Load a tensor previously written by write_tensor_csv."""
-    cells = {}
-    countries = set()
-    products = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ("year", "origin", "destination", "product", "value")
-        if header is None or tuple(h.strip() for h in header) != expected:
-            raise ParseError(path, 1, f"expected header {','.join(expected)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ParseError(path, line_no, f"expected 5 fields, got {len(row)}")
-            try:
-                year = int(row[0])
-                value = float(row[4])
-            except ValueError as exc:
-                raise ParseError(path, line_no, f"unparseable field: {exc}") from None
-            if value <= 0:
-                raise ParseError(path, line_no, f"non-positive value {value}")
-            key = (year, row[1].strip(), row[3].strip(), row[2].strip())
-            if key in cells:
-                raise ParseError(path, line_no, f"duplicate cell {key}")
-            cells[key] = value
-            countries.update((key[1], key[3]))
-            products.add(key[2])
-    if not cells:
+    table = read_table(path, TENSOR_COLUMNS, numeric={"year": int, "value": float})
+    year, value = table["year"], table["value"]
+    origin, destination, product = table["origin"], table["destination"], table["product"]
+    countries, (o, d) = vocabulary(origin, destination)
+    products, (p,) = vocabulary(product)
+    table.check(
+        (~(value > 0), lambda i: f"non-positive value {float(value[i])}"),
+        (o == d, lambda i: f"origin equals destination {origin[i]}"),
+        (repeats(year_cell_keys(year, o, p, d, len(countries), len(products))),
+         lambda i: "duplicate cell "
+                   f"{(int(year[i]), str(origin[i]), str(product[i]), str(destination[i]))}"))
+    if not len(table):
         raise TradeDataError(f"{path}: no flows")
-    return TradeTensor.from_cells(countries, products, cells)
+    return TradeTensor.from_arrays(countries, products, year, o, p, d, value)

@@ -19,7 +19,6 @@ import string
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .complexity import binarize, compute_rca, compute_proximity
 from .errors import SingularDesignError, TradeDataError
@@ -336,6 +335,8 @@ def _full_pivot_inverse(a, tol=1e-12):
 
 def brute_force_ols(x, y, names):
     """Dense textbook OLS: explicit Gram inversion with full pivoting."""
+    from scipy import stats  # the referee's own p-value path, kept off the CLI's imports
+
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, k = x.shape

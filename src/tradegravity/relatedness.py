@@ -15,19 +15,20 @@ matrix diagonal are both zero.
 """
 from __future__ import annotations
 
-import csv
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csvio import code_index, code_text, float_text, read_table, repeats, write_rows
 from .errors import TradeDataError
+from .ingest import year_cell_keys
 
 log = logging.getLogger(__name__)
 
 _BOUND_SLACK = 1e-9
+RELATEDNESS_COLUMNS = ("year", "origin", "product", "destination", "omega", "omega_d", "omega_o")
 
 
 class DistanceWeights:
@@ -114,6 +115,8 @@ def _chunked_matmul_gather(cols, data, inverse, col_of_cell, weight_matrix,
     (inverse, cols, data). Cells must be sorted so that equal ``inverse``
     values are contiguous and ascending, which keeps each chunk's gather local.
     """
+    import scipy.sparse as sp  # here: CLI stages that never evaluate relatedness skip its import
+
     n_groups = int(inverse.max()) + 1 if inverse.size else 0
     out = np.empty(inverse.size)
     starts = list(range(0, n_groups, chunk_rows))
@@ -250,24 +253,22 @@ def dense_relatedness(tensor, prox, weights, year):
 def write_relatedness_csv(values_by_year, path):
     """Write year,origin,product,destination,omega,omega_d,omega_o rows.
 
-    Cells with undefined product relatedness are dropped (and counted in the
-    return value) rather than written with holes.
+    Values are printed at round-trip precision. Cells with undefined product
+    relatedness are dropped (and counted in the return value) rather than
+    written with holes.
     """
+    columns = [[] for _ in RELATEDNESS_COLUMNS]
     dropped = 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["year", "origin", "product", "destination", "omega", "omega_d", "omega_o"])
-        for rel in sorted(values_by_year, key=lambda r: r.year):
-            keep = np.isfinite(rel.omega)
-            dropped += int((~keep).sum())
-            for i in np.flatnonzero(keep):
-                w.writerow([rel.year,
-                            rel.countries[rel.o[i]],
-                            rel.products[rel.p[i]],
-                            rel.countries[rel.d[i]],
-                            f"{rel.omega[i]:.10g}",
-                            f"{rel.omega_d[i]:.10g}",
-                            f"{rel.omega_o[i]:.10g}"])
+    for rel in sorted(values_by_year, key=lambda r: r.year):
+        keep = np.isfinite(rel.omega)
+        dropped += int((~keep).sum())
+        parts = ([str(rel.year)] * int(keep.sum()), code_text(rel.countries, rel.o[keep]),
+                 code_text(rel.products, rel.p[keep]), code_text(rel.countries, rel.d[keep]),
+                 float_text(rel.omega[keep]), float_text(rel.omega_d[keep]),
+                 float_text(rel.omega_o[keep]))
+        for column, part in zip(columns, parts):
+            column.extend(part)
+    write_rows(path, RELATEDNESS_COLUMNS, columns)
     if dropped:
         log.info("write_relatedness_csv: dropped %d cells with undefined omega", dropped)
     return dropped
@@ -277,34 +278,30 @@ def read_relatedness_csv(path, countries, products):
     """Load per-year RelatednessValues previously written by write_relatedness_csv."""
     countries = tuple(countries)
     products = tuple(products)
-    cidx = {c: i for i, c in enumerate(countries)}
-    pidx = {p: i for i, p in enumerate(products)}
-    rows_by_year = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ("year", "origin", "product", "destination", "omega", "omega_d", "omega_o")
-        if header is None or tuple(h.strip() for h in header) != expected:
-            raise TradeDataError(f"{path}: expected header {','.join(expected)}")
-        for row in reader:
-            if not row:
-                continue
-            year = int(row[0])
-            try:
-                o, p, d = cidx[row[1].strip()], pidx[row[2].strip()], cidx[row[3].strip()]
-            except KeyError as exc:
-                raise TradeDataError(f"{path}: unknown code {exc} in relatedness row") from None
-            rows_by_year.setdefault(year, []).append(
-                (o, p, d, float(row[4]), float(row[5]), float(row[6])))
+    measures = RELATEDNESS_COLUMNS[4:]
+    table = read_table(path, RELATEDNESS_COLUMNS,
+                       numeric={"year": int, "omega": float, "omega_d": float, "omega_o": float})
+    year = table["year"]
+    origin, product, destination = table["origin"], table["product"], table["destination"]
+    o, d = code_index(countries, origin), code_index(countries, destination)
+    p = code_index(products, product)
+    key = year_cell_keys(year, o, p, d, len(countries), len(products))
+    table.check(
+        (o < 0, lambda i: f"unknown origin '{origin[i]}'"),
+        (p < 0, lambda i: f"unknown product '{product[i]}'"),
+        (d < 0, lambda i: f"unknown destination '{destination[i]}'"),
+        *[(~((table[m] >= 0) & (table[m] <= 1)),
+           lambda i, m=m: f"{m} {float(table[m][i])} outside [0, 1]") for m in measures],
+        (repeats(key), lambda i: f"duplicate cell {int(year[i])},{origin[i]},{product[i]},"
+                                 f"{destination[i]}"))
+    order = np.argsort(key, kind="stable")
+    years, starts = np.unique(year[order], return_index=True)
+    ends = np.append(starts[1:], order.size)
     out = {}
-    for year, rows in rows_by_year.items():
-        rows.sort(key=lambda r: (r[0], r[1], r[2]))
-        arr = np.array(rows, dtype=np.float64)
-        out[year] = RelatednessValues(
-            year=year,
-            o=arr[:, 0].astype(np.int32),
-            p=arr[:, 1].astype(np.int32),
-            d=arr[:, 2].astype(np.int32),
-            omega=arr[:, 3], omega_d=arr[:, 4], omega_o=arr[:, 5],
-            countries=countries, products=products)
+    for y, s, e in zip(years.tolist(), starts, ends):
+        rows = order[s:e]
+        out[y] = RelatednessValues(
+            year=y, o=o[rows], p=p[rows], d=d[rows],
+            omega=table["omega"][rows], omega_d=table["omega_d"][rows],
+            omega_o=table["omega_o"][rows], countries=countries, products=products)
     return out

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tradegravity as tg
 from tradegravity.cli import main
 
 
@@ -212,3 +217,77 @@ def test_planted_cli_round_trip(tmp_path):
                               "colony", "language", "log_lang_proximity"]):
         got = coefs[name]
         assert abs(got["beta"] - b) < 4.0 * max(got["se"], 1e-6), name
+
+
+def test_handoff_files_hold_the_library_values_bitwise(pipeline):
+    _, world, stage = pipeline
+    w = tg.generate_world(tg.SyntheticWorldConfig(
+        n_countries=8, n_products=12, n_years=3, sparsity=0.7, seed=42,
+        forward_mode="persist"))
+    tensor = w.tensor
+    assert tg.ingest.read_tensor_csv(stage / "reconciled.csv").products == tensor.products
+    prox = tg.compute_proximity(tg.binarize(tg.compute_rca(tensor, (2000, 2000))))
+    phi = tg.complexity.read_proximity_csv(stage / "proximity.csv", tensor.products).phi
+    assert np.array_equal(phi, prox.phi)
+    weights = tg.DistanceWeights.from_dyads(tensor.countries, w.dyad_meta)
+    from_file = tg.relatedness.read_relatedness_csv(stage / "relatedness.csv",
+                                                    tensor.countries, tensor.products)
+    for year in tensor.years:
+        rel = tg.compute_relatedness(tensor, prox, weights, year)
+        keep = np.isfinite(rel.omega)
+        for name in ("omega", "omega_d", "omega_o"):
+            assert np.array_equal(getattr(from_file[year], name), getattr(rel, name)[keep])
+
+
+def test_malformed_handoff_file_is_exit_one_with_line(pipeline, tmp_path, capsys):
+    _, world, stage = pipeline
+    lines = (stage / "relatedness.csv").read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[4] = "n/a"
+    bad = tmp_path / "relatedness.csv"
+    bad.write_text("\n".join(lines[:2] + [",".join(fields)] + lines[3:]) + "\n")
+    assert run("gravity", "-o", tmp_path, "--trade", stage / "reconciled.csv",
+               "--relatedness", bad, "--country-csv", world / "country.csv",
+               "--dyad-csv", world / "dyad.csv", "--period", "2000-2002") == 1
+    assert f"{bad}:3: unparseable omega 'n/a'" in capsys.readouterr().err
+
+
+def test_malformed_config_is_exit_one_with_line(pipeline, tmp_path, capsys):
+    _, _, stage = pipeline
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{\n  "window": "2000-2000",\n  "cutoff": \n}\n')
+    assert run("proximity", "-o", tmp_path, "--trade", stage / "reconciled.csv",
+               "--config", cfg) == 1
+    assert f"{cfg}:4: " in capsys.readouterr().err
+
+
+def test_threads_below_one_is_rejected(pipeline, tmp_path):
+    _, world, stage = pipeline
+    args = ["relatedness", "-o", tmp_path, "--trade", stage / "reconciled.csv",
+            "--proximity", stage / "proximity.csv", "--dyad-csv", world / "dyad.csv"]
+    for threads in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            run(*args, "--threads", threads)
+        assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"threads": 0}')
+    assert run(*args, "--config", cfg) == 1
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = Path(tg.__file__).resolve().parents[1]
+    # the p-value kernel and scipy.sparse, imported on first use, stay off it too
+    code = ("import sys, scipy.sparse, tradegravity.cli; tradegravity.gravity.t_pvalue(1.0, 3); "
+            "sys.exit('scipy.stats' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_config_sets_options_that_have_defaults(pipeline, tmp_path):
+    _, _, stage = pipeline
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"window": "2000-2000", "cutoff": 0.5, "bins": 7}))
+    assert run("proximity", "-o", tmp_path, "--trade", stage / "reconciled.csv",
+               "--config", cfg) == 0
+    config = json.loads((tmp_path / "proximity_manifest.json").read_text())["config"]
+    assert (config["cutoff"], config["bins"]) == (0.5, 7)

@@ -159,8 +159,8 @@ def test_export_product_space(tmp_path):
 
     tg.export_product_space(prox, 0.3, edges, hist, bins=10)
     lines = edges.read_text().strip().splitlines()
-    assert lines[1] == "0101,0102,0.333333"
-    assert lines[2] == "0102,0103,0.600000"
+    assert lines[1] == "0101,0102,0.3333333333333333"  # round-trip precision
+    assert lines[2] == "0102,0103,0.6"
 
     hist_lines = hist.read_text().strip().splitlines()
     assert hist_lines[0] == "bin_lower,bin_upper,count,cumulative_fraction"
@@ -185,4 +185,19 @@ def test_proximity_csv_roundtrip(tmp_path):
     edges = tmp_path / "edges.csv"
     tg.export_product_space(prox, 0.0, edges, tmp_path / "h.csv")
     again = tg.complexity.read_proximity_csv(edges, m.products)
-    assert np.allclose(again.phi, prox.phi, atol=5e-7)  # 6-decimal printing
+    assert np.array_equal(again.phi, prox.phi)  # round-trip printing is exact
+
+
+@pytest.mark.parametrize("bad,reason", [
+    ("0101,0103\n", "expected 3 fields, got 2"),
+    ("0101,0103,high\n", "unparseable phi 'high'"),
+    ("0101,9999,0.5\n", "unknown product '9999'"),
+    ("0101,0102,1.5\n", "phi 1.5 outside [0, 1]"),
+    ("0102,0101,0.5\n", "duplicate edge 0102,0101"),
+])
+def test_proximity_reader_names_line_and_reason(tmp_path, bad, reason):
+    path = tmp_path / "proximity.csv"
+    path.write_text("product_i,product_j,phi\n0101,0102,0.5\n" + bad + "x\n")
+    with pytest.raises(tg.ParseError) as exc:
+        tg.complexity.read_proximity_csv(path, ("0101", "0102", "0103"))
+    assert (exc.value.line_no, str(exc.value)) == (3, f"{path}:3: {reason}")

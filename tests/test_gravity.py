@@ -440,3 +440,39 @@ def test_trend_over_lall_requires_all_categories(tmp_path):
     assert set(trends) == set(REGRESSOR_NAMES)
     with pytest.raises(tg.TradeDataError):
         trend_over_lall({k: v for k, v in results.items() if k != "primary"})
+
+
+# ---------------------------------------------------------------- p-values
+
+
+def test_t_pvalue_matches_scipy_stats_bitwise():
+    from scipy import stats
+    t = np.concatenate([[0.0, -0.0, np.inf, -np.inf], np.geomspace(1e-8, 60.0, 400),
+                        -np.geomspace(1e-3, 20.0, 100)])
+    for df in (3, 10, 1e3, 7.5e4, 1e7):
+        assert np.array_equal(tg.gravity.t_pvalue(t, df), 2.0 * stats.t.sf(np.abs(t), df))
+
+
+def _hadamard(n):
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+@pytest.mark.parametrize("noise", [1.0, 0.0])
+def test_fit_pvalues_equal_oracle_exactly(noise):
+    # Hadamard columns with integer data keep every cross product, solve and
+    # residual exact, so fit_ols and the oracle reach the same t statistics;
+    # noise 0 gives se = 0 (t = +-inf), and a zero coefficient gives t = 0
+    h = _hadamard(64)
+    beta = np.arange(16.0) - 7.0  # beta[7] == 0
+    y = h[:, :16] @ beta + noise * h[:, 40]  # column 40 is outside the design
+    ds = make_dataset({name: h[:, j] for j, name in enumerate(REGRESSOR_NAMES, start=1)},
+                      response=y)
+    ours = tg.fit_ols(ds)
+    ref = tg.brute_force_ols(ds.design_matrix(), y, ours.names)
+    assert np.array_equal(ours.tstat, ref.tstat)
+    assert ours.tstat[7] == 0.0
+    assert np.all(np.isinf(np.delete(ours.tstat, 7))) == (noise == 0.0)
+    assert np.array_equal(ours.pvalue, ref.pvalue)

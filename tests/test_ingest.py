@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tradegravity as tg
-from tradegravity.ingest import Reporter, load_trade_csv, write_rejects_report
+from tradegravity.ingest import load_trade_csv, write_rejects_report
 
 HEADER = "year,origin,destination,product,value,reporter\n"
 
@@ -15,10 +15,12 @@ def write(tmp_path, body, name="trade.csv"):
 
 def test_load_basic_row(tmp_path):
     path = write(tmp_path, "2003,KOR,CHL,6201,152000,exporter\n")
-    records, rejects = load_trade_csv(path)
+    batch, rejects = load_trade_csv(path)
     assert rejects == []
-    assert records == [tg.TradeFlowRecord(2003, "KOR", "CHL", "6201", 152000.0,
-                                          Reporter.EXPORTER)]
+    assert len(batch) == 1
+    assert (batch.year.tolist(), batch.origin.tolist(), batch.destination.tolist(),
+            batch.product.tolist(), batch.value.tolist(), batch.importer.tolist()) == \
+        ([2003], ["KOR"], ["CHL"], ["6201"], [152000.0], [False])
 
 
 def test_load_negative_value_raises_with_line(tmp_path):
@@ -58,8 +60,8 @@ def test_load_schema_mapping(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("yr,origin,destination,product,value,reporter\n"
                     "2003,KOR,CHL,6201,5,exporter\n")
-    records, _ = load_trade_csv(path, schema={"year": "yr"})
-    assert records[0].year == 2003
+    batch, _ = load_trade_csv(path, schema={"year": "yr"})
+    assert batch.year[0] == 2003
     with pytest.raises(tg.ParseError):
         load_trade_csv(path)  # default schema misses the renamed column
 
@@ -73,23 +75,24 @@ def test_rejects_report_roundtrip(tmp_path):
     assert lines[1].startswith("2,self_trade,")
 
 
-def _rec(year, o, d, p, v, side):
-    return tg.TradeFlowRecord(year, o, d, p, v, side)
+def _batch(rows):
+    """TradeBatch from (year, origin, destination, product, value, importer) rows."""
+    return tg.TradeBatch(*(list(col) for col in zip(*rows)))
 
 
-THREE_RECORDS = [
-    _rec(2000, "AAA", "BBB", "0101", 100.0, Reporter.EXPORTER),
-    _rec(2000, "AAA", "BBB", "0102", 100.0, Reporter.EXPORTER),
-    _rec(2000, "AAA", "BBB", "0102", 120.0, Reporter.IMPORTER),
+THREE_ROWS = [
+    (2000, "AAA", "BBB", "0101", 100.0, False),
+    (2000, "AAA", "BBB", "0102", 100.0, False),
+    (2000, "AAA", "BBB", "0102", 120.0, True),
 ]
 
 
 def test_reconcile_agreement_and_single_source():
-    records = THREE_RECORDS + [
-        _rec(2000, "AAA", "BBB", "0103", 50.0, Reporter.EXPORTER),
-        _rec(2000, "AAA", "BBB", "0103", 50.0, Reporter.IMPORTER),
-    ]
-    tensor, audit = tg.reconcile(records)
+    batch = _batch(THREE_ROWS + [
+        (2000, "AAA", "BBB", "0103", 50.0, False),
+        (2000, "AAA", "BBB", "0103", 50.0, True),
+    ])
+    tensor, audit = tg.reconcile(batch)
     assert tensor.value(2000, "AAA", "0101", "BBB") == 100.0  # single source
     assert tensor.value(2000, "AAA", "0103", "BBB") == 50.0   # agreement
     assert audit.exporter_only == 1
@@ -100,19 +103,19 @@ def test_reconcile_agreement_and_single_source():
 @pytest.mark.parametrize("policy,expected", [
     ("importer", 120.0), ("exporter", 100.0), ("max", 120.0), ("mean", 110.0)])
 def test_reconcile_policies(policy, expected):
-    tensor, _ = tg.reconcile(THREE_RECORDS, policy=policy)
+    tensor, _ = tg.reconcile(_batch(THREE_ROWS), policy=policy)
     assert tensor.value(2000, "AAA", "0102", "BBB") == expected
 
 
 def test_reconcile_is_idempotent(small_world):
     tensor = small_world.tensor
-    records = []
+    rows = []
     for year in tensor.years:
         o, p, d, v = tensor.flows(year)
         for i in range(o.size):
-            records.append(_rec(year, tensor.countries[o[i]], tensor.countries[d[i]],
-                                tensor.products[p[i]], float(v[i]), Reporter.EXPORTER))
-    again, audit = tg.reconcile(records)
+            rows.append((year, tensor.countries[o[i]], tensor.countries[d[i]],
+                         tensor.products[p[i]], float(v[i]), False))
+    again, audit = tg.reconcile(_batch(rows))
     assert audit.both_agree == 0 and audit.both_discrepant == 0
     assert again.countries == tensor.countries
     for year in tensor.years:
@@ -237,3 +240,64 @@ def test_dyad_missing_pair_names_pair():
     dyads.add("AAA", "BBB", 100.0, 1, 0, 0, 0.0)
     with pytest.raises(tg.CoverageError, match=r"AAA.*CCC|CCC.*AAA"):
         dyads.distance("AAA", "CCC")
+
+
+TENSOR_HEADER = "year,origin,destination,product,value\n"
+GOOD_CELL = "2000,AAA,BBB,0101,1.5\n"
+
+
+@pytest.mark.parametrize("bad,reason", [
+    ("2000,AAA,BBB,0102\n", "expected 5 fields, got 4"),
+    ("2000,AAA,BBB,0102,1.5,x\n", "expected 5 fields, got 6"),
+    ("20x0,AAA,BBB,0102,1.5\n", "unparseable year '20x0'"),
+    ("2000,AAA,BBB,0102,abc\n", "unparseable value 'abc'"),
+    ("2000,AAA,BBB,0102,0\n", "non-positive value 0.0"),
+    ("2000,AAA,BBB,0102,-2\n", "non-positive value -2.0"),
+    ("2000,AAA,BBB,0102,nan\n", "non-positive value nan"),
+    ("2000,AAA,AAA,0102,1\n", "origin equals destination AAA"),
+    (GOOD_CELL, "duplicate cell (2000, 'AAA', '0101', 'BBB')"),
+])
+def test_tensor_reader_names_line_and_reason(tmp_path, bad, reason):
+    path = tmp_path / "reconciled.csv"
+    # the bad row is line 4; the row after it fails too, but later
+    path.write_text(TENSOR_HEADER + GOOD_CELL + "2001,BBB,AAA,0101,2\n" + bad + "x\n")
+    with pytest.raises(tg.ParseError) as exc:
+        tg.ingest.read_tensor_csv(path)
+    assert (exc.value.line_no, str(exc.value)) == (4, f"{path}:4: {reason}")
+
+
+@pytest.mark.parametrize("bad,reason", [
+    ("2003,KOR,CHL,6201,1\n", "expected 6 fields, got 5"),
+    ("2003,KOR,CHL,6201,1,exporter,x\n", "expected 6 fields, got 7"),
+    ("20x3,KOR,CHL,6201,1,exporter\n", "unparseable year '20x3'"),
+    ("2003,KOR,CHL,6201, one ,exporter\n", "unparseable value 'one'"),
+    ("2003,KOR,CHL,6201,-1,exporter\n", "negative trade value -1.0"),
+    ("2003,KOR,CHL,6201,1, customs \n", "unknown reporter 'customs'"),
+])
+def test_trade_reader_names_line_and_reason(tmp_path, bad, reason):
+    # a rejected row (self trade) comes first; a row after the bad one is broken too
+    path = write(tmp_path, "2003,KOR,KOR,6201,1,exporter\n" + bad + "2003,KOR\n")
+    with pytest.raises(tg.ParseError) as exc:
+        load_trade_csv(path)
+    assert (exc.value.line_no, str(exc.value)) == (3, f"{path}:3: {reason}")
+
+
+def test_quoted_and_bare_files_parse_alike(tmp_path, small_world):
+    # quotes and lone CR line ends take the csv-module parser; the result is the same
+    bare = tmp_path / "bare.csv"
+    tg.ingest.write_tensor_csv(small_world.tensor, bare)
+    lines = bare.read_text().splitlines()
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_bytes("\r".join([lines[0], ""] + [
+        ",".join(f'"{f}"' for f in line.split(",")) for line in lines[1:]]).encode())
+    a, b = tg.ingest.read_tensor_csv(bare), tg.ingest.read_tensor_csv(quoted)
+    assert (a.countries, a.products, a.years) == (b.countries, b.products, b.years)
+    for year in a.years:
+        for x, y in zip(a.flows(year), b.flows(year)):
+            assert np.array_equal(x, y)
+    raw = tmp_path / "raw.csv"
+    raw.write_text(HEADER + '2003,"KOR",CHL,6201,1,exporter\n\n2003,KOR,CHL,62,1,importer\n')
+    batch, rejects = load_trade_csv(raw)
+    assert batch.origin.tolist() == ["KOR"]
+    assert [(r.line_no, r.reason, r.raw) for r in rejects] == [
+        (4, "bad_product_code", "2003,KOR,CHL,62,1,importer")]

@@ -222,9 +222,10 @@ def test_relatedness_csv_roundtrip(tmp_path, small_pipeline):
         got = again[year]
         keep = np.isfinite(base.omega)
         assert got.n == int(keep.sum())
-        # 10 significant digits survive the round trip at 1e-9 relative
-        assert np.allclose(got.omega, base.omega[keep], rtol=1e-9, atol=1e-12)
-        assert np.allclose(got.omega_d, base.omega_d[keep], rtol=1e-9, atol=1e-12)
+        # round-trip printing is exact
+        assert np.array_equal(got.omega, base.omega[keep])
+        assert np.array_equal(got.omega_d, base.omega_d[keep])
+        assert np.array_equal(got.omega_o, base.omega_o[keep])
 
 
 def test_vocabulary_mismatch_rejected(small_pipeline):
@@ -232,3 +233,25 @@ def test_vocabulary_mismatch_rejected(small_pipeline):
     other = tg.DistanceWeights(("XXX", "YYY"), np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(tg.TradeDataError):
         tg.compute_relatedness(w.tensor, prox, other, w.tensor.years[0])
+
+
+REL_HEADER = "year,origin,product,destination,omega,omega_d,omega_o\n"
+REL_GOOD = "2000,AAA,0101,BBB,0.5,0.25,0.125\n"
+
+
+@pytest.mark.parametrize("bad,reason", [
+    ("2000,AAA,0102,BBB,0.5,0.25\n", "expected 7 fields, got 6"),
+    ("2000,AAA,0102,BBB,0.5,x,0.125\n", "unparseable omega_d 'x'"),
+    ("2000,ZZZ,0102,BBB,0.5,0.25,0.125\n", "unknown origin 'ZZZ'"),
+    ("2000,AAA,9999,BBB,0.5,0.25,0.125\n", "unknown product '9999'"),
+    ("2000,AAA,0102,ZZZ,0.5,0.25,0.125\n", "unknown destination 'ZZZ'"),
+    ("2000,AAA,0102,BBB,-0.5,0.25,0.125\n", "omega -0.5 outside [0, 1]"),
+    ("2000,AAA,0102,BBB,0.5,0.25,nan\n", "omega_o nan outside [0, 1]"),
+    (REL_GOOD, "duplicate cell 2000,AAA,0101,BBB"),
+])
+def test_relatedness_reader_names_line_and_reason(tmp_path, bad, reason):
+    path = tmp_path / "relatedness.csv"
+    path.write_text(REL_HEADER + REL_GOOD + bad + "x\n")
+    with pytest.raises(tg.ParseError) as exc:
+        tg.relatedness.read_relatedness_csv(path, ("AAA", "BBB"), ("0101", "0102"))
+    assert (exc.value.line_no, str(exc.value)) == (3, f"{path}:3: {reason}")
