@@ -14,18 +14,17 @@ from .errors import (CoverageError, ParseError, SingularDesignError,
 from .gravity import (DEFAULT_PERIODS, ExporterClass, GravityDataset,
                       LallCategory, LallConcordance, RegressionResult,
                       StreamingOLS, TrendResult, build_dataset,
-                      classify_exporter, correlation_matrix, fit_ols, map_lall,
+                      classify_exporter, correlation_matrix, fit_ols,
                       run_split_regressions, standardize, summary_stats,
                       trend_test)
 from .ingest import (CountryMeta, DyadMeta, FilterConfig, ReconcilePolicy,
                      Reporter, TradeBatch, TradeTensor, filter_countries,
                      load_trade_csv, reconcile)
 from .oracle import (SyntheticWorld, SyntheticWorldConfig, brute_force_ols,
-                     brute_force_relatedness, generate_world)
+                     brute_force_relatedness, dense_relatedness, generate_world)
 from .relatedness import (DistanceWeights, RelatednessValues,
-                          compute_relatedness, dense_relatedness,
-                          exporter_relatedness, importer_relatedness,
-                          product_relatedness)
+                          compute_relatedness, exporter_relatedness,
+                          importer_relatedness, product_relatedness)
 
 __version__ = "0.1.0"
 
@@ -42,6 +41,6 @@ __all__ = [
     "compute_relatedness", "correlation_matrix", "dense_relatedness",
     "export_product_space", "exporter_relatedness", "filter_countries",
     "fit_ols", "generate_world", "importer_relatedness", "load_trade_csv",
-    "map_lall", "product_relatedness", "reconcile", "run_split_regressions",
+    "product_relatedness", "reconcile", "run_split_regressions",
     "standardize", "summary_stats", "trend_test",
 ]

@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
 import time
 from pathlib import Path
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import complexity, gravity, ingest, oracle, relatedness
+from .csvio import read_json
 from .errors import ParseError, TradeDataError
 
 log = logging.getLogger(__name__)
@@ -69,8 +71,10 @@ def _thread_count(text):
         threads = int(str(text))  # str() first: no truncating 2.5 or reading true as 1
     except ValueError:
         threads = 0
-    if threads < 1:
-        raise argparse.ArgumentTypeError(f"threads must be a whole number >= 1, got {text!r}")
+    limit = 4 * (os.cpu_count() or 1)
+    if not 1 <= threads <= limit:
+        raise argparse.ArgumentTypeError(
+            f"threads must be a whole number from 1 to {limit}, got {text!r}")
     return threads
 
 
@@ -78,11 +82,7 @@ def _load_config_file(args):
     """Overlay config-file values onto parser defaults; explicit flags win."""
     if not getattr(args, "config", None):
         return args
-    with open(args.config, encoding="utf-8") as fh:
-        try:
-            values = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(args.config, exc.lineno, exc.msg) from None
+    values = read_json(args.config)
     if not isinstance(values, dict):
         raise ParseError(args.config, 1, "expected a JSON object of option values")
     for key, value in values.items():
@@ -130,12 +130,6 @@ class _TrackingParser(argparse.ArgumentParser):
                 for sub in action.choices.values():
                     actions.extend(sub._actions)
         return actions
-
-
-def _tensor_and_dyads(args):
-    tensor = ingest.read_tensor_csv(args.trade)
-    dyads = ingest.DyadMeta.from_csv(args.dyad_csv)
-    return tensor, dyads
 
 
 def cmd_ingest(args):
@@ -222,9 +216,10 @@ def cmd_relatedness(args):
     started = time.perf_counter()
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tensor, dyads = _tensor_and_dyads(args)
+    tensor = ingest.read_tensor_csv(args.trade)
     prox = complexity.read_proximity_csv(args.proximity, tensor.products)
-    weights = relatedness.DistanceWeights.from_dyads(tensor.countries, dyads)
+    weights = relatedness.DistanceWeights.from_dyads(tensor.countries,
+                                                     ingest.DyadMeta.from_csv(args.dyad_csv))
     years = range(args.years[0], args.years[1] + 1) if args.years else tensor.years
     values = []
     rows = 0
@@ -244,74 +239,57 @@ def cmd_relatedness(args):
     return 0
 
 
-def _build_period_dataset(tensor, rel_by_year, meta, dyads, period, args):
-    return gravity.build_dataset(tensor, rel_by_year, meta, dyads, period,
-                                 horizon=args.horizon, zeros=args.zeros)
+def _gravity_dataset(args, period):
+    """The gravity inputs' tensor, the period (default: all years) and its dataset."""
+    tensor = ingest.read_tensor_csv(args.trade)
+    dyads = ingest.DyadMeta.from_csv(args.dyad_csv)
+    meta = ingest.CountryMeta.from_csv(args.country_csv)
+    rel_by_year = relatedness.read_relatedness_csv(args.relatedness, tensor.countries,
+                                                   tensor.products)
+    period = period or (tensor.years[0], tensor.years[-1])
+    return tensor, period, gravity.build_dataset(tensor, rel_by_year, meta, dyads, period,
+                                                 horizon=args.horizon, zeros=args.zeros)
 
 
 def cmd_gravity(args):
     started = time.perf_counter()
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tensor, dyads = _tensor_and_dyads(args)
-    meta = ingest.CountryMeta.from_csv(args.country_csv)
-    rel_by_year = relatedness.read_relatedness_csv(args.relatedness, tensor.countries,
-                                                   tensor.products)
     inputs = [args.trade, args.relatedness, args.country_csv, args.dyad_csv]
-
-    outputs = []
+    period, periods, concordance, rca = args.period, None, None, None
     if args.split == "period":
         periods = args.periods or gravity.DEFAULT_PERIODS
-        results = {}
-        for period in periods:
-            ds = _build_period_dataset(tensor, rel_by_year, meta, dyads, period, args)
-            cell = gravity.run_split_regressions(
-                ds, "none", standardize_response=args.standardize_response,
-                threads=args.threads)
-            if "all" in cell:
-                results[f"{period[0]}-{period[1]}"] = cell["all"]
-        config_periods = [list(p) for p in periods]
-    else:
-        period = args.period or (tensor.years[0], tensor.years[-1])
-        ds = _build_period_dataset(tensor, rel_by_year, meta, dyads, period, args)
-        config_periods = [list(period)]
-        if args.split == "none":
-            results = gravity.run_split_regressions(
-                ds, "none", standardize_response=args.standardize_response,
-                threads=args.threads)
-        elif args.split == "exporter":
-            rca = complexity.compute_rca(tensor, (args.rca_year or period[0],
-                                                  args.rca_year or period[0]))
-            results = gravity.run_split_regressions(
-                ds, "exporter", rca=rca,
-                new_threshold=args.rca_new, experienced_threshold=args.rca_experienced,
-                standardize_response=args.standardize_response, threads=args.threads)
-        elif args.split == "lall":
-            if not args.concordance:
-                raise TradeDataError("--split lall needs --concordance")
-            concordance = gravity.LallConcordance.from_csv(args.concordance)
-            inputs.append(args.concordance)
-            results = gravity.run_split_regressions(
-                ds, "lall", concordance=concordance,
-                standardize_response=args.standardize_response, threads=args.threads)
-        else:
-            raise TradeDataError(f"unknown split {args.split!r}")
-
+        period = (min(p[0] for p in periods), max(p[1] for p in periods))
+    elif args.split == "lall":
+        if not args.concordance:
+            raise TradeDataError("--split lall needs --concordance")
+        concordance = gravity.LallConcordance.from_csv(args.concordance)
+        inputs.append(args.concordance)
+    tensor, period, ds = _gravity_dataset(args, period)
+    if args.split == "exporter":
+        year = args.rca_year or period[0]
+        rca = complexity.compute_rca(tensor, (year, year))
+    results = gravity.run_split_regressions(
+        ds, args.split, periods=periods, horizon=args.horizon, rca=rca,
+        concordance=concordance, new_threshold=args.rca_new,
+        experienced_threshold=args.rca_experienced,
+        standardize_response=args.standardize_response, threads=args.threads)
     if not results:
         raise TradeDataError("no split cell was large enough to fit")
     json_path = out / f"gravity_{args.split}.json"
     csv_path = out / f"gravity_{args.split}.csv"
     gravity.write_results_json(results, json_path)
     gravity.write_results_csv(results, csv_path)
-    outputs += [json_path, csv_path]
+    outputs = [json_path, csv_path]
     if args.split == "lall" and len(results) == 5:
         trends = gravity.trend_over_lall(results)
         trend_path = out / "trend_lall.csv"
         gravity.write_trend_csv(trends, trend_path)
         outputs.append(trend_path)
     config = {
-        "split": args.split, "periods": config_periods, "horizon": args.horizon,
-        "zeros": args.zeros, "standardize_response": args.standardize_response,
+        "split": args.split, "periods": [list(p) for p in periods or [period]],
+        "horizon": args.horizon, "zeros": args.zeros,
+        "standardize_response": args.standardize_response,
         "rca_year": args.rca_year, "rca_new": args.rca_new,
         "rca_experienced": args.rca_experienced, "threads": args.threads,
     }
@@ -324,12 +302,7 @@ def cmd_summary(args):
     started = time.perf_counter()
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tensor, dyads = _tensor_and_dyads(args)
-    meta = ingest.CountryMeta.from_csv(args.country_csv)
-    rel_by_year = relatedness.read_relatedness_csv(args.relatedness, tensor.countries,
-                                                   tensor.products)
-    period = args.period or (tensor.years[0], tensor.years[-1])
-    ds = _build_period_dataset(tensor, rel_by_year, meta, dyads, period, args)
+    _, period, ds = _gravity_dataset(args, args.period)
     z, _ = gravity.standardize(ds, standardize_response=args.standardize_response)
     stats_path = out / "summary_stats.csv"
     corr_path = out / "correlation_matrix.csv"

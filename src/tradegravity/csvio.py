@@ -3,12 +3,14 @@
 ``read_table`` parses a file into typed columns in one pass and keeps the
 line and reason of its first malformed row; ``write_rows`` writes text
 columns in the csv module's default dialect (CRLF line ends, minimal
-quoting), byte-identical to a row-by-row ``csv.writer`` loop.
+quoting), byte-identical to a row-by-row ``csv.writer`` loop. ``read_json``
+reads the JSON inputs with the same line-numbered errors.
 """
 from __future__ import annotations
 
 import csv
 import io
+import json
 import warnings
 from dataclasses import dataclass
 
@@ -163,6 +165,15 @@ def _read_records(text, width, numbers):
                for j in range(width)]
     return columns, np.array(keep, dtype=np.int64) + 1, pending, \
         lambda line_no: ",".join(records[line_no - 1])
+
+
+def read_json(path):
+    """Parse a JSON file; malformed JSON raises ParseError at its line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, exc.lineno, exc.msg) from None
 
 
 def write_rows(path, header, columns):

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import read_json, read_table
 from .errors import CoverageError, SingularDesignError, TradeDataError
+from .ingest import lookup
 
 log = logging.getLogger(__name__)
 
@@ -94,12 +96,12 @@ class GravityDataset:
             columns={name: col[mask] for name, col in self.columns.items()},
             countries=self.countries, products=self.products)
 
-    def design_matrix(self):
-        """n x 16 matrix with the intercept column first."""
-        x = np.empty((self.n, K_PARAMETERS))
+    def design_matrix(self, lo=0, hi=None):
+        """Rows lo:hi of the n x 16 matrix with the intercept column first."""
+        x = np.empty((self.response[lo:hi].size, K_PARAMETERS))
         x[:, 0] = 1.0
         for j, name in enumerate(REGRESSOR_NAMES, start=1):
-            x[:, j] = self.columns[name]
+            x[:, j] = self.columns[name][lo:hi]
         return x
 
 
@@ -188,39 +190,17 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
 
         o, p, d, v = tensor.flows(t)
         keys = tensor.cell_keys(t)
-        if zeros == "drop":
-            if not tensor.has_year(t + horizon):
-                raise TradeDataError(f"no flows for forward year {t + horizon}")
-            fwd_keys = tensor.cell_keys(t + horizon)
-            fwd_vals = tensor.flows(t + horizon)[3]
-            pos = np.searchsorted(fwd_keys, keys)
-            pos_ok = pos < fwd_keys.size
-            found = np.zeros(keys.size, dtype=bool)
-            found[pos_ok] = fwd_keys[pos[pos_ok]] == keys[pos_ok]
-            response_vals = np.zeros(keys.size)
-            response_vals[found] = np.log(fwd_vals[pos[found]])
-            keep = found
-        else:
-            fwd = np.zeros(keys.size)
-            if tensor.has_year(t + horizon):
-                fwd_keys = tensor.cell_keys(t + horizon)
-                fwd_vals = tensor.flows(t + horizon)[3]
-                pos = np.searchsorted(fwd_keys, keys)
-                pos_ok = pos < fwd_keys.size
-                found = np.zeros(keys.size, dtype=bool)
-                found[pos_ok] = fwd_keys[pos[pos_ok]] == keys[pos_ok]
-                fwd[found] = fwd_vals[pos[found]]
-            response_vals = np.log1p(fwd)
-            keep = np.ones(keys.size, dtype=bool)
+        fwd, found = np.zeros(keys.size), np.zeros(keys.size, dtype=bool)
+        if tensor.has_year(t + horizon):
+            found, pos = lookup(tensor.cell_keys(t + horizon), keys)
+            fwd[found] = tensor.flows(t + horizon)[3][pos[found]]
+        elif zeros == "drop":
+            raise TradeDataError(f"no flows for forward year {t + horizon}")
+        keep = found if zeros == "drop" else np.ones(keys.size, dtype=bool)
 
-        rel_keys = rel.cell_keys()
-        rpos = np.searchsorted(rel_keys, keys)
-        rpos_ok = rpos < rel_keys.size
-        rel_found = np.zeros(keys.size, dtype=bool)
-        rel_found[rpos_ok] = rel_keys[rpos[rpos_ok]] == keys[rpos_ok]
         # cells absent from a relatedness file are the undefined-omega ones
         # its writer dropped; they leave the sample the same way
-        rpos = np.where(rel_found, rpos, 0)
+        rel_found, rpos = lookup(rel.cell_keys(), keys)
         omega = np.where(rel_found, rel.omega[rpos], np.nan)
         omega_defined = np.isfinite(omega)
         dropped_omega += int((keep & ~omega_defined).sum())
@@ -228,8 +208,8 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
 
         if not keep.any():
             continue
-        o, p, d, v = o[keep], p[keep], d[keep], v[keep]
-        response_vals = response_vals[keep]
+        o, p, d, v, fwd = o[keep], p[keep], d[keep], v[keep], fwd[keep]
+        response_vals = np.log(fwd) if zeros == "drop" else np.log1p(fwd)
         omega = omega[keep]
         omega_d = rel.omega_d[rpos[keep]]
         omega_o = rel.omega_o[rpos[keep]]
@@ -428,23 +408,12 @@ class StreamingOLS:
                 f"got {other.start_block}")
         if other.names != self.names or other.block_rows != self.block_rows:
             raise TradeDataError("merge of incompatible accumulators")
-        self._nodes.extend(other._nodes)
+        for node in other._nodes:
+            self._nodes.append(node)
+            self._normalize()
         self._next_block = other._next_block
         self._buf = list(other._buf)
         self._buffered = other._buffered
-        # re-pair across the seam until stable
-        changed = True
-        while changed:
-            changed = False
-            i = 0
-            nodes = self._nodes
-            while i + 1 < len(nodes):
-                (a, la, pa), (b, lb, pb) = nodes[i], nodes[i + 1]
-                if la == lb and b == a + 2 ** la and a % 2 ** (la + 1) == 0:
-                    nodes[i:i + 2] = [(a, la + 1, pa + pb)]
-                    changed = True
-                else:
-                    i += 1
         return self
 
     def _total(self):
@@ -536,11 +505,7 @@ def _accumulate_rows(dataset, names, block_rows, chunk_rows, lo, hi, start_block
     acc = StreamingOLS(names, block_rows=block_rows, start_block=start_block)
     for c0 in range(lo, hi, chunk_rows):
         c1 = min(c0 + chunk_rows, hi)
-        x = np.empty((c1 - c0, K_PARAMETERS))
-        x[:, 0] = 1.0
-        for j, name in enumerate(REGRESSOR_NAMES, start=1):
-            x[:, j] = dataset.columns[name][c0:c1]
-        acc.add(x, dataset.response[c0:c1])
+        acc.add(dataset.design_matrix(c0, c1), dataset.response[c0:c1])
     return acc
 
 
@@ -607,24 +572,19 @@ class LallConcordance:
 
     @classmethod
     def from_csv(cls, path):
-        mapping = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(h.strip() for h in header) != ("hs4", "sitc3", "category"):
-                raise TradeDataError(f"{path}: expected header hs4,sitc3,category")
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                hs4 = row[0].strip()
-                code = row[2].strip().upper()
-                if code not in LALL_CODES:
-                    raise TradeDataError(f"{path}:{line_no}: unknown category code {code!r}")
-                cat = LALL_CODES[code]
-                if hs4 in mapping and mapping[hs4] is not cat:
-                    raise TradeDataError(f"{path}:{line_no}: conflicting category for {hs4}")
-                mapping[hs4] = cat
-        return cls(mapping)
+        table = read_table(path, ("hs4", "sitc3", "category"))
+        products = table["hs4"].tolist()
+        codes = [code.upper() for code in table["category"].tolist()]
+        categories = [LALL_CODES.get(code) for code in codes]
+        first = {}
+        for product, category in zip(products, categories):
+            first.setdefault(product, category)
+        table.check(
+            (np.array([c is None for c in categories], dtype=bool),
+             lambda i: f"unknown category code {codes[i]!r}"),
+            (np.array([first[p] is not c for p, c in zip(products, categories)], dtype=bool),
+             lambda i: f"conflicting category for {products[i]}"))
+        return cls(zip(products, categories))
 
     def category(self, product):
         try:
@@ -637,21 +597,16 @@ class LallConcordance:
         return sorted(p for p in products if p not in self._mapping)
 
 
-def map_lall(product, concordance):
-    """Category for one product; unmapped products raise CoverageError."""
-    return concordance.category(product)
-
-
 def lall_labels(dataset, concordance):
     """Per-row category labels; every product appearing in a row must map."""
-    used = sorted(set(np.asarray(dataset.products)[np.unique(dataset.p)]))
-    missing = [p for p in concordance.coverage_report(used)]
+    used = np.unique(dataset.p)
+    codes = [dataset.products[i] for i in used]
+    missing = concordance.coverage_report(codes)
     if missing:
         raise CoverageError(
             f"{len(missing)} products missing from the concordance: {missing[:10]}")
-    per_product = np.array([concordance._mapping.get(p, LallCategory.EXCLUDED).value
-                            for p in dataset.products])
-    return per_product[dataset.p]
+    per_used = np.array([concordance.category(code).value for code in codes], dtype=str)
+    return per_used[np.searchsorted(used, dataset.p)]
 
 
 def run_split_regressions(dataset, split, periods=None, horizon=2, rca=None,
@@ -678,28 +633,19 @@ def run_split_regressions(dataset, split, periods=None, horizon=2, rca=None,
             log.warning("split %s cell %s skipped: %s", split, key, exc)
             return None
 
-    results = {}
+    # (key, row mask) per cell, made lazily; None keeps every row, uncopied
     if split == "none":
-        res = fit_cell("all", dataset)
-        if res is not None:
-            results["all"] = res
+        cells = [("all", None)]
     elif split == "period":
         if not periods:
             raise TradeDataError("period split needs period definitions")
-        for start, end in periods:
-            mask = (dataset.t >= start) & (dataset.t <= end - horizon)
-            key = f"{start}-{end}"
-            res = fit_cell(key, dataset.subset(mask))
-            if res is not None:
-                results[key] = res
+        cells = ((f"{start}-{end}", (dataset.t >= start) & (dataset.t <= end - horizon))
+                 for start, end in periods)
     elif split == "exporter":
         if rca is None:
             raise TradeDataError("exporter split needs a classification RCA matrix")
         labels = exporter_class_labels(dataset, rca, new_threshold, experienced_threshold)
-        for cls_ in (ExporterClass.NEW, ExporterClass.NASCENT, ExporterClass.EXPERIENCED):
-            res = fit_cell(cls_.value, dataset.subset(labels == cls_.value))
-            if res is not None:
-                results[cls_.value] = res
+        cells = ((c.value, labels == c.value) for c in ExporterClass)
     elif split == "lall":
         if concordance is None:
             raise TradeDataError("lall split needs a concordance")
@@ -707,12 +653,14 @@ def run_split_regressions(dataset, split, periods=None, horizon=2, rca=None,
         n_excluded = int((labels == LallCategory.EXCLUDED.value).sum())
         if n_excluded:
             log.info("lall split: dropping %d special-transaction rows", n_excluded)
-        for cat in LALL_RANK_ORDER:
-            res = fit_cell(cat.value, dataset.subset(labels == cat.value))
-            if res is not None:
-                results[cat.value] = res
+        cells = ((c.value, labels == c.value) for c in LALL_RANK_ORDER)
     else:
         raise TradeDataError(f"unknown split {split!r}")
+    results = {}
+    for key, mask in cells:
+        res = fit_cell(key, dataset if mask is None else dataset.subset(mask))
+        if res is not None:
+            results[key] = res
     return results
 
 
@@ -799,19 +747,19 @@ def write_results_json(results, path):
 
 def read_results_json(path):
     """Rebuild {split_key: RegressionResult} from write_results_json output."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
     results = {}
-    for entry in payload:
-        names = tuple(c["name"] for c in entry["coefficients"])
-        beta = np.array([c["beta"] for c in entry["coefficients"]])
-        se = np.array([c["se"] for c in entry["coefficients"]])
-        tstat = np.array([c["t"] for c in entry["coefficients"]])
-        pvalue = np.array([c["p"] for c in entry["coefficients"]])
-        results[entry["split_key"]] = RegressionResult(
-            names=names, beta=beta, se=se, tstat=tstat, pvalue=pvalue,
-            n=entry["n"], r2=float("nan"), adj_r2=entry["adj_r2"],
-            resid_se=entry["resid_se"], ortho_rel=float("nan"))
+    try:
+        for entry in read_json(path):
+            coefs = entry["coefficients"]
+            beta, se, tstat, pvalue = (np.array([c[k] for c in coefs], dtype=np.float64)
+                                       for k in ("beta", "se", "t", "p"))
+            results[entry["split_key"]] = RegressionResult(
+                names=tuple(c["name"] for c in coefs), beta=beta, se=se, tstat=tstat,
+                pvalue=pvalue, n=entry["n"], r2=float("nan"), adj_r2=entry["adj_r2"],
+                resid_se=entry["resid_se"], ortho_rel=float("nan"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TradeDataError(f"{path}: not a gravity results file: "
+                             f"{type(exc).__name__} {exc}") from None
     return results
 
 

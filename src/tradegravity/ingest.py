@@ -141,7 +141,7 @@ class TradeTensor:
                 raise TradeDataError(f"year {year}: non-positive flow value stored in tensor")
             if np.any(o == d):
                 raise TradeDataError(f"year {year}: origin equals destination in tensor cell")
-            key = self._cell_key(o, p, d)
+            key = cell_keys(o, p, d, self.n_countries, self.n_products)
             if key.size > 1 and np.any(np.diff(key) <= 0):
                 raise TradeDataError(f"year {year}: tensor cells not sorted or not unique")
             self._flows[int(year)] = (o, p, d, v)
@@ -178,11 +178,6 @@ class TradeTensor:
     def n_products(self):
         return len(self.products)
 
-    def _cell_key(self, o, p, d):
-        np_ = len(self.products)
-        nc = len(self.countries)
-        return (o.astype(np.int64) * np_ + p) * nc + d
-
     def flows(self, year):
         """Coordinate arrays (o_idx, p_idx, d_idx, value) for one year."""
         try:
@@ -198,21 +193,17 @@ class TradeTensor:
 
     def cell_keys(self, year):
         o, p, d, _ = self.flows(year)
-        return self._cell_key(o, p, d)
+        return cell_keys(o, p, d, self.n_countries, self.n_products)
 
     def value(self, year, origin, product, destination):
         """Flow value for a single cell, 0.0 when absent."""
         if not self.has_year(year):
             return 0.0
-        o, p, d, v = self.flows(year)
-        key = (self.country_index[origin] * np.int64(len(self.products))
-               + self.product_index[product]) * len(self.countries) \
-            + self.country_index[destination]
-        keys = self.cell_keys(year)
-        i = np.searchsorted(keys, key)
-        if i < keys.size and keys[i] == key:
-            return float(v[i])
-        return 0.0
+        cell = np.array([[self.country_index[origin]], [self.product_index[product]],
+                         [self.country_index[destination]]])
+        found, pos = lookup(self.cell_keys(year),
+                            cell_keys(*cell, self.n_countries, self.n_products))
+        return float(self.flows(year)[3][pos[0]]) if found[0] else 0.0
 
     def _marginal(self, year, which):
         cache = self._marginals.setdefault(int(year), {})
@@ -388,39 +379,32 @@ class DyadMeta:
         return self.record(a, b).distance_km
 
     def distance_matrix(self, countries):
-        """Dense symmetric distance matrix over the sample, zero diagonal."""
-        n = len(countries)
-        m = np.zeros((n, n))
-        for i, a in enumerate(countries):
-            for j in range(i + 1, n):
-                m[i, j] = m[j, i] = self.distance(a, countries[j])
-        return m
+        """Dense symmetric distance matrix over the sample, zero diagonal.
+
+        A missing pair raises CoverageError, naming the first in row order.
+        """
+        dist = self.field_matrices(countries)["distance"]
+        missing = np.argwhere(np.isnan(dist))
+        if missing.size:
+            self.record(*(countries[k] for k in missing[0]))  # raises for that pair
+        return dist
 
     def field_matrices(self, countries):
-        """Dense symmetric matrices for every dyad field; NaN marks missing pairs."""
-        n = len(countries)
-        dist = np.full((n, n), np.nan)
-        border = np.full((n, n), np.nan)
-        colony = np.full((n, n), np.nan)
-        language = np.full((n, n), np.nan)
-        prox = np.full((n, n), np.nan)
-        np.fill_diagonal(dist, 0.0)
-        np.fill_diagonal(border, 0.0)
-        np.fill_diagonal(colony, 0.0)
-        np.fill_diagonal(language, 0.0)
-        np.fill_diagonal(prox, 0.0)
+        """Dense symmetric matrices for every dyad field; NaN marks missing pairs.
+
+        Keys are the DyadRecord field names, with ``distance`` for distance_km.
+        """
         index = {c: i for i, c in enumerate(countries)}
-        for (a, b), rec in self._records.items():
-            i, j = index.get(a), index.get(b)
-            if i is None or j is None:
-                continue
-            dist[i, j] = dist[j, i] = rec.distance_km
-            border[i, j] = border[j, i] = rec.border
-            colony[i, j] = colony[j, i] = rec.colony
-            language[i, j] = language[j, i] = rec.language
-            prox[i, j] = prox[j, i] = rec.lang_proximity
-        return {"distance": dist, "border": border, "colony": colony,
-                "language": language, "lang_proximity": prox}
+        pairs = [(index[a], index[b], rec) for (a, b), rec in self._records.items()
+                 if a in index and b in index]
+        i, j = (np.array([pair[k] for pair in pairs], dtype=np.intp) for k in (0, 1))
+        out = {}
+        for name in DyadRecord.__slots__:
+            m = np.full((len(countries), len(countries)), np.nan)
+            np.fill_diagonal(m, 0.0)
+            m[i, j] = m[j, i] = [getattr(pair[2], name) for pair in pairs]
+            out[name.removesuffix("_km")] = m
+        return out
 
     def write_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -518,10 +502,24 @@ def reconcile(batch, policy=ReconcilePolicy.IMPORTER):
     return tensor, audit
 
 
+def cell_keys(o, p, d, n_countries, n_products):
+    """One int64 key per (origin, product, destination) cell, ordered like the tuple."""
+    return (o.astype(np.int64) * n_products + p) * n_countries + d
+
+
 def year_cell_keys(year, o, p, d, n_countries, n_products):
     """One int64 key per (year, origin, product, destination) cell, ordered like the tuple."""
     _, y = np.unique(year, return_inverse=True)
-    return ((y.astype(np.int64) * n_countries + o) * n_products + p) * n_countries + d
+    return (y.astype(np.int64) * (n_countries * n_products * n_countries)
+            + cell_keys(o, p, d, n_countries, n_products))
+
+
+def lookup(sorted_keys, keys):
+    """Where each key sits in an ascending key array: (found mask, index or 0)."""
+    pos = np.searchsorted(sorted_keys, keys)
+    found = pos < sorted_keys.size
+    found[found] = sorted_keys[pos[found]] == keys[found]
+    return found, np.where(found, pos, 0)
 
 
 def filter_countries(tensor, meta, rules=None):

@@ -305,6 +305,34 @@ def brute_force_relatedness(tensor, prox, weights, year):
     return omega, omega_d, omega_o
 
 
+def dense_relatedness(tensor, prox, weights, year):
+    """All three measures over the full origin x product x destination cube.
+
+    Intended for research and small worlds; cells whose denominator is zero
+    come back NaN. Refuses cubes above 5e7 cells.
+    """
+    nc, np_ = tensor.n_countries, tensor.n_products
+    if nc * nc * np_ > 5e7:
+        raise TradeDataError("dense evaluation cube too large; use the active-cell path")
+    o, p, d, v = tensor.flows(year)
+    x = np.zeros((nc, np_, nc))
+    x[o, p, d] = v
+    x_od = tensor.x_od(year)
+    x_op = tensor.x_op(year)
+    x_pd = tensor.x_pd(year)
+    phi, phi_p = prox.phi, prox.marginals
+    w = weights.matrix
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        omega = np.einsum("pq,oqd->opd", phi, x) / (phi_p[None, :, None] * x_od[:, None, :])
+        omega_d = np.einsum("dc,opc->opd", w, x) / x_op[:, :, None]
+        omega_o = np.einsum("oc,cpd->opd", w, x) / x_pd[None, :, :]
+    for arr in (omega, omega_d, omega_o):
+        finite = np.isfinite(arr)
+        arr[finite] = np.clip(arr[finite], 0.0, 1.0)
+    return omega, omega_d, omega_o
+
+
 def _full_pivot_inverse(a, tol=1e-12):
     """Gauss-Jordan inversion with full pivoting; raises on singularity."""
     a = np.array(a, dtype=np.float64)

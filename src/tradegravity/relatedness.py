@@ -23,7 +23,7 @@ import numpy as np
 
 from .csvio import code_index, code_text, float_text, read_table, repeats, write_rows
 from .errors import TradeDataError
-from .ingest import year_cell_keys
+from .ingest import cell_keys, year_cell_keys
 
 log = logging.getLogger(__name__)
 
@@ -83,8 +83,7 @@ class RelatednessValues:
         return self.o.size
 
     def cell_keys(self):
-        np_, nc = len(self.products), len(self.countries)
-        return (self.o.astype(np.int64) * np_ + self.p) * nc + self.d
+        return cell_keys(self.o, self.p, self.d, len(self.countries), len(self.products))
 
 
 def _check_bounds(values, label):
@@ -220,34 +219,6 @@ def compute_relatedness(tensor, prox, weights, year, threads=1):
         countries=tensor.countries,
         products=tensor.products,
     )
-
-
-def dense_relatedness(tensor, prox, weights, year):
-    """All three measures over the full origin x product x destination cube.
-
-    Intended for research and small worlds; cells whose denominator is zero
-    come back NaN. Refuses cubes above 5e7 cells.
-    """
-    nc, np_ = tensor.n_countries, tensor.n_products
-    if nc * nc * np_ > 5e7:
-        raise TradeDataError("dense evaluation cube too large; use the active-cell path")
-    o, p, d, v = tensor.flows(year)
-    x = np.zeros((nc, np_, nc))
-    x[o, p, d] = v
-    x_od = tensor.x_od(year)
-    x_op = tensor.x_op(year)
-    x_pd = tensor.x_pd(year)
-    phi, phi_p = prox.phi, prox.marginals
-    w = weights.matrix
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        omega = np.einsum("pq,oqd->opd", phi, x) / (phi_p[None, :, None] * x_od[:, None, :])
-        omega_d = np.einsum("dc,opc->opd", w, x) / x_op[:, :, None]
-        omega_o = np.einsum("oc,cpd->opd", w, x) / x_pd[None, :, :]
-    for arr in (omega, omega_d, omega_o):
-        finite = np.isfinite(arr)
-        arr[finite] = np.clip(arr[finite], 0.0, 1.0)
-    return omega, omega_d, omega_o
 
 
 def write_relatedness_csv(values_by_year, path):

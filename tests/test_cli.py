@@ -291,3 +291,107 @@ def test_config_sets_options_that_have_defaults(pipeline, tmp_path):
                "--config", cfg) == 0
     config = json.loads((tmp_path / "proximity_manifest.json").read_text())["config"]
     assert (config["cutoff"], config["bins"]) == (0.5, 7)
+
+
+@pytest.fixture(scope="module")
+def six_year_pipeline(tmp_path_factory):
+    """A world with six independently drawn years, through relatedness."""
+    root = tmp_path_factory.mktemp("cli6")
+    world, stage = root / "world", root / "stage"
+    assert run("synth", "-o", world, "--countries", "8", "--products", "12",
+               "--years", "6", "--sparsity", "0.7", "--seed", "42") == 0
+    assert run("ingest", "-o", stage, "--trade", world / "trade.csv") == 0
+    assert run("proximity", "-o", stage, "--trade", stage / "reconciled.csv") == 0
+    assert run("relatedness", "-o", stage, "--trade", stage / "reconciled.csv",
+               "--proximity", stage / "proximity.csv", "--dyad-csv", world / "dyad.csv") == 0
+    return world, stage
+
+
+def gravity_results(monkeypatch, out, world, stage, *flags):
+    """Run the gravity stage and return the result objects it wrote."""
+    written = {}
+    write = tg.gravity.write_results_json
+
+    def keep(results, path):
+        written.update(results)
+        write(results, path)
+
+    monkeypatch.setattr(tg.gravity, "write_results_json", keep)
+    assert run("gravity", "-o", out, "--trade", stage / "reconciled.csv",
+               "--relatedness", stage / "relatedness.csv",
+               "--country-csv", world / "country.csv",
+               "--dyad-csv", world / "dyad.csv", *flags) == 0
+    return written
+
+
+def assert_same_fits(got, want):
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert np.array_equal(got[key].beta, want[key].beta), key
+        assert np.array_equal(got[key].se, want[key].se), key
+        assert got[key].n == want[key].n, key
+
+
+def test_period_and_exporter_splits_match_library(six_year_pipeline, tmp_path, monkeypatch):
+    world, stage = six_year_pipeline
+    tensor = tg.ingest.read_tensor_csv(stage / "reconciled.csv")
+    rel = tg.relatedness.read_relatedness_csv(stage / "relatedness.csv", tensor.countries,
+                                              tensor.products)
+    meta = tg.CountryMeta.from_csv(world / "country.csv")
+    dyads = tg.DyadMeta.from_csv(world / "dyad.csv")
+
+    def dataset(period):
+        return tg.build_dataset(tensor, rel, meta, dyads, period)
+
+    # overlapping periods: base year 2001 sits in both cells
+    periods = ((2000, 2003), (2001, 2005))
+    got = gravity_results(monkeypatch, tmp_path, world, stage, "--split", "period",
+                          "--periods", "2000-2003,2001-2005")
+    want = {f"{s}-{e}": tg.run_split_regressions(dataset((s, e)), "none")["all"]
+            for s, e in periods}
+    assert_same_fits(got, want)
+
+    got = gravity_results(monkeypatch, tmp_path, world, stage, "--split", "exporter")
+    want = tg.run_split_regressions(dataset((2000, 2005)), "exporter",
+                                    rca=tg.compute_rca(tensor, (2000, 2000)))
+    assert len(want) == 3
+    assert_same_fits(got, want)
+
+
+def test_malformed_concordance_is_exit_one_with_line(pipeline, tmp_path, capsys):
+    _, world, stage = pipeline
+    cases = {
+        "0101,001\n": "2: expected 3 fields, got 2",
+        "0101,001,PP\n0102,001,XX\n": "3: unknown category code 'XX'",
+        "0101,001,PP\n0101,002,pp\n0101,003,HT\n": "4: conflicting category for 0101",
+    }
+    for i, (rows, reason) in enumerate(cases.items()):
+        conc = tmp_path / f"lall{i}.csv"
+        conc.write_text("hs4,sitc3,category\n" + rows)
+        assert run("gravity", "-o", tmp_path, "--trade", stage / "reconciled.csv",
+                   "--relatedness", stage / "relatedness.csv",
+                   "--country-csv", world / "country.csv", "--dyad-csv", world / "dyad.csv",
+                   "--split", "lall", "--concordance", conc) == 1
+        assert f"{conc}:{reason}" in capsys.readouterr().err
+
+
+def test_malformed_trend_input_is_exit_one(tmp_path, capsys):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('[\n  {"split_key": "primary",\n')
+    assert run("trend", "-o", tmp_path, "--input", truncated) == 1
+    assert f"{truncated}:3: " in capsys.readouterr().err
+    for name, entry in (("keyless", '{"split_key": "primary", "n": 20}'),
+                        ("textual", '{"split_key": "primary", "coefficients": '
+                                    '[{"name": "omega", "beta": "big"}]}')):
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(f"[{entry}]\n")
+        assert run("trend", "-o", tmp_path, "--input", bad) == 1
+        assert f"{bad}: " in capsys.readouterr().err
+
+
+def test_threads_above_cap_is_rejected(tmp_path):
+    # only the rejection is checked: no thread is started
+    with pytest.raises(SystemExit) as exc:
+        run("relatedness", "-o", tmp_path, "--trade", "t.csv", "--proximity", "p.csv",
+            "--dyad-csv", "d.csv", "--threads", str(4 * (os.cpu_count() or 1) + 1))
+    assert exc.value.code == 2

@@ -287,10 +287,10 @@ def test_map_lall(tmp_path):
     path = write_lall_concordance(tmp_path / "lall.csv",
                                   ["0101", "0102", "0103"], ["HT", "SP", "PP"])
     conc = tg.LallConcordance.from_csv(path)
-    assert tg.map_lall("0101", conc) is tg.LallCategory.HIGH_TECH
-    assert tg.map_lall("0102", conc) is tg.LallCategory.EXCLUDED  # special transaction
+    assert conc.category("0101") is tg.LallCategory.HIGH_TECH
+    assert conc.category("0102") is tg.LallCategory.EXCLUDED  # special transaction
     with pytest.raises(tg.CoverageError):
-        tg.map_lall("9999", conc)
+        conc.category("9999")
     assert conc.coverage_report(["0101", "9999", "8888"]) == ["8888", "9999"]
 
 
