@@ -79,7 +79,10 @@ def _thread_count(text):
 
 
 def _load_config_file(args):
-    """Overlay config-file values onto parser defaults; explicit flags win."""
+    """Overlay config-file values onto parser defaults; explicit flags win.
+
+    Keys name the command's options; a value must be one of its option's choices.
+    """
     if not getattr(args, "config", None):
         return args
     values = read_json(args.config)
@@ -87,7 +90,8 @@ def _load_config_file(args):
         raise ParseError(args.config, 1, "expected a JSON object of option values")
     for key, value in values.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = args._options.get(attr)
+        if action is None:
             raise TradeDataError(f"unknown config key {key!r}")
         if attr in args._explicit:
             continue
@@ -98,6 +102,9 @@ def _load_config_file(args):
                 value = _parse_periods(value)
             elif attr == "threads":
                 value = _thread_count(value)
+            if action.choices is not None and value not in action.choices:
+                raise argparse.ArgumentTypeError(f"invalid choice: {value!r} (choose from "
+                                                 f"{', '.join(map(repr, action.choices))})")
         except argparse.ArgumentTypeError as exc:
             raise TradeDataError(f"{args.config}: {key}: {exc}") from None
         setattr(args, attr, value)
@@ -105,13 +112,18 @@ def _load_config_file(args):
 
 
 class _TrackingParser(argparse.ArgumentParser):
-    """Remembers which destinations were set explicitly on the command line."""
+    """Remembers which destinations were set explicitly on the command line,
+    and the options of the chosen command by destination."""
 
     def parse_args(self, argv=None, namespace=None):
         ns = super().parse_args(argv, namespace)
+        commands = next(a.choices for a in self._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        ns._options = {a.dest: a for a in self._actions + commands[ns.command]._actions
+                       if a.option_strings and a.default is not argparse.SUPPRESS}
         # parse again with every default None: what is set then came from argv
         # (a subcommand copies its own defaults over any sentinel namespace)
-        actions = self._get_all_actions()
+        actions = self._actions + [a for sub in commands.values() for a in sub._actions]
         defaults = [action.default for action in actions]
         try:
             for action in actions:
@@ -123,19 +135,8 @@ class _TrackingParser(argparse.ArgumentParser):
         ns._explicit = {key for key, value in vars(seen).items() if value is not None}
         return ns
 
-    def _get_all_actions(self):
-        actions = list(self._actions)
-        for action in self._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sub in action.choices.values():
-                    actions.extend(sub._actions)
-        return actions
 
-
-def cmd_ingest(args):
-    started = time.perf_counter()
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_ingest(args, out):
     batch, rejects = ingest.load_trade_csv(args.trade)
     tensor, audit = ingest.reconcile(batch, policy=args.policy)
     removed = {}
@@ -172,31 +173,20 @@ def cmd_ingest(args):
                   "both_agree": audit.both_agree,
                   "both_discrepant": audit.both_discrepant},
     }
-    _write_manifest(out, "ingest", inputs, config, [reconciled, rejects_path],
-                    counts, started)
-    return 0
+    return inputs, config, [reconciled, rejects_path], counts
 
 
-def cmd_rca(args):
-    started = time.perf_counter()
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_rca(args, out):
     tensor = ingest.read_tensor_csv(args.trade)
     window = args.window if args.window else (tensor.years[0], tensor.years[-1])
     rca = complexity.compute_rca(tensor, window)
     path = out / "rca.csv"
     complexity.write_rca_csv(rca, path)
-    _write_manifest(out, "rca", [args.trade],
-                    {"window": list(window)},
-                    [path], {"countries": len(rca.countries),
-                             "products": len(rca.products)}, started)
-    return 0
+    return ([args.trade], {"window": list(window)}, [path],
+            {"countries": len(rca.countries), "products": len(rca.products)})
 
 
-def cmd_proximity(args):
-    started = time.perf_counter()
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_proximity(args, out):
     tensor = ingest.read_tensor_csv(args.trade)
     window = args.window if args.window else (tensor.years[0], tensor.years[-1])
     rca = complexity.compute_rca(tensor, window)
@@ -207,15 +197,10 @@ def cmd_proximity(args):
                                                        bins=args.bins)
     config = {"window": list(window), "rca_threshold": args.rca_threshold,
               "cutoff": args.cutoff, "bins": args.bins}
-    _write_manifest(out, "proximity", [args.trade], config, [edges, hist],
-                    {"edges": n_edges, "pairs": n_pairs}, started)
-    return 0
+    return [args.trade], config, [edges, hist], {"edges": n_edges, "pairs": n_pairs}
 
 
-def cmd_relatedness(args):
-    started = time.perf_counter()
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_relatedness(args, out):
     tensor = ingest.read_tensor_csv(args.trade)
     prox = complexity.read_proximity_csv(args.proximity, tensor.products)
     weights = relatedness.DistanceWeights.from_dyads(tensor.countries,
@@ -233,10 +218,8 @@ def cmd_relatedness(args):
     path = out / "relatedness.csv"
     dropped = relatedness.write_relatedness_csv(values, path)
     config = {"years": list(args.years) if args.years else None, "threads": args.threads}
-    _write_manifest(out, "relatedness", [args.trade, args.proximity, args.dyad_csv],
-                    config, [path], {"cells": rows, "dropped_undefined": dropped},
-                    started)
-    return 0
+    return ([args.trade, args.proximity, args.dyad_csv], config, [path],
+            {"cells": rows, "dropped_undefined": dropped})
 
 
 def _gravity_dataset(args, period):
@@ -251,10 +234,7 @@ def _gravity_dataset(args, period):
                                                  horizon=args.horizon, zeros=args.zeros)
 
 
-def cmd_gravity(args):
-    started = time.perf_counter()
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_gravity(args, out):
     inputs = [args.trade, args.relatedness, args.country_csv, args.dyad_csv]
     period, periods, concordance, rca = args.period, None, None, None
     if args.split == "period":
@@ -293,15 +273,10 @@ def cmd_gravity(args):
         "rca_year": args.rca_year, "rca_new": args.rca_new,
         "rca_experienced": args.rca_experienced, "threads": args.threads,
     }
-    counts = {key: res.n for key, res in sorted(results.items())}
-    _write_manifest(out, "gravity", inputs, config, outputs, counts, started)
-    return 0
+    return inputs, config, outputs, {key: res.n for key, res in sorted(results.items())}
 
 
-def cmd_summary(args):
-    started = time.perf_counter()
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_summary(args, out):
     _, period, ds = _gravity_dataset(args, args.period)
     z, _ = gravity.standardize(ds, standardize_response=args.standardize_response)
     stats_path = out / "summary_stats.csv"
@@ -311,29 +286,19 @@ def cmd_summary(args):
     gravity.write_correlation_csv(names, corr, corr_path)
     config = {"period": list(period), "horizon": args.horizon, "zeros": args.zeros,
               "standardize_response": args.standardize_response}
-    _write_manifest(out, "summary",
-                    [args.trade, args.relatedness, args.country_csv, args.dyad_csv],
-                    config, [stats_path, corr_path], {"rows": ds.n}, started)
-    return 0
+    return ([args.trade, args.relatedness, args.country_csv, args.dyad_csv], config,
+            [stats_path, corr_path], {"rows": ds.n})
 
 
-def cmd_trend(args):
-    started = time.perf_counter()
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_trend(args, out):
     results = gravity.read_results_json(args.input)
     trends = gravity.trend_over_lall(results)
     path = out / "trend.csv"
     gravity.write_trend_csv(trends, path)
-    _write_manifest(out, "trend", [args.input], {}, [path],
-                    {"variables": len(trends)}, started)
-    return 0
+    return [args.input], {}, [path], {"variables": len(trends)}
 
 
-def cmd_synth(args):
-    started = time.perf_counter()
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_synth(args, out):
     planted = None
     if args.planted_beta:
         planted = np.array([float(v) for v in args.planted_beta.split(",")])
@@ -356,10 +321,8 @@ def cmd_synth(args):
         "planted_beta": list(map(float, planted)) if planted is not None else None,
         "proximity_window": list(world.proximity_window),
     }
-    counts = {"cells": sum(world.tensor.n_cells(y) for y in world.tensor.years)}
-    _write_manifest(out, "synth", [], manifest_cfg,
-                    [trade_path, country_path, dyad_path], counts, started)
-    return 0
+    return ([], manifest_cfg, [trade_path, country_path, dyad_path],
+            {"cells": sum(world.tensor.n_cells(y) for y in world.tensor.years)})
 
 
 def build_parser():
@@ -466,12 +429,18 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand: its cmd_* function returns (inputs, config, outputs,
+    row_counts) for the manifest written here."""
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(level=getattr(logging, args.log_level))
     try:
         args = _load_config_file(args)
-        return args.func(args)
+        out = Path(args.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        started = time.perf_counter()
+        _write_manifest(out, args.command, *args.func(args, out), started)
+        return 0
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
         return 1

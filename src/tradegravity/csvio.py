@@ -177,10 +177,14 @@ def read_json(path):
 
 
 def write_rows(path, header, columns):
-    """Write a header line and rows built from equal-length text columns."""
+    """Write a header line and rows built from equal-length text columns.
+
+    Header names are quoted here; column text must come quoted already
+    (``quoted``, ``code_text``) where it can hold a comma, quote or line end.
+    """
     n = len(columns[0]) if columns else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(",".join(quoted(header)) + "\r\n")
         for lo in range(0, n, _WRITE_CHUNK):
             chunk = [c[lo:lo + _WRITE_CHUNK] for c in columns]
             fh.write("\r\n".join(map(",".join, zip(*chunk))) + "\r\n")
@@ -191,11 +195,15 @@ def float_text(values):
     return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
+def quoted(texts):
+    """Each text quoted where csv.writer would quote it."""
+    return ['"' + t.replace('"', '""') + '"' if any(ch in t for ch in ',"\r\n') else t
+            for t in texts]
+
+
 def code_text(vocab, index):
-    """Text of vocab[index] for each index, quoted where csv.writer would quote it."""
-    quoted = ['"' + c.replace('"', '""') + '"' if any(ch in c for ch in ',"\r\n') else c
-              for c in vocab]
-    return np.array(quoted, dtype=object)[np.asarray(index)]
+    """Quoted text of vocab[index] for each index."""
+    return np.array(quoted(vocab), dtype=object)[np.asarray(index)]
 
 
 def vocabulary(*columns):

@@ -14,7 +14,6 @@ k x k regardless of sample size.
 """
 from __future__ import annotations
 
-import csv
 import enum
 import json
 import logging
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import read_json, read_table
+from .csvio import read_json, read_table, write_rows
 from .errors import CoverageError, SingularDesignError, TradeDataError
 from .ingest import lookup
 
@@ -343,10 +342,6 @@ class StreamingOLS:
         self._buf = []
         self._buffered = 0
         self._finalized = False
-
-    @property
-    def n_rows(self):
-        return sum(node[2].n for node in self._nodes) + self._buffered
 
     def add(self, x, y):
         """Accumulate a chunk of rows; x is (m, k), y is (m,)."""
@@ -766,39 +761,29 @@ def read_results_json(path):
 def write_results_csv(results, path):
     """Table-style rendering: one coefficient row pair per variable and split."""
     keys = sorted(results)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["variable"] + keys)
-        names = results[keys[0]].names if keys else ()
-        for i, name in enumerate(names):
-            w.writerow([name] + [f"{results[k].beta[i]:.6f}" for k in keys])
-            w.writerow([f"{name}_se"] + [f"({results[k].se[i]:.6f})" for k in keys])
-        w.writerow(["n"] + [results[k].n for k in keys])
-        w.writerow(["adj_r2"] + [f"{results[k].adj_r2:.6f}" for k in keys])
-        w.writerow(["resid_se"] + [f"{results[k].resid_se:.6f}" for k in keys])
+    fits = [results[k] for k in keys]
+    rows = []
+    for i, name in enumerate(fits[0].names if fits else ()):
+        rows.append([name] + [f"{r.beta[i]:.6f}" for r in fits])
+        rows.append([f"{name}_se"] + [f"({r.se[i]:.6f})" for r in fits])
+    rows.append(["n"] + [str(r.n) for r in fits])
+    rows.append(["adj_r2"] + [f"{r.adj_r2:.6f}" for r in fits])
+    rows.append(["resid_se"] + [f"{r.resid_se:.6f}" for r in fits])
+    write_rows(path, ["variable"] + [str(k) for k in keys], list(zip(*rows)))
 
 
 def write_trend_csv(trends, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["variable", "slope", "se", "p", "significant"])
-        for name in sorted(trends):
-            t = trends[name]
-            w.writerow([name, f"{t.slope:.6f}", f"{t.se:.6f}", f"{t.pvalue:.6f}",
-                        str(t.significant).lower()])
+    rows = [(name, f"{t.slope:.6f}", f"{t.se:.6f}", f"{t.pvalue:.6f}", str(t.significant).lower())
+            for name, t in sorted(trends.items())]
+    write_rows(path, ("variable", "slope", "se", "p", "significant"), list(zip(*rows)))
 
 
 def write_summary_csv(rows, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["variable", "n", "mean", "std", "min", "max"])
-        for name, n, mean, std, lo, hi in rows:
-            w.writerow([name, n, f"{mean:.6f}", f"{std:.6f}", f"{lo:.6f}", f"{hi:.6f}"])
+    rows = [(name, str(n), *(f"{x:.6f}" for x in stats)) for name, n, *stats in rows]
+    write_rows(path, ("variable", "n", "mean", "std", "min", "max"), list(zip(*rows)))
 
 
 def write_correlation_csv(names, matrix, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["variable"] + list(names))
-        for i, name in enumerate(names):
-            w.writerow([name] + [f"{matrix[i, j]:.6f}" for j in range(len(names))])
+    rows = [[name] + [f"{matrix[i, j]:.6f}" for j in range(len(names))]
+            for i, name in enumerate(names)]
+    write_rows(path, ["variable"] + list(names), list(zip(*rows)))

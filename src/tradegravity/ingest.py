@@ -9,7 +9,6 @@ cells, so no log-of-zero can ever reach the math layers.
 """
 from __future__ import annotations
 
-import csv
 import enum
 import logging
 import re
@@ -17,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import code_index, code_text, float_text, read_table, repeats, vocabulary, write_rows
+from .csvio import (code_index, code_text, float_text, quoted, read_table, repeats, vocabulary,
+                    write_rows)
 from .errors import CoverageError, ParseError, TradeDataError
 
 log = logging.getLogger(__name__)
@@ -137,7 +137,7 @@ class TradeTensor:
             p = _locked(np.ascontiguousarray(p, dtype=np.int32))
             d = _locked(np.ascontiguousarray(d, dtype=np.int32))
             v = _locked(np.ascontiguousarray(v, dtype=np.float64))
-            if v.size and v.min() <= 0:
+            if not (v > 0).all():
                 raise TradeDataError(f"year {year}: non-positive flow value stored in tensor")
             if np.any(o == d):
                 raise TradeDataError(f"year {year}: origin equals destination in tensor cell")
@@ -206,24 +206,16 @@ class TradeTensor:
         return float(self.flows(year)[3][pos[0]]) if found[0] else 0.0
 
     def _marginal(self, year, which):
-        cache = self._marginals.setdefault(int(year), {})
-        if which in cache:
-            return cache[which]
-        o, p, d, v = self.flows(year)
-        nc, np_ = len(self.countries), len(self.products)
-        if which == "od":
-            m = np.zeros((nc, nc))
-            np.add.at(m, (o, d), v)
-        elif which == "op":
-            m = np.zeros((nc, np_))
-            np.add.at(m, (o, p), v)
-        elif which == "pd":
-            m = np.zeros((np_, nc))
-            np.add.at(m, (p, d), v)
-        else:
-            raise ValueError(which)
-        cache[which] = _locked(m)
-        return m
+        """Dense totals of one year's flows over two coordinates, e.g. "od"; cached."""
+        key = (int(year), which)
+        if key not in self._marginals:
+            o, p, d, v = self.flows(year)
+            coords = {"o": (o, self.n_countries), "p": (p, self.n_products),
+                      "d": (d, self.n_countries)}
+            (a, n_a), (b, n_b) = coords[which[0]], coords[which[1]]
+            totals = np.bincount(a.astype(np.int64) * n_b + b, weights=v, minlength=n_a * n_b)
+            self._marginals[key] = _locked(totals.reshape(n_a, n_b))
+        return self._marginals[key]
 
     def x_od(self, year):
         """Dense origin-by-destination totals for one year."""
@@ -279,19 +271,17 @@ class CountryMeta:
     def from_csv(cls, path):
         table = read_table(path, COUNTRY_COLUMNS,
                            numeric={"year": int, "population": float, "gdp_per_capita": float})
-        pop, gdp = table["population"], table["gdp_per_capita"]
-        table.check((~(pop > 0), lambda i: f"population must be positive, got {pop[i]}"),
-                    (~(gdp > 0), lambda i: f"gdp_per_capita must be positive, got {gdp[i]}"))
-        meta = cls()
-        for row in zip(table["code"].tolist(), table["year"].tolist(), pop.tolist(), gdp.tolist()):
-            meta.add(*row)
-        return meta
+        return _add_rows(cls(), table, COUNTRY_COLUMNS)
 
     def add(self, code, year, population, gdp_per_capita):
-        if population <= 0 or gdp_per_capita <= 0:
-            raise TradeDataError(f"{code}/{year}: population and gdp_per_capita must be positive")
-        self._pop[(code, int(year))] = float(population)
-        self._gdp[(code, int(year))] = float(gdp_per_capita)
+        for name, value in (("population", population), ("gdp_per_capita", gdp_per_capita)):
+            if not value > 0:
+                raise TradeDataError(f"{code}/{year}: {name} must be positive, got {value}")
+        key = (code, int(year))
+        if key in self._pop and (self._pop[key], self._gdp[key]) != (population, gdp_per_capita):
+            raise TradeDataError(f"conflicting duplicate country row ({code},{year})")
+        self._pop[key] = float(population)
+        self._gdp[key] = float(gdp_per_capita)
 
     def population(self, code, year):
         try:
@@ -305,16 +295,27 @@ class CountryMeta:
         except KeyError:
             raise CoverageError(f"no gdp_per_capita for country {code} in year {year}") from None
 
-    def has(self, code, year):
-        return (code, int(year)) in self._pop and (code, int(year)) in self._gdp
-
     def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(COUNTRY_COLUMNS)
-            for code, year in sorted(self._pop):
-                w.writerow([code, year, repr(self._pop[(code, year)]),
-                            repr(self._gdp[(code, year)])])
+        keys = sorted(self._pop)
+        write_rows(path, COUNTRY_COLUMNS,
+                   [quoted(k[0] for k in keys), [str(k[1]) for k in keys],
+                    float_text([self._pop[k] for k in keys]),
+                    float_text([self._gdp[k] for k in keys])])
+
+
+def _add_rows(meta, table, columns):
+    """Add each row of a table to a metadata object, then raise for a malformed row.
+
+    An add that fails raises ParseError at its row's line; it comes first
+    because the table holds only the rows above the first malformed one.
+    """
+    for line_no, *row in zip(table.line.tolist(), *(table[name].tolist() for name in columns)):
+        try:
+            meta.add(*row)
+        except TradeDataError as exc:
+            raise ParseError(table.path, line_no, str(exc)) from None
+    table.check()
+    return meta
 
 
 @dataclass(frozen=True, slots=True)
@@ -341,25 +342,17 @@ class DyadMeta:
         table = read_table(path, DYAD_COLUMNS,
                            numeric={"distance_km": float, "border": int, "colony": int,
                                     "language": int, "lang_proximity": float})
-        table.check()
-        dyads = cls()
-        for line_no, *row in zip(table.line.tolist(),
-                                 *(table[name].tolist() for name in DYAD_COLUMNS)):
-            try:
-                dyads.add(*row)
-            except TradeDataError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-        return dyads
+        return _add_rows(cls(), table, DYAD_COLUMNS)
 
     def add(self, a, b, distance_km, border, colony, language, lang_proximity):
         if a == b:
             raise TradeDataError(f"self-dyad {a}")
-        if distance_km <= 0:
+        if not distance_km > 0:
             raise TradeDataError(f"dyad ({a},{b}): distance must be positive")
         for name, val in (("border", border), ("colony", colony), ("language", language)):
             if val not in (0, 1):
                 raise TradeDataError(f"dyad ({a},{b}): {name} must be 0 or 1, got {val}")
-        if lang_proximity < 0:
+        if not lang_proximity >= 0:
             raise TradeDataError(f"dyad ({a},{b}): lang_proximity must be non-negative")
         rec = DyadRecord(float(distance_km), int(border), int(colony),
                          int(language), float(lang_proximity))
@@ -407,13 +400,14 @@ class DyadMeta:
         return out
 
     def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(DYAD_COLUMNS)
-            for (a, b) in sorted(self._records):
-                r = self._records[(a, b)]
-                w.writerow([a, b, repr(r.distance_km), r.border, r.colony,
-                            r.language, repr(r.lang_proximity)])
+        keys = sorted(self._records)
+        records = [self._records[k] for k in keys]
+        write_rows(path, DYAD_COLUMNS,
+                   [quoted(k[0] for k in keys), quoted(k[1] for k in keys),
+                    float_text([r.distance_km for r in records]),
+                    *([str(getattr(r, name)) for r in records]
+                      for name in ("border", "colony", "language")),
+                    float_text([r.lang_proximity for r in records])])
 
 
 def load_trade_csv(path, schema=None):
@@ -461,11 +455,9 @@ def _per_code(codes, test):
 
 
 def write_rejects_report(rejects, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["line", "reason", "row"])
-        for r in rejects:
-            w.writerow([r.line_no, r.reason, r.raw])
+    write_rows(path, ("line", "reason", "row"),
+               [[str(r.line_no) for r in rejects], [r.reason for r in rejects],
+                quoted(r.raw for r in rejects)])
 
 
 def reconcile(batch, policy=ReconcilePolicy.IMPORTER):

@@ -96,49 +96,47 @@ def _check_bounds(values, label):
     return np.clip(values, 0.0, 1.0)
 
 
-def _group_inverse(sorted_key):
-    """Row number of each cell's group, for keys already sorted ascending."""
-    if sorted_key.size == 0:
-        return np.empty(0, dtype=np.int64)
-    steps = np.empty(sorted_key.size, dtype=np.int64)
-    steps[0] = 0
-    steps[1:] = sorted_key[1:] != sorted_key[:-1]
-    return np.cumsum(steps)
+def _weighted_share(group, col, v, weights, denom, chunk_rows, threads):
+    """Each cell's weighted share of its group's flows, aligned with the input cells.
 
-
-def _chunked_matmul_gather(cols, data, inverse, col_of_cell, weight_matrix,
-                           chunk_rows, threads):
-    """out[cell] = (S @ W)[inverse[cell], col_of_cell[cell]] computed by row chunks.
-
-    S is the (n_groups x weight_matrix.shape[0]) sparse matrix assembled from
-    (inverse, cols, data). Cells must be sorted so that equal ``inverse``
-    values are contiguous and ascending, which keeps each chunk's gather local.
+    For a cell c with group key g the value is
+    sum over cells c' of g of v[c'] * weights[col[c'], col[c]], divided by
+    denom[c]: the entry (g, col[c]) of S @ weights, where S is the
+    (groups x weights.shape[0]) sparse matrix of the group flows by column.
+    The product runs over chunks of ``chunk_rows`` groups, on ``threads``
+    threads, with the cells sorted by group so that each chunk's gather is
+    local; keys that are already ascending keep their order. A zero
+    denominator gives NaN.
     """
     import scipy.sparse as sp  # here: CLI stages that never evaluate relatedness skip its import
 
-    n_groups = int(inverse.max()) + 1 if inverse.size else 0
-    out = np.empty(inverse.size)
-    starts = list(range(0, n_groups, chunk_rows))
-
-    cell_bounds = np.searchsorted(inverse, np.arange(0, n_groups + chunk_rows, chunk_rows))
+    ascending = np.all(group[1:] >= group[:-1])
+    order = slice(None) if ascending else np.argsort(group, kind="stable")
+    group, col, v = group[order], col[order], v[order]
+    inverse = np.zeros(group.size, dtype=np.int64)
+    inverse[1:] = np.cumsum(group[1:] != group[:-1])
+    n_groups = int(inverse[-1]) + 1 if group.size else 0
+    starts = np.arange(0, n_groups + chunk_rows, chunk_rows)
+    bounds = np.searchsorted(inverse, starts)
+    numer = np.empty(group.size)
 
     def work(ci):
-        r0 = starts[ci]
-        r1 = min(r0 + chunk_rows, n_groups)
-        lo, hi = cell_bounds[ci], cell_bounds[min(ci + 1, len(cell_bounds) - 1)]
-        sel = slice(lo, hi)
-        s = sp.csr_matrix((data[sel], (inverse[sel] - r0, cols[sel])),
-                          shape=(r1 - r0, weight_matrix.shape[0]))
-        block = s.dot(weight_matrix)
-        out[sel] = block[inverse[sel] - r0, col_of_cell[sel]]
+        sel = slice(bounds[ci], bounds[ci + 1])
+        rows = inverse[sel] - starts[ci]
+        s = sp.csr_matrix((v[sel], (rows, col[sel])),
+                          shape=(min(chunk_rows, n_groups - starts[ci]), weights.shape[0]))
+        numer[sel] = s.dot(weights)[rows, col[sel]]
 
-    if threads > 1 and len(starts) > 1:
+    chunks = range(starts.size - 1)
+    if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(starts))))
+            list(pool.map(work, chunks))
     else:
-        for ci in range(len(starts)):
+        for ci in chunks:
             work(ci)
-    return out
+    in_cell_order = np.empty(group.size)
+    in_cell_order[order] = numer
+    return np.divide(in_cell_order, denom, out=np.full(group.size, np.nan), where=denom > 0)
 
 
 def product_relatedness(tensor, prox, year, chunk_rows=4096, threads=1):
@@ -150,56 +148,30 @@ def product_relatedness(tensor, prox, year, chunk_rows=4096, threads=1):
     o, p, d, v = tensor.flows(year)
     if tensor.n_products == 1:
         return np.zeros(o.size)  # the sum over other products is empty
-    nc = tensor.n_countries
-    phi = prox.phi
-    phi_p = prox.marginals
-    x_od = tensor.x_od(year)
-
-    dyad = o.astype(np.int64) * nc + d
-    order = np.argsort(dyad, kind="stable")
-    inverse = _group_inverse(dyad[order])
-    numer = _chunked_matmul_gather(p[order], v[order], inverse, p[order],
-                                   phi, chunk_rows, threads)
-    omega_sorted = np.full(o.size, np.nan)
-    denom = phi_p[p[order]] * x_od[o[order], d[order]]
-    defined = phi_p[p[order]] > 0
-    omega_sorted[defined] = numer[defined] / denom[defined]
-    omega = np.empty_like(omega_sorted)
-    omega[order] = omega_sorted
-    n_undefined = int((~defined).sum())
-    if n_undefined:
-        skipped = np.unique(p[order][~defined])
+    phi_p = prox.marginals[p]
+    omega = _weighted_share(o.astype(np.int64) * tensor.n_countries + d, p, v, prox.phi,
+                            phi_p * tensor.x_od(year)[o, d], chunk_rows, threads)
+    undefined = ~(phi_p > 0)
+    if undefined.any():
         log.warning("product_relatedness year %s: %d cells skipped, %d products "
-                    "have zero proximity marginal", year, n_undefined, skipped.size)
+                    "have zero proximity marginal", year, int(undefined.sum()),
+                    np.unique(p[undefined]).size)
     return _check_bounds(omega, "product relatedness")
 
 
 def importer_relatedness(tensor, weights, year, chunk_rows=65536, threads=1):
     """Values for every active cell of the year, aligned with tensor.flows(year)."""
     o, p, d, v = tensor.flows(year)
-    np_ = tensor.n_products
-    x_op = tensor.x_op(year)
-    group = o.astype(np.int64) * np_ + p  # cells are already sorted by (o, p)
-    inverse = _group_inverse(group)
-    numer = _chunked_matmul_gather(d, v, inverse, d, weights.matrix.T,
-                                   chunk_rows, threads)
-    values = numer / x_op[o, p]
+    values = _weighted_share(o.astype(np.int64) * tensor.n_products + p, d, v,
+                             weights.matrix.T, tensor.x_op(year)[o, p], chunk_rows, threads)
     return _check_bounds(values, "importer relatedness")
 
 
 def exporter_relatedness(tensor, weights, year, chunk_rows=65536, threads=1):
     """Values for every active cell of the year, aligned with tensor.flows(year)."""
     o, p, d, v = tensor.flows(year)
-    nc = tensor.n_countries
-    x_pd = tensor.x_pd(year)
-    group = p.astype(np.int64) * nc + d
-    order = np.argsort(group, kind="stable")
-    inverse = _group_inverse(group[order])
-    numer = _chunked_matmul_gather(o[order], v[order], inverse, o[order],
-                                   weights.matrix.T, chunk_rows, threads)
-    values_sorted = numer / x_pd[p[order], d[order]]
-    values = np.empty_like(values_sorted)
-    values[order] = values_sorted
+    values = _weighted_share(p.astype(np.int64) * tensor.n_countries + d, o, v,
+                             weights.matrix.T, tensor.x_pd(year)[p, d], chunk_rows, threads)
     return _check_bounds(values, "exporter relatedness")
 
 

@@ -261,6 +261,37 @@ def test_malformed_config_is_exit_one_with_line(pipeline, tmp_path, capsys):
     assert f"{cfg}:4: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("ingest", "policy", "bogus"),
+    ("gravity", "zeros", "none"),
+    ("gravity", "split", "country"),
+    ("synth", "forward-mode", ["persist"]),
+])
+def test_config_value_outside_choices_is_exit_one(pipeline, tmp_path, capsys, command, key,
+                                                  value):
+    _, world, stage = pipeline
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    args = {"ingest": ["--trade", world / "trade.csv"],
+            "gravity": ["--trade", stage / "reconciled.csv",
+                        "--relatedness", stage / "relatedness.csv",
+                        "--country-csv", world / "country.csv", "--dyad-csv", world / "dyad.csv"],
+            "synth": []}[command]
+    assert run(command, "-o", tmp_path / "out", *args, "--config", cfg) == 1
+    assert f"{cfg}: {key}: invalid choice: {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_key_naming_no_option_is_exit_one(pipeline, tmp_path, capsys):
+    _, world, _ = pipeline
+    cfg = tmp_path / "cfg.json"
+    for key in ("command", "func", "split"):  # split is a gravity option only
+        cfg.write_text(json.dumps({key: "rca"}))
+        assert run("ingest", "-o", tmp_path, "--trade", world / "trade.csv",
+                   "--config", cfg) == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
 def test_threads_below_one_is_rejected(pipeline, tmp_path):
     _, world, stage = pipeline
     args = ["relatedness", "-o", tmp_path, "--trade", stage / "reconciled.csv",

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,19 @@ def test_rejects_report_roundtrip(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "line,reason,row"
     assert lines[1].startswith("2,self_trade,")
+
+
+def test_rejects_report_keeps_commas_and_quotes(tmp_path):
+    path = write(tmp_path, '2003,"KO,R",CHL,6201,1,exporter\n'
+                           '2003,KOR,"C""L",6201,1,importer\n')
+    _, rejects = load_trade_csv(path)
+    out = tmp_path / "rejects.csv"
+    write_rejects_report(rejects, out)
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["line", "reason", "row"],
+                    ["2", "bad_origin_code", "2003,KO,R,CHL,6201,1,exporter"],
+                    ["3", "bad_destination_code", '2003,KOR,C"L,6201,1,importer']]
 
 
 def _batch(rows):
@@ -208,6 +223,11 @@ def test_tensor_rejects_bad_cells():
                                   {(2000, "AAA", "0101", "AAA"): 5.0})
 
 
+def test_tensor_rejects_nan_flow():
+    with pytest.raises(tg.TradeDataError, match="non-positive"):
+        tg.TradeTensor(["AAA", "BBB"], ["0101"], [2000], {2000: ([0], [0], [1], [np.nan])})
+
+
 def test_tensor_csv_roundtrip(tmp_path, small_world):
     tensor = small_world.tensor
     path = tmp_path / "reconciled.csv"
@@ -233,6 +253,38 @@ def test_meta_csv_roundtrip(tmp_path, small_world):
     a, b = small_world.tensor.countries[:2]
     assert dyads.distance(a, b) == small_world.dyad_meta.distance(a, b)
     assert dyads.distance(b, a) == dyads.distance(a, b)
+
+
+@pytest.mark.parametrize("bad,reason", [
+    ("AAA,2000,2e7,300\n", "conflicting duplicate country row (AAA,2000)"),
+    ("BBB,2000,nan,50\n", "BBB/2000: population must be positive, got nan"),
+    ("BBB,2000,1e6,0\n", "BBB/2000: gdp_per_capita must be positive, got 0.0"),
+])
+def test_country_reader_names_line_and_reason(tmp_path, bad, reason):
+    path = tmp_path / "country.csv"
+    # an identical repeat is accepted; the row after the bad one is broken too
+    path.write_text("code,year,population,gdp_per_capita\n"
+                    "AAA,2000,1e7,100\n" + bad + "AAA,2000,1e7,100\nx\n")
+    with pytest.raises(tg.ParseError) as exc:
+        tg.CountryMeta.from_csv(path)
+    assert (exc.value.line_no, str(exc.value)) == (3, f"{path}:3: {reason}")
+    path.write_text("code,year,population,gdp_per_capita\n"
+                    "AAA,2000,1e7,100\nAAA,2000,1e7,100\n")
+    assert tg.CountryMeta.from_csv(path).population("AAA", 2000) == 1e7
+
+
+@pytest.mark.parametrize("bad,reason", [
+    ("AAA,CCC,nan,0,0,0,0.5\n", "dyad (AAA,CCC): distance must be positive"),
+    ("AAA,CCC,10,0,0,0,nan\n", "dyad (AAA,CCC): lang_proximity must be non-negative"),
+    ("BBB,AAA,10,0,0,0,0.5\n", "conflicting duplicate dyad (BBB,AAA)"),
+])
+def test_dyad_reader_names_line_and_reason(tmp_path, bad, reason):
+    path = tmp_path / "dyad.csv"
+    path.write_text(",".join(tg.ingest.DYAD_COLUMNS) + "\n"
+                    "AAA,BBB,5,1,0,0,0.5\n" + bad + "x\n")
+    with pytest.raises(tg.ParseError) as exc:
+        tg.DyadMeta.from_csv(path)
+    assert (exc.value.line_no, str(exc.value)) == (3, f"{path}:3: {reason}")
 
 
 def test_dyad_missing_pair_names_pair():

@@ -207,9 +207,13 @@ def test_threads_do_not_change_values(small_pipeline):
 def test_chunk_size_does_not_change_values(small_pipeline):
     w, prox, weights, rel = small_pipeline
     year = w.tensor.years[0]
-    small_chunks = tg.product_relatedness(w.tensor, prox, year, chunk_rows=2)
-    base = rel[year].omega
-    assert np.array_equal(np.nan_to_num(base, nan=-1), np.nan_to_num(small_chunks, nan=-1))
+    base = rel[year]
+    # chunks of two groups split every measure into several chunks
+    for measure, small_chunks in [
+            (base.omega, tg.product_relatedness(w.tensor, prox, year, chunk_rows=2)),
+            (base.omega_d, tg.importer_relatedness(w.tensor, weights, year, chunk_rows=2)),
+            (base.omega_o, tg.exporter_relatedness(w.tensor, weights, year, chunk_rows=2))]:
+        assert np.array_equal(np.nan_to_num(measure, nan=-1), np.nan_to_num(small_chunks, nan=-1))
 
 
 def test_relatedness_csv_roundtrip(tmp_path, small_pipeline):
