@@ -68,7 +68,7 @@ def _parse_periods(text):
 
 def _thread_count(text):
     try:
-        threads = int(str(text))  # str() first: no truncating 2.5 or reading true as 1
+        threads = int(text)
     except ValueError:
         threads = 0
     limit = 4 * (os.cpu_count() or 1)
@@ -78,62 +78,37 @@ def _thread_count(text):
     return threads
 
 
-def _load_config_file(args):
-    """Overlay config-file values onto parser defaults; explicit flags win.
+def _apply_config(parser, args, argv):
+    """Make each --config value its option's default, then parse argv again so
+    explicit flags win.
 
-    Keys name the command's options; a value must be one of its option's choices.
+    Keys name the command's options. A value is read as the flag's command-line
+    text would be (a switch takes true or false) and must be one of its choices.
     """
-    if not getattr(args, "config", None):
-        return args
     values = read_json(args.config)
     if not isinstance(values, dict):
         raise ParseError(args.config, 1, "expected a JSON object of option values")
-    for key, value in values.items():
-        attr = key.replace("-", "_")
-        action = args._options.get(attr)
+    command = next(a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))[args.command]
+    for key, raw in values.items():
+        owner, action = next(((p, a) for p in (parser, command) for a in p._actions
+                              if a.option_strings and a.dest == key.replace("-", "_")
+                              and a.default is not argparse.SUPPRESS), (None, None))
         if action is None:
             raise TradeDataError(f"unknown config key {key!r}")
-        if attr in args._explicit:
-            continue
+        value = raw
         try:
-            if attr in ("period", "window", "years") and isinstance(value, str):
-                value = _parse_period(value)
-            elif attr == "periods" and isinstance(value, str):
-                value = _parse_periods(value)
-            elif attr == "threads":
-                value = _thread_count(value)
+            if action.nargs == 0 and not isinstance(raw, bool):
+                raise argparse.ArgumentTypeError(f"expected true or false, got {raw!r}")
+            if action.nargs != 0 and raw is not None:
+                value = (action.type or str)(str(raw))
             if action.choices is not None and value not in action.choices:
-                raise argparse.ArgumentTypeError(f"invalid choice: {value!r} (choose from "
+                raise argparse.ArgumentTypeError(f"invalid choice: {raw!r} (choose from "
                                                  f"{', '.join(map(repr, action.choices))})")
-        except argparse.ArgumentTypeError as exc:
+        except (argparse.ArgumentTypeError, ValueError) as exc:
             raise TradeDataError(f"{args.config}: {key}: {exc}") from None
-        setattr(args, attr, value)
-    return args
-
-
-class _TrackingParser(argparse.ArgumentParser):
-    """Remembers which destinations were set explicitly on the command line,
-    and the options of the chosen command by destination."""
-
-    def parse_args(self, argv=None, namespace=None):
-        ns = super().parse_args(argv, namespace)
-        commands = next(a.choices for a in self._actions
-                        if isinstance(a, argparse._SubParsersAction))
-        ns._options = {a.dest: a for a in self._actions + commands[ns.command]._actions
-                       if a.option_strings and a.default is not argparse.SUPPRESS}
-        # parse again with every default None: what is set then came from argv
-        # (a subcommand copies its own defaults over any sentinel namespace)
-        actions = self._actions + [a for sub in commands.values() for a in sub._actions]
-        defaults = [action.default for action in actions]
-        try:
-            for action in actions:
-                action.default = None
-            seen = super().parse_known_args(argv)[0]
-        finally:
-            for action, default in zip(actions, defaults):
-                action.default = default
-        ns._explicit = {key for key, value in vars(seen).items() if value is not None}
-        return ns
+        owner.set_defaults(**{action.dest: value})
+    return parser.parse_args(argv)
 
 
 def cmd_ingest(args, out):
@@ -193,10 +168,8 @@ def cmd_proximity(args, out):
     prox = complexity.compute_proximity(complexity.binarize(rca, args.rca_threshold))
     edges = out / "proximity.csv"
     hist = out / "proximity_histogram.csv"
-    n_edges, n_pairs = complexity.export_product_space(prox, args.cutoff, edges, hist,
-                                                       bins=args.bins)
-    config = {"window": list(window), "rca_threshold": args.rca_threshold,
-              "cutoff": args.cutoff, "bins": args.bins}
+    n_edges, n_pairs = complexity.export_product_space(prox, edges, hist, bins=args.bins)
+    config = {"window": list(window), "rca_threshold": args.rca_threshold, "bins": args.bins}
     return [args.trade], config, [edges, hist], {"edges": n_edges, "pairs": n_pairs}
 
 
@@ -326,8 +299,8 @@ def cmd_synth(args, out):
 
 
 def build_parser():
-    parser = _TrackingParser(prog="tradegravity",
-                             description="Trade relatedness and gravity pipeline")
+    parser = argparse.ArgumentParser(prog="tradegravity",
+                                     description="Trade relatedness and gravity pipeline")
     parser.add_argument("--log-level", default="WARNING",
                         choices=["DEBUG", "INFO", "WARNING", "ERROR"])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -363,7 +336,6 @@ def build_parser():
     p.add_argument("--trade", required=True, help="reconciled trade CSV")
     p.add_argument("--window", type=_parse_period, default=None)
     p.add_argument("--rca-threshold", type=float, default=1.0)
-    p.add_argument("--cutoff", type=float, default=0.0)
     p.add_argument("--bins", type=int, default=50)
     p.set_defaults(func=cmd_proximity)
 
@@ -433,9 +405,10 @@ def main(argv=None):
     row_counts) for the manifest written here."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level))
     try:
-        args = _load_config_file(args)
+        if args.config:
+            args = _apply_config(parser, args, argv)
+        logging.basicConfig(level=getattr(logging, args.log_level))
         out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()

@@ -130,30 +130,27 @@ def compute_proximity(m):
     return ProximityMatrix(phi, m.products)
 
 
-def export_product_space(prox, cutoff, edges_path, histogram_path, bins=50):
-    """Write the thresholded edge list and the phi distribution histogram.
+def export_product_space(prox, edges_path, histogram_path, bins=50):
+    """Write the edge list of every product pair and the phi histogram.
 
-    Edges are (product_i, product_j, phi) with i < j and phi >= cutoff, phi
-    printed at round-trip precision. The histogram covers all unordered
-    product pairs with equal bins on [0, 1] and a running cumulative fraction.
+    Edges are (product_i, product_j, phi) with i < j, phi printed at
+    round-trip precision; the list is the relatedness stage's input, so it is
+    never thresholded. The histogram has equal bins on [0, 1] and a running
+    cumulative fraction.
 
     Returns (n_edges, n_pairs).
     """
-    if cutoff < 0:
-        raise TradeDataError(f"cutoff must be non-negative (got {cutoff})")
     n = len(prox.products)
     iu, ju = np.triu_indices(n, k=1)
     vals = prox.phi[iu, ju]
-    mask = vals >= cutoff
     write_rows(edges_path, ("product_i", "product_j", "phi"),
-               [code_text(prox.products, iu[mask]), code_text(prox.products, ju[mask]),
-                float_text(vals[mask])])
+               [code_text(prox.products, iu), code_text(prox.products, ju), float_text(vals)])
     counts, edges = np.histogram(vals, bins=bins, range=(0.0, 1.0))
     fraction = np.cumsum(counts) / max(vals.size, 1)
     six = lambda xs: [f"{x:.6f}" for x in xs]
     write_rows(histogram_path, ("bin_lower", "bin_upper", "count", "cumulative_fraction"),
                [six(edges[:-1]), six(edges[1:]), [str(c) for c in counts], six(fraction)])
-    return int(mask.sum()), int(vals.size)
+    return int(vals.size), int(vals.size)
 
 
 def write_rca_csv(rca, path):

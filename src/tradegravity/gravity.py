@@ -531,15 +531,17 @@ def fit_ols(dataset, block_rows=4096, chunk_rows=1 << 20, threads=1):
     return total.result()
 
 
+def _exporter_class(r, new_threshold, experienced_threshold):
+    return np.where(r < new_threshold, ExporterClass.NEW.value,
+                    np.where(r <= experienced_threshold, ExporterClass.NASCENT.value,
+                             ExporterClass.EXPERIENCED.value))
+
+
 def classify_exporter(rca_value, new_threshold=0.2, experienced_threshold=1.0):
     """Three-way exporter experience class from an RCA value."""
     if rca_value < 0 or not np.isfinite(rca_value):
         raise TradeDataError(f"RCA must be finite and non-negative, got {rca_value}")
-    if rca_value < new_threshold:
-        return ExporterClass.NEW
-    if rca_value <= experienced_threshold:
-        return ExporterClass.NASCENT
-    return ExporterClass.EXPERIENCED
+    return ExporterClass(_exporter_class(rca_value, new_threshold, experienced_threshold).item())
 
 
 def exporter_class_labels(dataset, rca, new_threshold=0.2, experienced_threshold=1.0):
@@ -552,11 +554,7 @@ def exporter_class_labels(dataset, rca, new_threshold=0.2, experienced_threshold
             tuple(rca.products) != tuple(dataset.products):
         raise TradeDataError("classification RCA uses a different vocabulary")
     values = np.nan_to_num(rca.values, nan=0.0)
-    r = values[dataset.o, dataset.p]
-    labels = np.where(r < new_threshold, ExporterClass.NEW.value,
-                      np.where(r <= experienced_threshold, ExporterClass.NASCENT.value,
-                               ExporterClass.EXPERIENCED.value))
-    return labels
+    return _exporter_class(values[dataset.o, dataset.p], new_threshold, experienced_threshold)
 
 
 class LallConcordance:

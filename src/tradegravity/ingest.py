@@ -88,10 +88,6 @@ class ReconcileAudit:
     both_agree: int = 0
     both_discrepant: int = 0
 
-    @property
-    def cells(self):
-        return self.exporter_only + self.importer_only + self.both_agree + self.both_discrepant
-
 
 @dataclass
 class FilterConfig:

@@ -149,14 +149,14 @@ def test_usage_errors_exit_two(capsys):
 def test_config_file_with_flag_override(pipeline, tmp_path):
     root, world, stage = pipeline
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"window": "2000-2000", "cutoff": 0.5}))
+    cfg.write_text(json.dumps({"window": "2000-2000", "bins": 7}))
     out = tmp_path / "out"
-    # --cutoff on the command line beats the config file; window comes from it
+    # --bins on the command line beats the config file; window comes from it
     assert run("proximity", "-o", out, "--trade", stage / "reconciled.csv",
-               "--config", cfg, "--cutoff", "0.0") == 0
+               "--config", cfg, "--bins", "50") == 0
     manifest = json.loads((out / "proximity_manifest.json").read_text())
     assert manifest["config"]["window"] == [2000, 2000]
-    assert manifest["config"]["cutoff"] == 0.0
+    assert manifest["config"]["bins"] == 50
     assert (out / "proximity.csv").read_bytes() == \
         (stage / "proximity.csv").read_bytes()
 
@@ -255,7 +255,7 @@ def test_malformed_handoff_file_is_exit_one_with_line(pipeline, tmp_path, capsys
 def test_malformed_config_is_exit_one_with_line(pipeline, tmp_path, capsys):
     _, _, stage = pipeline
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{\n  "window": "2000-2000",\n  "cutoff": \n}\n')
+    cfg.write_text('{\n  "window": "2000-2000",\n  "bins": \n}\n')
     assert run("proximity", "-o", tmp_path, "--trade", stage / "reconciled.csv",
                "--config", cfg) == 1
     assert f"{cfg}:4: " in capsys.readouterr().err
@@ -283,13 +283,18 @@ def test_config_value_outside_choices_is_exit_one(pipeline, tmp_path, capsys, co
 
 
 def test_config_key_naming_no_option_is_exit_one(pipeline, tmp_path, capsys):
-    _, world, _ = pipeline
+    _, world, stage = pipeline
     cfg = tmp_path / "cfg.json"
     for key in ("command", "func", "split"):  # split is a gravity option only
         cfg.write_text(json.dumps({key: "rca"}))
         assert run("ingest", "-o", tmp_path, "--trade", world / "trade.csv",
                    "--config", cfg) == 1
         assert f"unknown config key {key!r}" in capsys.readouterr().err
+    # proximity has no cutoff: its edge list always holds every product pair
+    cfg.write_text(json.dumps({"cutoff": 0.5}))
+    assert run("proximity", "-o", tmp_path, "--trade", stage / "reconciled.csv",
+               "--config", cfg) == 1
+    assert "unknown config key 'cutoff'" in capsys.readouterr().err
 
 
 def test_threads_below_one_is_rejected(pipeline, tmp_path):
@@ -317,11 +322,11 @@ def test_cli_import_leaves_scipy_stats_out():
 def test_config_sets_options_that_have_defaults(pipeline, tmp_path):
     _, _, stage = pipeline
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"window": "2000-2000", "cutoff": 0.5, "bins": 7}))
+    cfg.write_text(json.dumps({"window": "2000-2000", "rca-threshold": 0.5, "bins": 7}))
     assert run("proximity", "-o", tmp_path, "--trade", stage / "reconciled.csv",
                "--config", cfg) == 0
     config = json.loads((tmp_path / "proximity_manifest.json").read_text())["config"]
-    assert (config["cutoff"], config["bins"]) == (0.5, 7)
+    assert (config["rca_threshold"], config["bins"]) == (0.5, 7)
 
 
 @pytest.fixture(scope="module")
@@ -426,3 +431,41 @@ def test_threads_above_cap_is_rejected(tmp_path):
         run("relatedness", "-o", tmp_path, "--trade", "t.csv", "--proximity", "p.csv",
             "--dyad-csv", "d.csv", "--threads", str(4 * (os.cpu_count() or 1) + 1))
     assert exc.value.code == 2
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, where logging is not yet configured."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tg.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "tradegravity.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True)
+
+
+def test_config_log_level_configures_logging(pipeline, tmp_path):
+    _, world, _ = pipeline
+    trade = tmp_path / "trade.csv"
+    trade.write_text((world / "trade.csv").read_text() + "2000,AAA,AAA,0101,3,exporter\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"log_level": "INFO"}))
+    args = ["ingest", "-o", tmp_path / "out", "--trade", trade, "--config", cfg]
+    done = run_process(*args)
+    assert done.returncode == 0
+    assert "INFO:tradegravity.ingest:load_trade_csv: " in done.stderr
+    # --log-level on the command line beats the config file
+    done = run_process("--log-level", "WARNING", *args)
+    assert done.returncode == 0
+    assert "INFO:" not in done.stderr
+
+
+def test_config_value_goes_through_its_option_type(six_year_pipeline, tmp_path, capsys):
+    world, stage = six_year_pipeline
+    args = ["gravity", "-o", tmp_path, "--trade", stage / "reconciled.csv",
+            "--relatedness", stage / "relatedness.csv", "--country-csv", world / "country.csv",
+            "--dyad-csv", world / "dyad.csv", "--config", tmp_path / "cfg.json"]
+    (tmp_path / "cfg.json").write_text(json.dumps({"horizon": "3"}))
+    assert run(*args) == 0
+    assert json.loads((tmp_path / "gravity_manifest.json").read_text())["config"]["horizon"] == 3
+    for key, value in (("rca_new", "x"), ("horizon", 2.5), ("period", [2000, 2003]),
+                       ("standardize-response", "false")):
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        assert run(*args) == 1
+        assert f"{tmp_path / 'cfg.json'}: {key}: " in capsys.readouterr().err

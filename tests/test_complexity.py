@@ -150,17 +150,12 @@ def test_export_product_space(tmp_path):
     edges = tmp_path / "edges.csv"
     hist = tmp_path / "hist.csv"
 
-    n_edges, n_pairs = tg.export_product_space(prox, 0.0, edges, hist)
-    assert (n_edges, n_pairs) == (3, 3)
-
-    n_edges, _ = tg.export_product_space(prox, 1.01, edges, hist)
-    assert n_edges == 0
-    assert edges.read_text().strip() == "product_i,product_j,phi"
-
-    tg.export_product_space(prox, 0.3, edges, hist, bins=10)
+    n_edges, n_pairs = tg.export_product_space(prox, edges, hist, bins=10)
+    assert n_edges == n_pairs == 3  # every pair: relatedness reads the full phi
     lines = edges.read_text().strip().splitlines()
     assert lines[1] == "0101,0102,0.3333333333333333"  # round-trip precision
-    assert lines[2] == "0102,0103,0.6"
+    assert lines[2] == "0101,0103,0.1"
+    assert lines[3] == "0102,0103,0.6"
 
     hist_lines = hist.read_text().strip().splitlines()
     assert hist_lines[0] == "bin_lower,bin_upper,count,cumulative_fraction"
@@ -183,7 +178,7 @@ def test_proximity_csv_roundtrip(tmp_path):
     m = advantage(entries)
     prox = tg.compute_proximity(m)
     edges = tmp_path / "edges.csv"
-    tg.export_product_space(prox, 0.0, edges, tmp_path / "h.csv")
+    tg.export_product_space(prox, edges, tmp_path / "h.csv")
     again = tg.complexity.read_proximity_csv(edges, m.products)
     assert np.array_equal(again.phi, prox.phi)  # round-trip printing is exact
 
