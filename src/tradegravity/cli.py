@@ -19,8 +19,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import complexity, gravity, ingest, oracle, relatedness
 from .csvio import read_json
 from .errors import ParseError, TradeDataError
@@ -64,6 +62,13 @@ def _parse_period(text):
 
 def _parse_periods(text):
     return tuple(_parse_period(part) for part in text.split(","))
+
+
+def _planted_beta(text):
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
 def _thread_count(text):
@@ -168,9 +173,9 @@ def cmd_proximity(args, out):
     prox = complexity.compute_proximity(complexity.binarize(rca, args.rca_threshold))
     edges = out / "proximity.csv"
     hist = out / "proximity_histogram.csv"
-    n_edges, n_pairs = complexity.export_product_space(prox, edges, hist, bins=args.bins)
+    n_edges = complexity.export_product_space(prox, edges, hist, bins=args.bins)
     config = {"window": list(window), "rca_threshold": args.rca_threshold, "bins": args.bins}
-    return [args.trade], config, [edges, hist], {"edges": n_edges, "pairs": n_pairs}
+    return [args.trade], config, [edges, hist], {"edges": n_edges}
 
 
 def cmd_relatedness(args, out):
@@ -272,9 +277,7 @@ def cmd_trend(args, out):
 
 
 def cmd_synth(args, out):
-    planted = None
-    if args.planted_beta:
-        planted = np.array([float(v) for v in args.planted_beta.split(",")])
+    planted = list(args.planted_beta) if args.planted_beta else None
     config = oracle.SyntheticWorldConfig(
         n_countries=args.countries, n_products=args.products, n_years=args.years,
         start_year=args.start_year, planted_beta=planted,
@@ -291,7 +294,7 @@ def cmd_synth(args, out):
         "countries": args.countries, "products": args.products, "years": args.years,
         "start_year": args.start_year, "sparsity": args.sparsity, "seed": args.seed,
         "noise_sigma": args.noise_sigma, "forward_mode": args.forward_mode,
-        "planted_beta": list(map(float, planted)) if planted is not None else None,
+        "planted_beta": planted,
         "proximity_window": list(world.proximity_window),
     }
     return ([], manifest_cfg, [trade_path, country_path, dyad_path],
@@ -393,7 +396,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-sigma", type=float, default=0.0)
     p.add_argument("--forward-mode", default="planted", choices=["planted", "persist"])
-    p.add_argument("--planted-beta", default=None,
+    p.add_argument("--planted-beta", type=_planted_beta, default=None,
                    help="16 comma-separated values, intercept first")
     p.set_defaults(func=cmd_synth)
 
@@ -414,8 +417,9 @@ def main(argv=None):
         started = time.perf_counter()
         _write_manifest(out, args.command, *args.func(args, out), started)
         return 0
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
+    except OSError as exc:  # a missing path, or a directory where a file belongs
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
         return 1
     except TradeDataError as exc:
         print(f"error: {exc}", file=sys.stderr)

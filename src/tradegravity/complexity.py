@@ -138,7 +138,7 @@ def export_product_space(prox, edges_path, histogram_path, bins=50):
     never thresholded. The histogram has equal bins on [0, 1] and a running
     cumulative fraction.
 
-    Returns (n_edges, n_pairs).
+    Returns the number of edges.
     """
     n = len(prox.products)
     iu, ju = np.triu_indices(n, k=1)
@@ -150,7 +150,7 @@ def export_product_space(prox, edges_path, histogram_path, bins=50):
     six = lambda xs: [f"{x:.6f}" for x in xs]
     write_rows(histogram_path, ("bin_lower", "bin_upper", "count", "cumulative_fraction"),
                [six(edges[:-1]), six(edges[1:]), [str(c) for c in counts], six(fraction)])
-    return int(vals.size), int(vals.size)
+    return int(vals.size)
 
 
 def write_rca_csv(rca, path):

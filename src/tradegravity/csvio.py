@@ -86,8 +86,7 @@ def read_table(path, fields, numeric=(), exact=True):
     """
     path = str(path)
     fields = fields if isinstance(fields, dict) else dict(zip(fields, fields))
-    with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     header = next(csv.reader(io.StringIO(text, newline="")), None)
     if header is None:
         raise ParseError(path, 1, "empty file, header required")
@@ -169,11 +168,22 @@ def _read_records(text, width, numbers):
 
 def read_json(path):
     """Parse a JSON file; malformed JSON raises ParseError at its line."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, exc.lineno, exc.msg) from None
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, exc.msg) from None
+
+
+def _read_text(path):
+    """A file's UTF-8 text, a leading byte-order mark dropped; any other
+    byte that is not UTF-8 raises ParseError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is the text after the mark
+        raise ParseError(path, exc.object.count(b"\n", 0, exc.start) + 1,
+                         "not UTF-8 text") from None
 
 
 def write_rows(path, header, columns):

@@ -7,10 +7,11 @@ and four cultural dyad variables. Continuous variables are z-scored over the
 regression sample (binary dummies are left alone; the response stays in log
 levels unless asked otherwise).
 
-The fitter accumulates the normal equations in one pass over row blocks of a
-fixed size combined along a fixed pairwise reduction tree, so results do not
-depend on how the row stream was chunked, and accumulator memory stays at
-k x k regardless of sample size.
+The fitter keeps the count, column means and centered co-moments of [x | y]
+per row block of a fixed size and merges them along a fixed pairwise
+reduction tree, so results do not depend on how the row stream was chunked,
+and accumulator memory stays at k x k regardless of sample size. A split
+cell is z-scored on its own moments, without copying its rows.
 """
 from __future__ import annotations
 
@@ -88,20 +89,10 @@ class GravityDataset:
     def n(self):
         return self.response.size
 
-    def subset(self, mask):
-        return GravityDataset(
-            t=self.t[mask], o=self.o[mask], p=self.p[mask], d=self.d[mask],
-            response=self.response[mask],
-            columns={name: col[mask] for name, col in self.columns.items()},
-            countries=self.countries, products=self.products)
-
-    def design_matrix(self, lo=0, hi=None):
-        """Rows lo:hi of the n x 16 matrix with the intercept column first."""
-        x = np.empty((self.response[lo:hi].size, K_PARAMETERS))
-        x[:, 0] = 1.0
-        for j, name in enumerate(REGRESSOR_NAMES, start=1):
-            x[:, j] = self.columns[name][lo:hi]
-        return x
+    def design_matrix(self, rows=slice(None)):
+        """The n x 16 matrix at ``rows`` (a slice or an index array), intercept first."""
+        cols = [self.columns[name][rows] for name in REGRESSOR_NAMES]
+        return np.column_stack([np.ones(cols[0].size)] + cols)
 
 
 @dataclass(frozen=True)
@@ -309,17 +300,39 @@ def standardize(dataset, standardize_response=False):
     return out, StandardizationSpec(means, stds, standardize_response)
 
 
-class _Accum:
-    """Payload of one reduction-tree node: partial normal equations."""
+class _Moments:
+    """Payload of one reduction-tree node: the row count, the column means and
+    the centered co-moment matrix C of [x | y]."""
 
-    __slots__ = ("xtx", "xty", "syy", "sy", "n")
+    __slots__ = ("n", "mean", "c")
 
-    def __init__(self, xtx, xty, syy, sy, n):
-        self.xtx, self.xty, self.syy, self.sy, self.n = xtx, xty, syy, sy, n
+    def __init__(self, n, mean, c):
+        self.n, self.mean, self.c = n, mean, c
+
+    @classmethod
+    def of(cls, rows):
+        # deviations from the first row are exactly zero in a constant column, so
+        # its C entries stay zero; unoptimized einsum stays off the BLAS
+        # threading path, so block sums do not depend on the thread configuration
+        dev = rows - rows[0]
+        offset = dev.mean(axis=0)
+        dev -= offset
+        return cls(rows.shape[0], rows[0] + offset,
+                   np.einsum("ni,nj->ij", dev, dev, optimize=False))
 
     def __add__(self, other):
-        return _Accum(self.xtx + other.xtx, self.xty + other.xty,
-                      self.syy + other.syy, self.sy + other.sy, self.n + other.n)
+        # pairwise update of Chan, Golub & LeVeque (1979)
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        return _Moments(n, self.mean + delta * (other.n / n),
+                        self.c + other.c + np.outer(delta, delta) * (self.n * other.n / n))
+
+    def solve(self, names):
+        """OLS of the last column on the others, from G = C + n m m'."""
+        k = len(names)
+        g = self.c + self.n * np.outer(self.mean, self.mean)
+        return solve_normal_equations(g[:k, :k], g[:k, k], g[k, k], self.n * self.mean[k],
+                                      self.n, names)
 
 
 class StreamingOLS:
@@ -338,15 +351,12 @@ class StreamingOLS:
         self.block_rows = int(block_rows)
         self.start_block = int(start_block)
         self._next_block = int(start_block)
-        self._nodes = []  # (start_block, level, _Accum), chronological
-        self._buf = []
+        self._nodes = []  # (start_block, level, _Moments), chronological
+        self._buf = np.empty((self.block_rows, self.k + 1))  # [x | y] of the open block
         self._buffered = 0
-        self._finalized = False
 
     def add(self, x, y):
         """Accumulate a chunk of rows; x is (m, k), y is (m,)."""
-        if self._finalized:
-            raise TradeDataError("accumulator already finalized")
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.k or y.shape != (x.shape[0],):
@@ -354,35 +364,19 @@ class StreamingOLS:
                 f"bad chunk shape {x.shape}/{y.shape} for k={self.k}")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise TradeDataError("non-finite entries in regression chunk")
-        pos = 0
-        m = x.shape[0]
+        pos, m = 0, x.shape[0]
         while pos < m:
             take = min(self.block_rows - self._buffered, m - pos)
-            self._buf.append((x[pos:pos + take], y[pos:pos + take]))
+            block = self._buf[self._buffered:self._buffered + take]
+            block[:, :-1] = x[pos:pos + take]
+            block[:, -1] = y[pos:pos + take]
             self._buffered += take
             pos += take
             if self._buffered == self.block_rows:
-                self._flush_block()
-
-    def _flush_block(self):
-        xs = np.concatenate([b[0] for b in self._buf], axis=0)
-        ys = np.concatenate([b[1] for b in self._buf], axis=0)
-        self._buf = []
-        self._buffered = 0
-        self._push(self._block_payload(xs, ys))
-
-    @staticmethod
-    def _block_payload(x, y):
-        # einsum without optimization stays off the BLAS threading path, so
-        # block sums do not depend on the ambient thread configuration
-        xtx = np.einsum("ni,nj->ij", x, x, optimize=False)
-        xty = np.einsum("ni,n->i", x, y, optimize=False)
-        return _Accum(xtx, xty, float(y @ y), float(y.sum()), y.size)
-
-    def _push(self, payload):
-        self._nodes.append((self._next_block, 0, payload))
-        self._next_block += 1
-        self._normalize()
+                self._buffered = 0
+                self._nodes.append((self._next_block, 0, _Moments.of(self._buf)))
+                self._next_block += 1
+                self._normalize()
 
     def _normalize(self):
         nodes = self._nodes
@@ -407,31 +401,21 @@ class StreamingOLS:
             self._nodes.append(node)
             self._normalize()
         self._next_block = other._next_block
-        self._buf = list(other._buf)
         self._buffered = other._buffered
+        self._buf[:self._buffered] = other._buf[:self._buffered]
         return self
 
     def _total(self):
+        parts = [payload for _, _, payload in self._nodes]  # chronological
         if self._buffered:
-            xs = np.concatenate([b[0] for b in self._buf], axis=0)
-            ys = np.concatenate([b[1] for b in self._buf], axis=0)
-            tail = self._block_payload(xs, ys)
-        else:
-            tail = None
-        total = None
-        for _, _, payload in self._nodes:  # chronological fold
-            total = payload if total is None else total + payload
-        if tail is not None:
-            total = tail if total is None else total + tail
-        if total is None:
+            parts.append(_Moments.of(self._buf[:self._buffered]))
+        if not parts:
             raise TradeDataError("no rows accumulated")
-        return total
+        return sum(parts[1:], parts[0])
 
     def result(self):
         """Solve the accumulated normal equations."""
-        total = self._total()
-        return solve_normal_equations(total.xtx, total.xty, total.syy, total.sy,
-                                      total.n, self.names)
+        return self._total().solve(self.names)
 
 
 def _cholesky_with_diagnostics(a, names, tol=1e-10):
@@ -496,39 +480,52 @@ def solve_normal_equations(xtx, xty, syy, sy, n, names):
                             resid_se=float(np.sqrt(sigma2)), ortho_rel=ortho)
 
 
-def _accumulate_rows(dataset, names, block_rows, chunk_rows, lo, hi, start_block):
-    acc = StreamingOLS(names, block_rows=block_rows, start_block=start_block)
-    for c0 in range(lo, hi, chunk_rows):
-        c1 = min(c0 + chunk_rows, hi)
-        acc.add(dataset.design_matrix(c0, c1), dataset.response[c0:c1])
-    return acc
-
-
-def fit_ols(dataset, block_rows=4096, chunk_rows=1 << 20, threads=1):
-    """Fit the full 16-parameter model on an assembled (usually z-scored) dataset.
-
-    Rows are streamed into the accumulator in slices so the dense design
-    matrix is never materialized whole. The block protocol makes the result
-    independent of ``chunk_rows``, and with ``threads`` > 1 the row range is
-    cut at block boundaries into per-thread partial accumulators whose
-    ordered merge reproduces the single-thread result bit for bit.
-    """
+def _accumulate(dataset, rows=None, block_rows=4096, threads=1):
+    """StreamingOLS of the full model over ``rows`` (an index array; None is every
+    row), one block at a time. Threads take block-aligned spans whose ordered
+    merge reproduces the single-thread result bit for bit."""
     names = ("const",) + REGRESSOR_NAMES
-    n = dataset.n
+    n = dataset.n if rows is None else rows.size
+
+    def span(lo, hi):
+        acc = StreamingOLS(names, block_rows=block_rows, start_block=lo // block_rows)
+        for b in range(lo, hi, block_rows):
+            sel = slice(b, min(b + block_rows, hi))
+            sel = sel if rows is None else rows[sel]
+            acc.add(dataset.design_matrix(sel), dataset.response[sel])
+        return acc
+
     if threads <= 1 or n <= 2 * block_rows:
-        return _accumulate_rows(dataset, names, block_rows, chunk_rows, 0, n, 0).result()
+        return span(0, n)
     n_blocks = -(-n // block_rows)
     rows_per = -(-n_blocks // threads) * block_rows
-    spans = [(lo, min(lo + rows_per, n)) for lo in range(0, n, rows_per)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(
-            lambda span: _accumulate_rows(dataset, names, block_rows, chunk_rows,
-                                          span[0], span[1], span[0] // block_rows),
-            spans))
-    total = parts[0]
+        parts = list(pool.map(lambda lo: span(lo, min(lo + rows_per, n)),
+                              range(0, n, rows_per)))
     for part in parts[1:]:
-        total.merge(part)
-    return total.result()
+        parts[0].merge(part)
+    return parts[0]
+
+
+def fit_ols(dataset, block_rows=4096, threads=1):
+    """Fit the full 16-parameter model on an assembled (usually z-scored) dataset,
+    streaming its rows one block at a time; ``threads`` never changes the result."""
+    return _accumulate(dataset, block_rows=block_rows, threads=threads).result()
+
+
+def _zscored(moments, standardize_response):
+    """The moments of the same rows after ``standardize``: every continuous
+    column (and the response on request) becomes (col - mean) / std."""
+    names = ("const",) + REGRESSOR_NAMES + (RESPONSE_NAME,)
+    scaled = np.array([False] + [name not in BINARY_COLUMNS for name in REGRESSOR_NAMES]
+                      + [standardize_response])
+    std = np.sqrt(np.diag(moments.c) / (moments.n - 1))
+    zero = np.flatnonzero(scaled & (std == 0))
+    if zero.size:
+        raise TradeDataError(f"zero-variance column {names[zero[0]]} cannot be standardized")
+    scale = np.where(scaled, std, 1.0)
+    return _Moments(moments.n, np.where(scaled, 0.0, moments.mean),
+                    moments.c / np.outer(scale, scale))
 
 
 def _exporter_class(r, new_threshold, experienced_threshold):
@@ -606,27 +603,29 @@ def run_split_regressions(dataset, split, periods=None, horizon=2, rca=None,
                           concordance=None, new_threshold=0.2,
                           experienced_threshold=1.0, standardize_response=False,
                           threads=1):
-    """Fit the model within each split cell, re-standardizing per cell.
+    """Fit the model within each split cell, z-scored over the cell's own rows.
 
     ``split`` is one of "none", "period", "exporter", "lall". Period splits
-    subset rows by base year (overlapping periods are allowed and duplicate
-    rows across cells); exporter splits need the classification ``rca``;
-    lall splits need the ``concordance`` and drop the excluded category.
+    select rows by base year (overlapping periods are allowed and share
+    rows); exporter splits need the classification ``rca``; lall splits need
+    the ``concordance`` and drop the excluded category. Each cell is read in
+    place and z-scored through its co-moments, as ``standardize`` would.
     Cells that are too small or degenerate are skipped with a warning.
     """
-    def fit_cell(key, sub):
-        if sub.n <= K_PARAMETERS:
+    def fit_cell(key, rows):
+        n = dataset.n if rows is None else rows.size
+        if n <= K_PARAMETERS:
             log.warning("split %s cell %s skipped: n=%d <= k=%d", split, key,
-                        sub.n, K_PARAMETERS)
+                        n, K_PARAMETERS)
             return None
         try:
-            z, _ = standardize(sub, standardize_response=standardize_response)
-            return fit_ols(z, threads=threads)
+            acc = _accumulate(dataset, rows, threads=threads)
+            return _zscored(acc._total(), standardize_response).solve(acc.names)
         except TradeDataError as exc:
             log.warning("split %s cell %s skipped: %s", split, key, exc)
             return None
 
-    # (key, row mask) per cell, made lazily; None keeps every row, uncopied
+    # (key, row mask) per cell, made lazily; None keeps every row
     if split == "none":
         cells = [("all", None)]
     elif split == "period":
@@ -651,7 +650,7 @@ def run_split_regressions(dataset, split, periods=None, horizon=2, rca=None,
         raise TradeDataError(f"unknown split {split!r}")
     results = {}
     for key, mask in cells:
-        res = fit_cell(key, dataset if mask is None else dataset.subset(mask))
+        res = fit_cell(key, None if mask is None else np.flatnonzero(mask))
         if res is not None:
             results[key] = res
     return results

@@ -258,8 +258,7 @@ def test_criterion_9_performance():
         # O(k^2) accumulator: a logarithmic number of k x k nodes, nothing row-sized
         n_blocks = -(-n_rows // 4096)
         assert len(acc._nodes) <= int(n_blocks).bit_length() + 1
-        assert all(node[2].xtx.shape == (K_PARAMETERS, K_PARAMETERS)
-                   for node in acc._nodes)
+        assert all(node[2].c.shape == (K_PARAMETERS + 1,) * 2 for node in acc._nodes)
         res = acc.result()
         assert res.n == n_rows
         wall = time.perf_counter() - t0

@@ -469,3 +469,40 @@ def test_config_value_goes_through_its_option_type(six_year_pipeline, tmp_path, 
         (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
         assert run(*args) == 1
         assert f"{tmp_path / 'cfg.json'}: {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["not_utf8", "directory", "byte_order_mark"])
+def test_trade_file_that_is_not_plain_utf8_text(pipeline, tmp_path, capsys, case):
+    _, world, stage = pipeline
+    trade = tmp_path / "trade.csv"
+    lines = (world / "trade.csv").read_bytes().split(b"\n")
+    if case == "not_utf8":
+        lines[3] = lines[3].replace(b",", b"\xff,", 1)
+        trade.write_bytes(b"\n".join(lines))
+        expect = f"{trade}:4: not UTF-8 text"
+    elif case == "directory":
+        trade.mkdir()
+        expect = f"{trade}: Is a directory"
+    else:
+        trade.write_bytes(b"\xef\xbb\xbf" + b"\n".join(lines))
+    code = run("ingest", "-o", tmp_path / "out", "--trade", trade)
+    if case == "byte_order_mark":  # reads like its twin without the mark
+        assert code == 0
+        assert (tmp_path / "out" / "reconciled.csv").read_bytes() == \
+            (stage / "reconciled.csv").read_bytes()
+    else:
+        assert code == 1
+        assert expect in capsys.readouterr().err
+
+
+def test_planted_beta_must_be_numbers(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("synth", "-o", tmp_path, "--planted-beta", "1,x")
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    for value in ([1, 2], "1,x"):
+        cfg.write_text(json.dumps({"planted_beta": value}))
+        assert run("synth", "-o", tmp_path, "--config", cfg) == 1
+        assert f"{cfg}: planted_beta: " in capsys.readouterr().err
+    assert run("synth", "-o", tmp_path, "--planted-beta", "1,2") == 1
+    assert "planted_beta must have 16 entries" in capsys.readouterr().err

@@ -149,7 +149,7 @@ def test_block_aligned_merge_is_bitwise():
 def test_threaded_fit_is_bitwise(small_dataset):
     z, _ = tg.standardize(small_dataset)
     one = tg.fit_ols(z, block_rows=16)
-    three = tg.fit_ols(z, block_rows=16, chunk_rows=37, threads=3)
+    three = tg.fit_ols(z, block_rows=16, threads=3)
     assert np.array_equal(one.beta, three.beta)
     assert np.array_equal(one.se, three.se)
     assert one.adj_r2 == three.adj_r2
@@ -308,9 +308,9 @@ def test_period_split():
     periods = ((2000, 2003), (2003, 2006), (2006, 2008))
     results = tg.run_split_regressions(ds, "period", periods=periods)
     assert set(results) == {"2000-2003", "2003-2006", "2006-2008"}
-    # standardization is per split: refitting the subset directly agrees
-    sub = ds.subset((ds.t >= 2000) & (ds.t <= 2001))
-    z, _ = tg.standardize(sub)
+    # standardization is per split: refitting the cell's own dataset agrees
+    cell = tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2003))
+    z, _ = tg.standardize(cell)
     direct = tg.fit_ols(z)
     assert np.allclose(results["2000-2003"].beta, direct.beta)
 
@@ -348,6 +348,79 @@ def test_undersized_cell_skipped(small_dataset, caplog):
         results = tg.run_split_regressions(small_dataset, "exporter", rca=rca)
     assert set(results) == {"new"}  # nascent and experienced cells are empty
     assert any("skipped" in rec.message for rec in caplog.records)
+
+
+def cell_dataset(ds, mask):
+    """A split cell's rows as a dataset of their own."""
+    return tg.GravityDataset(t=ds.t[mask], o=ds.o[mask], p=ds.p[mask], d=ds.d[mask],
+                             response=ds.response[mask],
+                             columns={name: col[mask] for name, col in ds.columns.items()},
+                             countries=ds.countries, products=ds.products)
+
+
+def assert_matches_standardized_refit(results, ds, masks, standardize_response):
+    assert set(results) == set(masks)
+    for key, mask in masks.items():
+        z, _ = tg.standardize(cell_dataset(ds, mask), standardize_response=standardize_response)
+        want, got = tg.fit_ols(z), results[key]
+        assert got.n == want.n, key
+        assert np.max(np.abs(got.beta - want.beta)) <= 1e-12 * np.max(np.abs(want.beta)), key
+        assert np.all(np.abs(got.se - want.se) <= 1e-12 * want.se), key
+
+
+@pytest.mark.parametrize("standardize_response", [False, True])
+@pytest.mark.parametrize("split", ["none", "period", "exporter", "lall"])
+def test_split_cells_equal_their_standardized_refit(tmp_path, split, standardize_response):
+    w, rel = multi_year_world()
+    ds = tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2008))
+    kwargs, masks = {}, {"all": np.ones(ds.n, dtype=bool)}
+    if split == "period":  # overlapping: base years 2002 and 2003 sit in both cells
+        kwargs["periods"] = ((2000, 2005), (2002, 2008))
+        masks = {f"{a}-{b}": (ds.t >= a) & (ds.t <= b - 2) for a, b in kwargs["periods"]}
+    elif split == "exporter":
+        kwargs["rca"] = tg.compute_rca(w.tensor, (2000, 2000))
+        labels = exporter_class_labels(ds, kwargs["rca"])
+        masks = {c.value: labels == c.value for c in tg.ExporterClass}
+    elif split == "lall":
+        path = write_lall_concordance(tmp_path / "lall.csv", w.tensor.products,
+                                      ["PP", "RB", "LT", "MT", "HT", "SP", "PP", "RB"])
+        kwargs["concordance"] = tg.LallConcordance.from_csv(path)
+        labels = lall_labels(ds, kwargs["concordance"])
+        masks = {c.value: labels == c.value for c in tg.gravity.LALL_RANK_ORDER}
+    results = tg.run_split_regressions(ds, split, standardize_response=standardize_response,
+                                       **kwargs)
+    assert_matches_standardized_refit(results, ds, masks, standardize_response)
+
+
+def test_threaded_split_cells_are_bitwise():
+    # cells above 2 x 4096 rows, so threads=3 cuts each into spans
+    rng = np.random.default_rng(12)
+    n = 27_000
+    columns = {name: (rng.random(n) < 0.3).astype(float) if name in BINARY_COLUMNS
+               else rng.normal(size=n) * (j + 1) + j for j, name in enumerate(REGRESSOR_NAMES)}
+    ds = make_dataset(columns, response=0.05 * sum(columns.values()) + rng.normal(size=n))
+    ds.t = np.repeat(np.arange(2000, 2003, dtype=np.int32), n // 3)
+    periods = ((2000, 2003), (2001, 2004))
+    for split, kwargs in (("none", {}), ("period", {"periods": periods})):
+        one = tg.run_split_regressions(ds, split, **kwargs)
+        three = tg.run_split_regressions(ds, split, threads=3, **kwargs)
+        assert set(one) == set(three) and len(one) == (1 if split == "none" else 2)
+        for key in one:
+            assert np.array_equal(one[key].beta, three[key].beta), key
+            assert np.array_equal(one[key].se, three[key].se), key
+            assert one[key].adj_r2 == three[key].adj_r2, key
+    masks = {f"{a}-{b}": (ds.t >= a) & (ds.t <= b - 2) for a, b in periods}
+    assert_matches_standardized_refit(three, ds, masks, False)
+
+
+def test_constant_column_cell_skipped_naming_it(caplog):
+    # 5000 equal logs: their float mean differs from the value, so only exact
+    # zero deviations (across a block boundary too) show the column is constant
+    ds = make_dataset({"log_gdp_o": [np.log(7.3)] * 5000})
+    with caplog.at_level("WARNING"):
+        assert tg.run_split_regressions(ds, "none") == {}
+    assert any("skipped" in rec.message and "log_gdp_o" in rec.message
+               for rec in caplog.records)
 
 
 # ---------------------------------------------------------- stats and trend
