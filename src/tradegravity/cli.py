@@ -2,9 +2,9 @@
 
 Each subcommand reads the declared inputs, writes its outputs with fixed
 names under --output-dir, and drops a machine-readable run manifest next to
-them (input hashes, resolved config, row counts, wall time). Data outputs
-are byte-identical across re-runs on the same inputs and config; the
-manifest itself carries the wall time and is not.
+them (input hashes, resolved config, row counts, wall time, peak resident
+memory). Data outputs are byte-identical across re-runs on the same inputs
+and config; the manifest itself carries the wall time and is not.
 
 Exit codes: 0 success, 1 data error, 2 usage error.
 """
@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -44,6 +45,8 @@ def _write_manifest(out_dir, command, inputs, config, outputs, row_counts, start
         "outputs": {str(p): _sha256(p) for p in outputs},
         "row_counts": row_counts,
         "wall_time_s": round(time.perf_counter() - started, 3),
+        # the stage process's peak resident size; ru_maxrss is in KiB on Linux
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     path = Path(out_dir) / f"{command}_manifest.json"
     with open(path, "w", encoding="utf-8") as fh:

@@ -11,13 +11,16 @@ The fitter keeps the count, column means and centered co-moments of [x | y]
 per row block of a fixed size and merges them along a fixed pairwise
 reduction tree, so results do not depend on how the row stream was chunked,
 and accumulator memory stays at k x k regardless of sample size. A split
-cell is z-scored on its own moments, without copying its rows.
+cell is z-scored on its own moments, without copying its rows. A dataset
+stores per row only what varies by row and gathers the other regressors
+from small per-year, per-country and per-pair tables one block at a time.
 """
 from __future__ import annotations
 
 import enum
 import json
 import logging
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -72,18 +75,136 @@ LALL_RANK_ORDER = (LallCategory.PRIMARY, LallCategory.RESOURCE_BASED,
                    LallCategory.HIGH_TECH)
 
 
+class Columns(Mapping):
+    """The regressor columns of a dataset's rows, read-only.
+
+    A column is stored as a row array, or gathered from a small table by the
+    rows' keys: ``tables`` maps a name to (axes, table), where the axes are
+    letters among t (base year, counted from ``first_year``), o, p and d, and
+    ``keys`` holds the rows' t, o, p and d. ``design_matrix`` gathers one block
+    of rows at a time; ``columns[name]`` returns a stored array as is and
+    builds a gathered column on its first read, then caches it.
+    """
+
+    # rows gathered per step when a whole column is built: as fast as larger
+    # steps, with temporaries well under one column
+    _BUILD_ROWS = 1 << 14
+
+    def __init__(self, stored, tables=None, keys=None, first_year=0):
+        self._stored = dict(stored)
+        self._tables = dict(tables or {})
+        self._keys = keys
+        self._first_year = first_year
+        self._names = tuple(self._stored) + tuple(self._tables)
+        self._n = (keys["o"] if keys else next(iter(self._stored.values()))).size
+        self._cache = {}
+
+    def __getitem__(self, name):
+        if name not in self._cache:
+            self._cache[name] = self._build(name)
+        return self._cache[name]
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self):
+        return len(self._names)
+
+    def column(self, name):
+        """``name`` at every row, without filling the cache: for a one-off pass."""
+        return self._cache[name] if name in self._cache else self._build(name)
+
+    def design_matrix(self, rows):
+        """The intercept and the 15 regressors at ``rows`` (a slice or an index array)."""
+        return self._block(rows).T
+
+    def zscored(self, mean, std):
+        """A view sharing this storage in which each column named in ``mean``
+        reads (col - mean) / std."""
+        return _ZScored(self, mean, std)
+
+    def _build(self, name):
+        if name in self._stored:
+            return self._stored[name]
+        if name not in self._tables:
+            raise KeyError(name)
+        out = np.empty((1, self._n))
+        for lo in range(0, self._n, self._BUILD_ROWS):
+            rows = slice(lo, lo + self._BUILD_ROWS)
+            self._gather((name,), rows, out[:, rows])
+        return out[0]
+
+    def _block(self, rows):
+        # one contiguous row per design-matrix column, so the gathers and the
+        # z-scoring run along rows
+        m = len(range(self._n)[rows]) if isinstance(rows, slice) else len(rows)
+        x = np.empty((K_PARAMETERS, m))
+        x[0] = 1.0
+        self._gather(REGRESSOR_NAMES, rows, x[1:])
+        return x
+
+    def _gather(self, names, rows, out):
+        """Write each named column at ``rows`` into its row of ``out``."""
+        keys, flat = {}, {}
+        for name, dest in zip(names, out):
+            if name in self._stored:
+                dest[:] = self._stored[name][rows]
+                continue
+            axes, table = self._tables[name]
+            if axes not in flat:  # each table index once per call
+                index = 0
+                for axis, size in zip(axes, table.shape):
+                    if axis not in keys:
+                        keys[axis] = self._keys[axis][rows].astype(np.intp)
+                        if axis == "t":
+                            keys[axis] -= self._first_year
+                    index = index * size + keys[axis]
+                flat[axes] = index
+            dest[:] = table.take(flat[axes])
+
+
+class _ZScored(Columns):
+    """``base`` with every column named in ``mean`` read as (col - mean) / std."""
+
+    def __init__(self, base, mean, std):
+        self._base, self._mean, self._std = base, mean, std
+        self._names, self._n = base._names, base._n
+        self._cache = {}
+        # per design-matrix column; 0 and 1 leave the intercept and dummies bitwise as they are
+        self._shift = np.array([[0.0]] + [[mean.get(name, 0.0)] for name in REGRESSOR_NAMES])
+        self._scale = np.array([[1.0]] + [[std.get(name, 1.0)] for name in REGRESSOR_NAMES])
+
+    def _build(self, name):
+        col = self._base.column(name)
+        return (col - self._mean[name]) / self._std[name] if name in self._mean else col
+
+    def _block(self, rows):
+        x = self._base._block(rows)
+        x -= self._shift
+        x /= self._scale
+        return x
+
+
 @dataclass
 class GravityDataset:
-    """Regression rows keyed by (t, origin, product, destination)."""
+    """Regression rows keyed by (t, origin, product, destination).
+
+    ``columns`` reads the 15 regressors; a plain mapping of row arrays is
+    wrapped in ``Columns``.
+    """
 
     t: np.ndarray
     o: np.ndarray
     p: np.ndarray
     d: np.ndarray
     response: np.ndarray
-    columns: dict
+    columns: Columns
     countries: tuple
     products: tuple
+
+    def __post_init__(self):
+        if not isinstance(self.columns, Columns):
+            self.columns = Columns(self.columns)
 
     @property
     def n(self):
@@ -91,8 +212,7 @@ class GravityDataset:
 
     def design_matrix(self, rows=slice(None)):
         """The n x 16 matrix at ``rows`` (a slice or an index array), intercept first."""
-        cols = [self.columns[name][rows] for name in REGRESSOR_NAMES]
-        return np.column_stack([np.ones(cols[0].size)] + cols)
+        return self.columns.design_matrix(rows)
 
 
 @dataclass(frozen=True)
@@ -155,6 +275,10 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
     t+horizon) pairs with both endpoints inside the inclusive period are
     stacked. Covariates are joined at year t; a missing covariate for a
     sampled row raises CoverageError naming the key.
+
+    Each row stores its keys, the response, the three relatedness measures
+    and ``log_x_opd``; the other 11 regressors are gathered from per-year
+    marginal, country and pair tables, with the log already applied.
     """
     start, end = int(period[0]), int(period[1])
     if end - horizon < start:
@@ -165,11 +289,32 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
     countries = tensor.countries
     products = tensor.products
     nc, np_ = len(countries), len(products)
-    dyad_fields = dyad_meta.field_matrices(countries)
+    years = range(start, end - horizon + 1)
+    fields = dyad_meta.field_matrices(countries)
+    log_x_op = np.full((len(years), nc, np_), np.nan)
+    log_x_pd = np.full((len(years), np_, nc), np.nan)
+    log_gdp = np.full((len(years), nc), np.nan)
+    log_pop = np.full((len(years), nc), np.nan)
+    with np.errstate(divide="ignore"):  # the zero diagonal, which no row reads
+        log_distance = np.log(fields["distance"])
+    tables = {
+        "log_x_op": ("top", log_x_op),
+        "log_x_pd": ("tpd", log_x_pd),
+        "log_distance": ("od", log_distance),
+        "log_gdp_o": ("to", log_gdp),
+        "log_gdp_d": ("td", log_gdp),
+        "log_pop_o": ("to", log_pop),
+        "log_pop_d": ("td", log_pop),
+        "border": ("od", fields["border"]),
+        "colony": ("od", fields["colony"]),
+        "language": ("od", fields["language"]),
+        "log_lang_proximity": ("od", np.log1p(fields["lang_proximity"])),
+    }
 
+    missing_pair = np.isnan(fields["distance"])
     chunks = []
     dropped_omega = 0
-    for t in range(start, end - horizon + 1):
+    for yr, t in enumerate(years):
         if not tensor.has_year(t):
             raise TradeDataError(f"no flows for base year {t} in period ({start},{end})")
         rel = relatedness_by_year.get(t)
@@ -188,10 +333,14 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
             raise TradeDataError(f"no flows for forward year {t + horizon}")
         keep = found if zeros == "drop" else np.ones(keys.size, dtype=bool)
 
-        # cells absent from a relatedness file are the undefined-omega ones
-        # its writer dropped; they leave the sample the same way
-        rel_found, rpos = lookup(rel.cell_keys(), keys)
-        omega = np.where(rel_found, rel.omega[rpos], np.nan)
+        # relatedness computed from this tensor holds its cells in its order;
+        # a file's cells lack the undefined-omega ones its writer dropped,
+        # which leave the sample the same way
+        if all(a is b or np.array_equal(a, b) for a, b in ((rel.o, o), (rel.p, p), (rel.d, d))):
+            rpos, omega = None, rel.omega
+        else:
+            rel_found, rpos = lookup(rel.cell_keys(), keys)
+            omega = np.where(rel_found, rel.omega[rpos], np.nan)
         omega_defined = np.isfinite(omega)
         dropped_omega += int((keep & ~omega_defined).sum())
         keep &= omega_defined
@@ -199,103 +348,90 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
         if not keep.any():
             continue
         o, p, d, v, fwd = o[keep], p[keep], d[keep], v[keep], fwd[keep]
-        response_vals = np.log(fwd) if zeros == "drop" else np.log1p(fwd)
-        omega = omega[keep]
-        omega_d = rel.omega_d[rpos[keep]]
-        omega_o = rel.omega_o[rpos[keep]]
+        rsel = keep if rpos is None else rpos[keep]
+        chunks.append((np.full(o.size, t, dtype=np.int32), o, p, d,
+                       np.log(fwd) if zeros == "drop" else np.log1p(fwd),
+                       omega[keep], rel.omega_d[rsel], rel.omega_o[rsel], np.log(v)))
 
-        x_op = tensor.x_op(t)
-        x_pd = tensor.x_pd(t)
-
-        gdp = np.full(nc, np.nan)
-        pop = np.full(nc, np.nan)
-        for c in np.unique(np.concatenate([o, d])):
+        with np.errstate(divide="ignore"):  # log 0 = -inf: a marginal no row reads
+            np.log(tensor.x_op(t), out=log_x_op[yr])
+            np.log(tensor.x_pd(t), out=log_x_pd[yr])
+        seen = np.zeros(nc, dtype=bool)
+        seen[o] = seen[d] = True
+        for c in np.flatnonzero(seen):
             code = countries[c]
-            gdp[c] = country_meta.gdp_per_capita(code, t)
-            pop[c] = country_meta.population(code, t)
-
-        dist = dyad_fields["distance"][o, d]
-        if np.isnan(dist).any():
-            i = int(np.flatnonzero(np.isnan(dist))[0])
-            raise CoverageError(
-                f"no dyad data for sampled pair ({countries[o[i]]},{countries[d[i]]})")
-
-        cols = {
-            "omega": omega,
-            "omega_d": omega_d,
-            "omega_o": omega_o,
-            "log_x_opd": np.log(v),
-            "log_x_op": np.log(x_op[o, p]),
-            "log_x_pd": np.log(x_pd[p, d]),
-            "log_distance": np.log(dist),
-            "log_gdp_o": np.log(gdp[o]),
-            "log_gdp_d": np.log(gdp[d]),
-            "log_pop_o": np.log(pop[o]),
-            "log_pop_d": np.log(pop[d]),
-            "border": dyad_fields["border"][o, d],
-            "colony": dyad_fields["colony"][o, d],
-            "language": dyad_fields["language"][o, d],
-            "log_lang_proximity": np.log1p(dyad_fields["lang_proximity"][o, d]),
-        }
-        chunks.append((np.full(o.size, t, dtype=np.int32), o, p, d, response_vals, cols))
+            log_gdp[yr, c] = country_meta.gdp_per_capita(code, t)
+            log_pop[yr, c] = country_meta.population(code, t)
+        np.log(log_gdp[yr], out=log_gdp[yr])
+        np.log(log_pop[yr], out=log_pop[yr])
+        if missing_pair.any():
+            hit = np.flatnonzero(missing_pair[o, d])
+            if hit.size:
+                raise CoverageError(f"no dyad data for sampled pair "
+                                    f"({countries[o[hit[0]]]},{countries[d[hit[0]]]})")
 
     if not chunks:
         raise TradeDataError(f"no regression rows in period ({start},{end})")
     if dropped_omega:
         log.info("build_dataset: dropped %d rows with undefined product relatedness",
                  dropped_omega)
-    if len(chunks) == 1:  # skip the concatenate copy for single-year pools
-        c = chunks[0]
-        dataset = GravityDataset(t=c[0], o=c[1], p=c[2], d=c[3], response=c[4],
-                                 columns=c[5], countries=countries, products=products)
-    else:
-        dataset = GravityDataset(
-            t=np.concatenate([c[0] for c in chunks]),
-            o=np.concatenate([c[1] for c in chunks]),
-            p=np.concatenate([c[2] for c in chunks]),
-            d=np.concatenate([c[3] for c in chunks]),
-            response=np.concatenate([c[4] for c in chunks]),
-            columns={name: np.concatenate([c[5][name] for c in chunks])
-                     for name in REGRESSOR_NAMES},
-            countries=countries, products=products)
+    # a single-year pool skips the concatenate copy
+    t, o, p, d, response, *stored = (c[0] if len(chunks) == 1 else np.concatenate(c)
+                                     for c in zip(*chunks))
+    stored = dict(zip(REGRESSOR_NAMES, stored))
     for name in REGRESSOR_NAMES:
-        col = dataset.columns[name]
-        if not np.isfinite(col).all():
+        if name in stored:
+            finite = np.isfinite(stored[name]).all()
+        else:
+            finite = not _reads_non_finite(*tables[name], chunks, start)
+        if not finite:
             raise TradeDataError(f"non-finite values in column {name}")
-    return dataset
+    columns = Columns(stored, tables, {"t": t, "o": o, "p": p, "d": d}, first_year=start)
+    return GravityDataset(t=t, o=o, p=p, d=d, response=response, columns=columns,
+                          countries=countries, products=products)
+
+
+def _reads_non_finite(axes, table, chunks, first_year):
+    """Whether a row of ``chunks`` reads a non-finite entry of a gathered table."""
+    for t, o, p, d, *_ in chunks:
+        bad = ~np.isfinite(table[t[0] - first_year] if axes[0] == "t" else table)
+        at = tuple({"o": o, "p": p, "d": d}[axis] for axis in axes.removeprefix("t"))
+        if bad.any() and bad[at].any():
+            return True
+    return False
+
+
+def _mean_std(values, what):
+    """np.mean and np.std(ddof=1) of a column that is not constant."""
+    mean, std = float(np.mean(values)), float(np.std(values, ddof=1))
+    # equal values need not give a zero float std: that of 5000 copies of
+    # log(7.3) is 2.2e-16, so constancy is tested exactly
+    if std == 0 or values.min() == values.max():
+        raise TradeDataError(f"zero-variance {what} cannot be standardized")
+    return mean, std
 
 
 def standardize(dataset, standardize_response=False):
     """Z-score every continuous column with the sample (n-1) deviation.
 
     Binary dummies are untouched. The response is z-scored only on request.
-    A zero-variance continuous column is an error naming the column.
+    A zero-variance continuous column is an error naming the column. The
+    result shares the dataset's storage and z-scores its regressors as they
+    are read.
     """
     if dataset.n < 2:
         raise TradeDataError("cannot standardize fewer than two rows")
     means, stds = {}, {}
-    new_cols = {}
     for name in REGRESSOR_NAMES:
-        col = dataset.columns[name]
-        if name in BINARY_COLUMNS:
-            new_cols[name] = col
-            continue
-        mean = float(np.mean(col))
-        std = float(np.std(col, ddof=1))
-        if std == 0:
-            raise TradeDataError(f"zero-variance column {name} cannot be standardized")
-        means[name], stds[name] = mean, std
-        new_cols[name] = (col - mean) / std
+        if name not in BINARY_COLUMNS:
+            means[name], stds[name] = _mean_std(dataset.columns.column(name), f"column {name}")
     response = dataset.response
     if standardize_response:
-        mean = float(np.mean(response))
-        std = float(np.std(response, ddof=1))
-        if std == 0:
-            raise TradeDataError("zero-variance response cannot be standardized")
+        mean, std = _mean_std(response, "response")
         means[RESPONSE_NAME], stds[RESPONSE_NAME] = mean, std
         response = (response - mean) / std
     out = GravityDataset(t=dataset.t, o=dataset.o, p=dataset.p, d=dataset.d,
-                         response=response, columns=new_cols,
+                         response=response, columns=dataset.columns.zscored(means, stds),
                          countries=dataset.countries, products=dataset.products)
     return out, StandardizationSpec(means, stds, standardize_response)
 
@@ -328,11 +464,8 @@ class _Moments:
                         self.c + other.c + np.outer(delta, delta) * (self.n * other.n / n))
 
     def solve(self, names):
-        """OLS of the last column on the others, from G = C + n m m'."""
-        k = len(names)
-        g = self.c + self.n * np.outer(self.mean, self.mean)
-        return solve_normal_equations(g[:k, :k], g[:k, k], g[k, k], self.n * self.mean[k],
-                                      self.n, names)
+        """OLS of the last column on the others."""
+        return solve_normal_equations(self.c, self.mean, self.n, names)
 
 
 class StreamingOLS:
@@ -448,19 +581,31 @@ def t_pvalue(tstat, df):
     return 2.0 * stdtr(df, -np.abs(tstat))
 
 
-def solve_normal_equations(xtx, xty, syy, sy, n, names):
-    """Classical homoskedastic OLS from accumulated cross products."""
+def solve_normal_equations(c, mean, n, names):
+    """Classical homoskedastic OLS of the last column of [x | y] on the others,
+    from the row count, the column means and the centered co-moment matrix C.
+
+    The coefficients solve the normal equations G b = x'y with
+    G = C + n m m'. The residual sum of squares is the residual's centered
+    sum of squares plus n times its squared mean, which holds for any b and
+    any design and keeps clear of the n m^2 terms whose cancellation loses
+    digits when the response's mean is large against its residual spread.
+    """
     k = len(names)
     if n <= k:
         raise TradeDataError(f"need more than k={k} rows, got n={n}")
+    g = c + n * np.outer(mean, mean)
+    xtx, xty = g[:k, :k], g[:k, k]
     l = _cholesky_with_diagnostics(xtx, names)
     z = np.linalg.solve(l, xty)
     beta = np.linalg.solve(l.T, z)
     inv = np.linalg.solve(l.T, np.linalg.solve(l, np.eye(k)))
 
-    rss = float(syy - 2.0 * beta @ xty + beta @ (xtx @ beta))
+    resid_mean = float(mean[k] - mean[:k] @ beta)
+    rss = float(c[k, k] - 2.0 * beta @ c[:k, k] + beta @ (c[:k, :k] @ beta)
+                + n * resid_mean * resid_mean)
     rss = max(rss, 0.0)
-    tss = float(syy - sy * sy / n)
+    tss = float(c[k, k])
     sigma2 = rss / (n - k)
     se = np.sqrt(np.maximum(sigma2 * np.diag(inv), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -657,24 +802,25 @@ def run_split_regressions(dataset, split, periods=None, horizon=2, rca=None,
 
 
 def summary_stats(dataset):
-    """Per regressor: (name, n, mean, std, min, max); zero variance is flagged."""
+    """Per regressor: (name, n, mean, std, min, max); a constant column is flagged."""
     rows = []
     for name in REGRESSOR_NAMES:
         col = dataset.columns[name]
         std = float(np.std(col, ddof=1)) if col.size > 1 else 0.0
-        if std == 0:
+        lo, hi = float(np.min(col)), float(np.max(col))
+        if std == 0 or lo == hi:
             log.warning("summary_stats: column %s has zero variance", name)
-        rows.append((name, int(col.size), float(np.mean(col)), std,
-                     float(np.min(col)), float(np.max(col))))
+        rows.append((name, int(col.size), float(np.mean(col)), std, lo, hi))
     return rows
 
 
 def correlation_matrix(dataset):
     """Pearson correlations of the 15 regressors; unit diagonal."""
-    for name in REGRESSOR_NAMES:
-        if float(np.std(dataset.columns[name], ddof=1)) == 0:
-            raise TradeDataError(f"zero-variance column {name} has no correlation")
     x = np.column_stack([dataset.columns[name] for name in REGRESSOR_NAMES])
+    constant = np.flatnonzero(x.min(axis=0) == x.max(axis=0))
+    if constant.size:
+        raise TradeDataError(f"zero-variance column {REGRESSOR_NAMES[constant[0]]} "
+                             "has no correlation")
     return REGRESSOR_NAMES, np.corrcoef(x, rowvar=False)
 
 

@@ -94,6 +94,21 @@ def test_lall_split_and_trend(pipeline, tmp_path):
                            [float(v) for v in fb[1:4]], atol=1e-4)
 
 
+def test_every_stage_manifest_records_its_peak_memory(pipeline, tmp_path):
+    root, world, stage = pipeline
+    meta = ["--trade", stage / "reconciled.csv", "--relatedness", stage / "relatedness.csv",
+            "--country-csv", world / "country.csv", "--dyad-csv", world / "dyad.csv"]
+    assert run("gravity", "-o", tmp_path, *meta, "--period", "2000-2002") == 0
+    assert run("summary", "-o", tmp_path, *meta, "--period", "2000-2002") == 0
+    manifests = [world / "synth_manifest.json"] + [
+        directory / f"{command}_manifest.json"
+        for directory, commands in ((stage, ("ingest", "proximity", "relatedness")),
+                                    (tmp_path, ("gravity", "summary")))
+        for command in commands]
+    for path in manifests:
+        assert json.loads(path.read_text())["peak_rss_mb"] > 0, path.name
+
+
 def test_rerun_is_byte_identical(pipeline, tmp_path):
     root, world, stage = pipeline
     again = tmp_path / "again"

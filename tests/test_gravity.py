@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,19 @@ def test_standardize_zero_variance_names_column():
     ds = make_dataset({"log_gdp_o": [5.0, 5.0, 5.0]})
     with pytest.raises(tg.TradeDataError, match="log_gdp_o"):
         tg.standardize(ds)
+
+
+def test_equal_logs_are_constant_everywhere(caplog):
+    # the float std of 5000 copies of log(7.3) is 2.2e-16, not 0
+    ds = make_dataset({"log_gdp_o": [np.log(7.3)] * 5000})
+    with pytest.raises(tg.TradeDataError, match="log_gdp_o"):
+        tg.standardize(ds)
+    with caplog.at_level("WARNING"):
+        tg.summary_stats(ds)
+    assert any("log_gdp_o" in rec.message and "zero variance" in rec.message
+               for rec in caplog.records)
+    with pytest.raises(tg.TradeDataError, match="log_gdp_o"):
+        tg.correlation_matrix(ds)
 
 
 def test_standardize_response_flag():
@@ -189,9 +204,27 @@ def test_planted_recovery_with_noise():
     assert np.all(np.abs(res.beta - beta) / res.se < 4.0)
 
 
+def test_standard_errors_keep_their_digits_under_a_large_response_mean():
+    # response mean ~105 against residual sd 1: sums of squares about the
+    # origin would be ~11000 times the residual sum of squares
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        n = 18_000
+        columns = {name: (rng.random(n) < 0.3).astype(float) if name in BINARY_COLUMNS
+                   else rng.normal(size=n) * (j + 1) + 10 * j
+                   for j, name in enumerate(REGRESSOR_NAMES)}
+        y = 105.0 + sum((c - c.mean()) / c.std() for c in columns.values()) + rng.normal(size=n)
+        ds = make_dataset(columns, response=y)
+        moments = tg.run_split_regressions(ds, "none")["all"]
+        z, _ = tg.standardize(ds)
+        ref = tg.fit_ols(z)
+        assert abs(ref.resid_se - 1.0) < 0.05, seed
+        assert np.all(np.abs(moments.se - ref.se) <= 1e-13 * ref.se), seed
+
+
 def test_fit_needs_more_rows_than_parameters():
     with pytest.raises(tg.TradeDataError):
-        solve_normal_equations(np.eye(3), np.ones(3), 1.0, 1.0, 3, ("a", "b", "c"))
+        solve_normal_equations(np.eye(4), np.ones(4), 3, ("a", "b", "c"))
 
 
 # ------------------------------------------------------------- build_dataset
@@ -261,11 +294,127 @@ def test_missing_covariate_names_key():
         tg.build_dataset(w.tensor, rel, meta, w.dyad_meta, (2000, 2002))
 
 
+def test_non_finite_covariate_read_by_a_row_names_its_column():
+    w, rel = multi_year_world()
+    meta = tg.CountryMeta()
+    for c in w.tensor.countries:
+        for y in w.tensor.years:
+            gdp = np.inf if (c, y) == (w.tensor.countries[0], 2000) else \
+                w.country_meta.gdp_per_capita(c, y)
+            meta.add(c, y, w.country_meta.population(c, y), gdp)
+    with pytest.raises(tg.TradeDataError, match="non-finite values in column log_gdp_o"):
+        tg.build_dataset(w.tensor, rel, meta, w.dyad_meta, (2000, 2002))
+
+
 def test_missing_relatedness_year_rejected():
     w, rel = multi_year_world()
     partial = {y: r for y, r in rel.items() if y != 2001}
     with pytest.raises(tg.TradeDataError, match="2001"):
         tg.build_dataset(w.tensor, partial, w.country_meta, w.dyad_meta, (2000, 2006))
+
+
+def eager_columns(w, rel, ds, zeros):
+    """Every regressor and the response of ``ds``'s rows by the per-row formulas."""
+    tensor = w.tensor
+    fields = w.dyad_meta.field_matrices(tensor.countries)
+    out = {name: np.empty(ds.n) for name in REGRESSOR_NAMES + ("response",)}
+    for t in np.unique(ds.t).tolist():
+        rows = ds.t == t
+        o, p, d = ds.o[rows], ds.p[rows], ds.d[rows]
+        keys = tg.ingest.cell_keys(o, p, d, tensor.n_countries, tensor.n_products)
+        _, at = tg.ingest.lookup(tensor.cell_keys(t), keys)
+        _, at_rel = tg.ingest.lookup(rel[t].cell_keys(), keys)
+        found, fwd_at = tg.ingest.lookup(tensor.cell_keys(t + 2), keys)
+        fwd = np.where(found, tensor.flows(t + 2)[3][fwd_at], 0.0)
+        gdp = np.array([w.country_meta.gdp_per_capita(c, t) for c in tensor.countries])
+        pop = np.array([w.country_meta.population(c, t) for c in tensor.countries])
+        for name, values in (
+                ("omega", rel[t].omega[at_rel]), ("omega_d", rel[t].omega_d[at_rel]),
+                ("omega_o", rel[t].omega_o[at_rel]),
+                ("log_x_opd", np.log(tensor.flows(t)[3][at])),
+                ("log_x_op", np.log(tensor.x_op(t)[o, p])),
+                ("log_x_pd", np.log(tensor.x_pd(t)[p, d])),
+                ("log_distance", np.log(fields["distance"][o, d])),
+                ("log_gdp_o", np.log(gdp[o])), ("log_gdp_d", np.log(gdp[d])),
+                ("log_pop_o", np.log(pop[o])), ("log_pop_d", np.log(pop[d])),
+                ("border", fields["border"][o, d]), ("colony", fields["colony"][o, d]),
+                ("language", fields["language"][o, d]),
+                ("log_lang_proximity", np.log1p(fields["lang_proximity"][o, d])),
+                ("response", np.log(fwd) if zeros == "drop" else np.log1p(fwd))):
+            out[name][rows] = values
+    return out
+
+
+@pytest.mark.parametrize("zeros", ["drop", "log1p"])
+def test_lean_dataset_reads_the_eager_values_bitwise(zeros):
+    w, rel = multi_year_world()
+    ds = tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2008), zeros=zeros)
+    assert len(np.unique(ds.t)) == 7
+    eager = eager_columns(w, rel, ds, zeros)
+    assert np.array_equal(ds.response, eager["response"])
+    for name in REGRESSOR_NAMES:
+        assert np.array_equal(ds.columns[name], eager[name]), name
+
+    z, spec = tg.standardize(ds)
+    rows_of_2003 = np.flatnonzero(ds.t == 2003)
+    for data in (ds, z):
+        x = np.column_stack([np.ones(ds.n)] + [data.columns[name] for name in REGRESSOR_NAMES])
+        for rows in (slice(37, 37 + 900), rows_of_2003, rows_of_2003[::-3]):
+            assert np.array_equal(data.design_matrix(rows), x[rows])
+
+    plain = {name: (eager[name] - spec.means[name]) / spec.stds[name]
+             if name in spec.means else eager[name] for name in REGRESSOR_NAMES}
+    want = tg.fit_ols(tg.GravityDataset(t=ds.t, o=ds.o, p=ds.p, d=ds.d, response=ds.response,
+                                        columns=plain, countries=ds.countries,
+                                        products=ds.products))
+    got = tg.fit_ols(z)
+    assert np.array_equal(got.beta, want.beta)
+    assert np.array_equal(got.se, want.se)
+
+
+@pytest.fixture(scope="module")
+def pool_200k():
+    """A one-year pool of about 200k rows, with the tensor's marginals warm."""
+    cfg = tg.SyntheticWorldConfig(n_countries=40, n_products=250, n_years=3, sparsity=0.5,
+                                  seed=2, forward_mode="persist")
+    w = tg.generate_world(cfg)
+    prox = tg.compute_proximity(tg.binarize(tg.compute_rca(w.tensor, w.proximity_window)))
+    weights = tg.DistanceWeights.from_dyads(w.tensor.countries, w.dyad_meta)
+    rel = {2000: tg.compute_relatedness(w.tensor, prox, weights, 2000)}
+    w.tensor.x_op(2000), w.tensor.x_pd(2000)
+    return w, rel
+
+
+def traced(fn):
+    """fn's result, the bytes it still holds and its peak, as numpy reports them."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
+
+
+def test_dataset_holds_nine_row_arrays_and_its_tables(pool_200k):
+    w, rel = pool_200k
+    ds, held, _ = traced(lambda: tg.build_dataset(w.tensor, rel, w.country_meta,
+                                                  w.dyad_meta, (2000, 2002)))
+    n, c, p = ds.n, w.tensor.n_countries, w.tensor.n_products
+    assert 1.5e5 < n < 2.5e5
+    # t, o, p, d as int32; the response, three omegas and log_x_opd as float64
+    rows = (4 * 4 + 5 * 8) * n
+    tables = 8 * (2 * c * p + 5 * c * c + 2 * c)  # x_op, x_pd; dyad fields; gdp, pop
+    assert held <= rows + tables + 2 ** 16, (held, rows + tables)
+
+
+def test_standardized_fit_copies_no_columns(pool_200k):
+    w, rel = pool_200k
+    ds = tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2002))
+    _, _, peak = traced(lambda: tg.fit_ols(tg.standardize(ds)[0]))
+    # a column built for its mean and std, np.std's temporary and a few
+    # blocks: far below the 12 columns a z-scored copy takes
+    assert peak < 3 * 8 * ds.n, peak / (8 * ds.n)
 
 
 # ------------------------------------------------------------ classification
