@@ -22,7 +22,7 @@ import json
 import logging
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,6 +42,10 @@ REGRESSOR_NAMES = (
 BINARY_COLUMNS = frozenset({"border", "colony", "language"})
 RESPONSE_NAME = "log_x_fwd"
 K_PARAMETERS = len(REGRESSOR_NAMES) + 1  # slopes plus intercept
+_DESIGN_NAMES = ("const",) + REGRESSOR_NAMES
+_MOMENT_NAMES = _DESIGN_NAMES + (RESPONSE_NAME,)  # the columns of [1 | x | y]
+# the design-matrix columns standardize z-scores; the response is optional
+_CONTINUOUS = np.array([False] + [name not in BINARY_COLUMNS for name in REGRESSOR_NAMES])
 
 DEFAULT_PERIODS = ((2000, 2006), (2007, 2012), (2012, 2015))
 
@@ -118,11 +122,6 @@ class Columns(Mapping):
         """The intercept and the 15 regressors at ``rows`` (a slice or an index array)."""
         return self._block(rows).T
 
-    def zscored(self, mean, std):
-        """A view sharing this storage in which each column named in ``mean``
-        reads (col - mean) / std."""
-        return _ZScored(self, mean, std)
-
     def _build(self, name):
         if name in self._stored:
             return self._stored[name]
@@ -164,24 +163,24 @@ class Columns(Mapping):
 
 
 class _ZScored(Columns):
-    """``base`` with every column named in ``mean`` read as (col - mean) / std."""
+    """``base`` with design-matrix column j read as (x - shift[j]) / scale[j];
+    the shift 0 and scale 1 of the intercept and dummies leave them as they are."""
 
-    def __init__(self, base, mean, std):
-        self._base, self._mean, self._std = base, mean, std
-        self._names, self._n = base._names, base._n
-        self._cache = {}
-        # per design-matrix column; 0 and 1 leave the intercept and dummies bitwise as they are
-        self._shift = np.array([[0.0]] + [[mean.get(name, 0.0)] for name in REGRESSOR_NAMES])
-        self._scale = np.array([[1.0]] + [[std.get(name, 1.0)] for name in REGRESSOR_NAMES])
+    def __init__(self, base, shift, scale):
+        self._base, self._shift, self._scale = base, shift, scale
+        self._names, self._n, self._cache = base._names, base._n, {}
 
     def _build(self, name):
-        col = self._base.column(name)
-        return (col - self._mean[name]) / self._std[name] if name in self._mean else col
+        col = self._base.column(name)  # KeyError for a name the view lacks
+        j = _DESIGN_NAMES.index(name)
+        z = col - self._shift[j]
+        z /= self._scale[j]
+        return z
 
     def _block(self, rows):
         x = self._base._block(rows)
-        x -= self._shift
-        x /= self._scale
+        x -= self._shift[:, None]
+        x /= self._scale[:, None]
         return x
 
 
@@ -190,7 +189,8 @@ class GravityDataset:
     """Regression rows keyed by (t, origin, product, destination).
 
     ``columns`` reads the 15 regressors; a plain mapping of row arrays is
-    wrapped in ``Columns``.
+    wrapped in ``Columns``. ``standardize`` sets ``moments``, those of the z-scored
+    [1 | x | y], which the fit and the summaries read instead of the rows.
     """
 
     t: np.ndarray
@@ -201,6 +201,7 @@ class GravityDataset:
     columns: Columns
     countries: tuple
     products: tuple
+    moments: _Moments | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.columns, Columns):
@@ -401,38 +402,25 @@ def _reads_non_finite(axes, table, chunks, first_year):
     return False
 
 
-def _mean_std(values, what):
-    """np.mean and np.std(ddof=1) of a column that is not constant."""
-    mean, std = float(np.mean(values)), float(np.std(values, ddof=1))
-    # equal values need not give a zero float std: that of 5000 copies of
-    # log(7.3) is 2.2e-16, so constancy is tested exactly
-    if std == 0 or values.min() == values.max():
-        raise TradeDataError(f"zero-variance {what} cannot be standardized")
-    return mean, std
-
-
 def standardize(dataset, standardize_response=False):
     """Z-score every continuous column with the sample (n-1) deviation.
 
     Binary dummies are untouched. The response is z-scored only on request.
     A zero-variance continuous column is an error naming the column. The
-    result shares the dataset's storage and z-scores its regressors as they
-    are read.
+    result shares the dataset's storage, z-scores its regressors as they are
+    read and carries the moments of one pass over its rows, z-scored.
     """
     if dataset.n < 2:
         raise TradeDataError("cannot standardize fewer than two rows")
-    means, stds = {}, {}
-    for name in REGRESSOR_NAMES:
-        if name not in BINARY_COLUMNS:
-            means[name], stds[name] = _mean_std(dataset.columns.column(name), f"column {name}")
+    moments, shift, scale = _zscored(_accumulate(dataset), standardize_response)
+    scaled = np.flatnonzero(np.append(_CONTINUOUS, standardize_response))
+    means, stds = ({_MOMENT_NAMES[j]: float(v[j]) for j in scaled} for v in (shift, scale))
     response = dataset.response
     if standardize_response:
-        mean, std = _mean_std(response, "response")
-        means[RESPONSE_NAME], stds[RESPONSE_NAME] = mean, std
-        response = (response - mean) / std
-    out = GravityDataset(t=dataset.t, o=dataset.o, p=dataset.p, d=dataset.d,
-                         response=response, columns=dataset.columns.zscored(means, stds),
-                         countries=dataset.countries, products=dataset.products)
+        response = (response - shift[-1]) / scale[-1]
+    out = replace(dataset, response=response,
+                  columns=_ZScored(dataset.columns, shift[:-1], scale[:-1]))
+    out.moments = moments
     return out, StandardizationSpec(means, stds, standardize_response)
 
 
@@ -462,6 +450,10 @@ class _Moments:
         delta = other.mean - self.mean
         return _Moments(n, self.mean + delta * (other.n / n),
                         self.c + other.c + np.outer(delta, delta) * (self.n * other.n / n))
+
+    def std(self):
+        """Sample (n-1) standard deviation of each column; 0 for a constant one."""
+        return np.sqrt(np.diag(self.c) / max(self.n - 1, 1))
 
     def solve(self, names):
         """OLS of the last column on the others."""
@@ -626,14 +618,15 @@ def solve_normal_equations(c, mean, n, names):
 
 
 def _accumulate(dataset, rows=None, block_rows=4096, threads=1):
-    """StreamingOLS of the full model over ``rows`` (an index array; None is every
-    row), one block at a time. Threads take block-aligned spans whose ordered
-    merge reproduces the single-thread result bit for bit."""
-    names = ("const",) + REGRESSOR_NAMES
+    """The moments of [1 | x | y] over ``rows`` (an index array; None is every
+    row, whose moments a dataset made by ``standardize`` carries), else streamed
+    by blocks; block-aligned ``threads`` spans merge to the one-thread bits."""
+    if rows is None and dataset.moments is not None:
+        return dataset.moments
     n = dataset.n if rows is None else rows.size
 
     def span(lo, hi):
-        acc = StreamingOLS(names, block_rows=block_rows, start_block=lo // block_rows)
+        acc = StreamingOLS(_DESIGN_NAMES, block_rows=block_rows, start_block=lo // block_rows)
         for b in range(lo, hi, block_rows):
             sel = slice(b, min(b + block_rows, hi))
             sel = sel if rows is None else rows[sel]
@@ -641,7 +634,7 @@ def _accumulate(dataset, rows=None, block_rows=4096, threads=1):
         return acc
 
     if threads <= 1 or n <= 2 * block_rows:
-        return span(0, n)
+        return span(0, n)._total()
     n_blocks = -(-n // block_rows)
     rows_per = -(-n_blocks // threads) * block_rows
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -649,28 +642,28 @@ def _accumulate(dataset, rows=None, block_rows=4096, threads=1):
                               range(0, n, rows_per)))
     for part in parts[1:]:
         parts[0].merge(part)
-    return parts[0]
+    return parts[0]._total()
 
 
 def fit_ols(dataset, block_rows=4096, threads=1):
-    """Fit the full 16-parameter model on an assembled (usually z-scored) dataset,
-    streaming its rows one block at a time; ``threads`` never changes the result."""
-    return _accumulate(dataset, block_rows=block_rows, threads=threads).result()
+    """Fit the full 16-parameter model from the moments ``standardize`` left on the
+    dataset, else streamed one block at a time; ``threads`` never changes the result."""
+    return _accumulate(dataset, block_rows=block_rows, threads=threads).solve(_DESIGN_NAMES)
 
 
 def _zscored(moments, standardize_response):
-    """The moments of the same rows after ``standardize``: every continuous
-    column (and the response on request) becomes (col - mean) / std."""
-    names = ("const",) + REGRESSOR_NAMES + (RESPONSE_NAME,)
-    scaled = np.array([False] + [name not in BINARY_COLUMNS for name in REGRESSOR_NAMES]
-                      + [standardize_response])
-    std = np.sqrt(np.diag(moments.c) / (moments.n - 1))
+    """The moments of the same rows after ``standardize``, and the shift and scale
+    that make every continuous column (and the response on request) a z-score."""
+    scaled = np.append(_CONTINUOUS, standardize_response)
+    std = moments.std()
     zero = np.flatnonzero(scaled & (std == 0))
     if zero.size:
-        raise TradeDataError(f"zero-variance column {names[zero[0]]} cannot be standardized")
-    scale = np.where(scaled, std, 1.0)
-    return _Moments(moments.n, np.where(scaled, 0.0, moments.mean),
-                    moments.c / np.outer(scale, scale))
+        raise TradeDataError(
+            f"zero-variance column {_MOMENT_NAMES[zero[0]]} cannot be standardized")
+    shift, scale = np.where(scaled, moments.mean, 0.0), np.where(scaled, std, 1.0)
+    z = _Moments(moments.n, np.where(scaled, 0.0, moments.mean),
+                 moments.c / np.outer(scale, scale))
+    return z, shift, scale
 
 
 def _exporter_class(r, new_threshold, experienced_threshold):
@@ -764,8 +757,8 @@ def run_split_regressions(dataset, split, periods=None, horizon=2, rca=None,
                         n, K_PARAMETERS)
             return None
         try:
-            acc = _accumulate(dataset, rows, threads=threads)
-            return _zscored(acc._total(), standardize_response).solve(acc.names)
+            moments = _accumulate(dataset, rows, threads=threads)
+            return _zscored(moments, standardize_response)[0].solve(_DESIGN_NAMES)
         except TradeDataError as exc:
             log.warning("split %s cell %s skipped: %s", split, key, exc)
             return None
@@ -802,26 +795,30 @@ def run_split_regressions(dataset, split, periods=None, horizon=2, rca=None,
 
 
 def summary_stats(dataset):
-    """Per regressor: (name, n, mean, std, min, max); a constant column is flagged."""
+    """Per regressor: (name, n, mean, std, min, max); a constant column is flagged.
+    n, mean and std come from the co-moments, min and max from one column read."""
+    moments = _accumulate(dataset)
+    std = moments.std()
     rows = []
-    for name in REGRESSOR_NAMES:
-        col = dataset.columns[name]
-        std = float(np.std(col, ddof=1)) if col.size > 1 else 0.0
-        lo, hi = float(np.min(col)), float(np.max(col))
-        if std == 0 or lo == hi:
+    for j, name in enumerate(REGRESSOR_NAMES, start=1):
+        if std[j] == 0:
             log.warning("summary_stats: column %s has zero variance", name)
-        rows.append((name, int(col.size), float(np.mean(col)), std, lo, hi))
+        col = dataset.columns.column(name)
+        rows.append((name, moments.n, float(moments.mean[j]), float(std[j]),
+                     float(col.min()), float(col.max())))
+        del col  # freed before the next column is built
     return rows
 
 
 def correlation_matrix(dataset):
-    """Pearson correlations of the 15 regressors; unit diagonal."""
-    x = np.column_stack([dataset.columns[name] for name in REGRESSOR_NAMES])
-    constant = np.flatnonzero(x.min(axis=0) == x.max(axis=0))
+    """Pearson correlations of the 15 regressors, from the co-moments; unit diagonal."""
+    c = _accumulate(dataset).c[1:-1, 1:-1]
+    d = np.sqrt(np.diag(c))
+    constant = np.flatnonzero(d == 0)
     if constant.size:
         raise TradeDataError(f"zero-variance column {REGRESSOR_NAMES[constant[0]]} "
                              "has no correlation")
-    return REGRESSOR_NAMES, np.corrcoef(x, rowvar=False)
+    return REGRESSOR_NAMES, np.clip(c / d[:, None] / d, -1.0, 1.0)
 
 
 def trend_test(coefficients, std_errors):

@@ -128,6 +128,7 @@ class TradeTensor:
         self.product_index = {p: i for i, p in enumerate(self.products)}
         self._flows = {}
         self._marginals = {}
+        self._cells = {}
         for year, (o, p, d, v) in flows.items():
             o = _locked(np.ascontiguousarray(o, dtype=np.int32))
             p = _locked(np.ascontiguousarray(p, dtype=np.int32))
@@ -195,11 +196,12 @@ class TradeTensor:
         """Flow value for a single cell, 0.0 when absent."""
         if not self.has_year(year):
             return 0.0
-        cell = np.array([[self.country_index[origin]], [self.product_index[product]],
-                         [self.country_index[destination]]])
-        found, pos = lookup(self.cell_keys(year),
-                            cell_keys(*cell, self.n_countries, self.n_products))
-        return float(self.flows(year)[3][pos[0]]) if found[0] else 0.0
+        if year not in self._cells:  # one dictionary per year, built on first use
+            o, p, d, v = (a.tolist() for a in self.flows(year))
+            self._cells[year] = dict(zip(zip(o, p, d), v))
+        cell = (self.country_index[origin], self.product_index[product],
+                self.country_index[destination])
+        return self._cells[year].get(cell, 0.0)
 
     def _marginal(self, year, which):
         """Dense totals of one year's flows over two coordinates, e.g. "od"; cached."""

@@ -46,17 +46,22 @@ def test_standardize_zero_variance_names_column():
         tg.standardize(ds)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_equal_logs_are_constant_everywhere(caplog):
-    # the float std of 5000 copies of log(7.3) is 2.2e-16, not 0
-    ds = make_dataset({"log_gdp_o": [np.log(7.3)] * 5000})
-    with pytest.raises(tg.TradeDataError, match="log_gdp_o"):
-        tg.standardize(ds)
-    with caplog.at_level("WARNING"):
-        tg.summary_stats(ds)
-    assert any("log_gdp_o" in rec.message and "zero variance" in rec.message
-               for rec in caplog.records)
-    with pytest.raises(tg.TradeDataError, match="log_gdp_o"):
-        tg.correlation_matrix(ds)
+    for rows, standardize_error, correlation_error in (
+            (5000, "log_gdp_o", "log_gdp_o"),  # float std of 5000 copies of log(7.3): 2.2e-16
+            (1, "fewer than two rows", "omega")):  # one row: every column is constant
+        ds = make_dataset({"log_gdp_o": [np.log(7.3)] * rows})
+        with pytest.raises(tg.TradeDataError, match=standardize_error):
+            tg.standardize(ds)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            stats = {row[0]: row for row in tg.summary_stats(ds)}
+        assert any("log_gdp_o" in rec.message and "zero variance" in rec.message
+                   for rec in caplog.records)
+        assert stats["log_gdp_o"][1:4] == (rows, np.log(7.3), 0.0)
+        with pytest.raises(tg.TradeDataError, match=correlation_error):
+            tg.correlation_matrix(ds)
 
 
 def test_standardize_response_flag():
@@ -162,9 +167,9 @@ def test_block_aligned_merge_is_bitwise():
 
 
 def test_threaded_fit_is_bitwise(small_dataset):
-    z, _ = tg.standardize(small_dataset)
-    one = tg.fit_ols(z, block_rows=16)
-    three = tg.fit_ols(z, block_rows=16, threads=3)
+    # a raw dataset: a standardized one carries its moments and is not streamed
+    one = tg.fit_ols(small_dataset, block_rows=16)
+    three = tg.fit_ols(small_dataset, block_rows=16, threads=3)
     assert np.array_equal(one.beta, three.beta)
     assert np.array_equal(one.se, three.se)
     assert one.adj_r2 == three.adj_r2
@@ -217,9 +222,23 @@ def test_standard_errors_keep_their_digits_under_a_large_response_mean():
         ds = make_dataset(columns, response=y)
         moments = tg.run_split_regressions(ds, "none")["all"]
         z, _ = tg.standardize(ds)
-        ref = tg.fit_ols(z)
+        # the z-scored columns as plain rows, streamed: a path with its own rounding
+        ref = tg.fit_ols(make_dataset({name: z.columns[name] for name in REGRESSOR_NAMES},
+                                      response=z.response))
         assert abs(ref.resid_se - 1.0) < 0.05, seed
         assert np.all(np.abs(moments.se - ref.se) <= 1e-13 * ref.se), seed
+
+
+@pytest.mark.parametrize("standardize_response", [False, True])
+def test_standardized_fit_is_the_unsplit_fit_bitwise(small_dataset, standardize_response):
+    z, _ = tg.standardize(small_dataset, standardize_response)
+    got = tg.fit_ols(z)
+    want = tg.run_split_regressions(small_dataset, "none",
+                                    standardize_response=standardize_response)["all"]
+    for field in ("beta", "se", "tstat", "pvalue"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    for field in ("n", "r2", "adj_r2", "resid_se", "ortho_rel"):
+        assert getattr(got, field) == getattr(want, field), field
 
 
 def test_fit_needs_more_rows_than_parameters():
@@ -362,14 +381,19 @@ def test_lean_dataset_reads_the_eager_values_bitwise(zeros):
         for rows in (slice(37, 37 + 900), rows_of_2003, rows_of_2003[::-3]):
             assert np.array_equal(data.design_matrix(rows), x[rows])
 
+    # the z view's fit solves the moments standardize took: bitwise the
+    # unsplit fit, and the fit streamed over the z-scored columns to rounding
+    got = tg.fit_ols(z)
+    split = tg.run_split_regressions(ds, "none")["all"]
+    assert np.array_equal(got.beta, split.beta)
+    assert np.array_equal(got.se, split.se)
     plain = {name: (eager[name] - spec.means[name]) / spec.stds[name]
              if name in spec.means else eager[name] for name in REGRESSOR_NAMES}
     want = tg.fit_ols(tg.GravityDataset(t=ds.t, o=ds.o, p=ds.p, d=ds.d, response=ds.response,
                                         columns=plain, countries=ds.countries,
                                         products=ds.products))
-    got = tg.fit_ols(z)
-    assert np.array_equal(got.beta, want.beta)
-    assert np.array_equal(got.se, want.se)
+    assert np.max(np.abs(got.beta - want.beta)) <= 1e-12 * np.max(np.abs(want.beta))
+    assert np.all(np.abs(got.se - want.se) <= 1e-12 * want.se)
 
 
 @pytest.fixture(scope="module")
@@ -412,8 +436,18 @@ def test_standardized_fit_copies_no_columns(pool_200k):
     w, rel = pool_200k
     ds = tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2002))
     _, _, peak = traced(lambda: tg.fit_ols(tg.standardize(ds)[0]))
-    # a column built for its mean and std, np.std's temporary and a few
-    # blocks: far below the 12 columns a z-scored copy takes
+    # one pass over blocks for the moments: far below the 12 columns a
+    # z-scored copy takes
+    assert peak < 3 * 8 * ds.n, peak / (8 * ds.n)
+
+
+def test_summaries_of_a_standardized_pool_copy_no_columns(pool_200k):
+    w, rel = pool_200k
+    ds = tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2002))
+    z, _ = tg.standardize(ds)
+    _, _, peak = traced(lambda: (tg.summary_stats(z), tg.correlation_matrix(z)))
+    # means, stds and correlations from the moments; min and max from one
+    # column read at a time: a gathered column and its z-scored copy
     assert peak < 3 * 8 * ds.n, peak / (8 * ds.n)
 
 

@@ -110,6 +110,8 @@ def test_reconcile_agreement_and_single_source():
     tensor, audit = tg.reconcile(batch)
     assert tensor.value(2000, "AAA", "0101", "BBB") == 100.0  # single source
     assert tensor.value(2000, "AAA", "0103", "BBB") == 50.0   # agreement
+    assert tensor.value(2000, "BBB", "0101", "AAA") == 0.0    # absent cell
+    assert tensor.value(2001, "AAA", "0101", "BBB") == 0.0    # absent year
     assert audit.exporter_only == 1
     assert audit.both_agree == 1
     assert audit.both_discrepant == 1
