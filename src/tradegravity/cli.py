@@ -365,10 +365,10 @@ def build_parser():
         p.add_argument("--horizon", type=int, default=2)
         p.add_argument("--zeros", default="drop", choices=["drop", "log1p"])
         p.add_argument("--standardize-response", action="store_true")
-        p.add_argument("--threads", type=_thread_count, default=1)
 
     p = sub.add_parser("gravity", help="fit the pooled two-year-ahead model")
     gravity_common(p)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--split", default="none",
                    choices=["none", "period", "exporter", "lall"])
     p.add_argument("--periods", type=_parse_periods, default=None,

@@ -8,12 +8,13 @@ regression sample (binary dummies are left alone; the response stays in log
 levels unless asked otherwise).
 
 The fitter keeps the count, column means and centered co-moments of [x | y]
-per row block of a fixed size and merges them along a fixed pairwise
-reduction tree, so results do not depend on how the row stream was chunked,
-and accumulator memory stays at k x k regardless of sample size. A split
-cell is z-scored on its own moments, without copying its rows. A dataset
-stores per row only what varies by row and gathers the other regressors
-from small per-year, per-country and per-pair tables one block at a time.
+per row block of a fixed size and merges them in block order along a fixed
+pairwise reduction tree, so results depend neither on how the row stream was
+chunked nor on how many threads read it, and the fit holds k x k numbers
+per block, never a row-sized array. A split cell is z-scored on its own
+moments, without copying its rows. A dataset stores per row only what
+varies by row and gathers the other regressors from small per-year,
+per-country and per-pair tables one block at a time.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import logging
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -465,18 +467,16 @@ class StreamingOLS:
 
     Rows fed through ``add`` are re-blocked internally to ``block_rows``, so
     the result is bitwise identical however the stream was chunked. Completed
-    blocks combine along a binary tree keyed by global block index, which
-    makes ``merge`` of block-aligned partial accumulators reproduce the
+    blocks combine in block order like the bits of a binary counter, so any
+    producer that pushes the same blocks in the same order reproduces the
     single-stream result exactly. Memory is O(k^2 log n_blocks).
     """
 
-    def __init__(self, names, block_rows=4096, start_block=0):
+    def __init__(self, names, block_rows=4096):
         self.names = tuple(names)
         self.k = len(self.names)
         self.block_rows = int(block_rows)
-        self.start_block = int(start_block)
-        self._next_block = int(start_block)
-        self._nodes = []  # (start_block, level, _Moments), chronological
+        self._nodes = []  # (whole blocks, _Moments) runs, chronological
         self._buf = np.empty((self.block_rows, self.k + 1))  # [x | y] of the open block
         self._buffered = 0
 
@@ -499,39 +499,18 @@ class StreamingOLS:
             pos += take
             if self._buffered == self.block_rows:
                 self._buffered = 0
-                self._nodes.append((self._next_block, 0, _Moments.of(self._buf)))
-                self._next_block += 1
-                self._normalize()
+                self._push(_Moments.of(self._buf))
 
-    def _normalize(self):
+    def _push(self, moments):
+        # a partial block counts 0 whole blocks: it never pairs and stays last
         nodes = self._nodes
-        while len(nodes) >= 2:
-            (a, la, pa), (b, lb, pb) = nodes[-2], nodes[-1]
-            if la == lb and b == a + 2 ** la and a % 2 ** (la + 1) == 0:
-                nodes[-2:] = [(a, la + 1, pa + pb)]
-            else:
-                break
-
-    def merge(self, other):
-        """Absorb an accumulator covering the blocks right after this one."""
-        if self._buffered:
-            raise TradeDataError("cannot merge into an accumulator with a partial block")
-        if other.start_block != self._next_block:
-            raise TradeDataError(
-                f"merge misaligned: expected start block {self._next_block}, "
-                f"got {other.start_block}")
-        if other.names != self.names or other.block_rows != self.block_rows:
-            raise TradeDataError("merge of incompatible accumulators")
-        for node in other._nodes:
-            self._nodes.append(node)
-            self._normalize()
-        self._next_block = other._next_block
-        self._buffered = other._buffered
-        self._buf[:self._buffered] = other._buf[:self._buffered]
-        return self
+        nodes.append((moments.n // self.block_rows, moments))
+        while len(nodes) >= 2 and nodes[-2][0] == nodes[-1][0]:
+            (blocks, a), (_, b) = nodes[-2:]
+            nodes[-2:] = [(2 * blocks, a + b)]
 
     def _total(self):
-        parts = [payload for _, _, payload in self._nodes]  # chronological
+        parts = [payload for _, payload in self._nodes]  # chronological
         if self._buffered:
             parts.append(_Moments.of(self._buf[:self._buffered]))
         if not parts:
@@ -620,29 +599,29 @@ def solve_normal_equations(c, mean, n, names):
 def _accumulate(dataset, rows=None, block_rows=4096, threads=1):
     """The moments of [1 | x | y] over ``rows`` (an index array; None is every
     row, whose moments a dataset made by ``standardize`` carries), else streamed
-    by blocks; block-aligned ``threads`` spans merge to the one-thread bits."""
+    by blocks: worker j of ``threads`` reads blocks j, j + threads, ..., and
+    their moments join in block order, so ``threads`` never changes the bits."""
     if rows is None and dataset.moments is not None:
         return dataset.moments
     n = dataset.n if rows is None else rows.size
 
-    def span(lo, hi):
-        acc = StreamingOLS(_DESIGN_NAMES, block_rows=block_rows, start_block=lo // block_rows)
-        for b in range(lo, hi, block_rows):
-            sel = slice(b, min(b + block_rows, hi))
+    def stride(j):
+        acc, out = StreamingOLS(_DESIGN_NAMES, block_rows=block_rows), []
+        for lo in range(j * block_rows, n, threads * block_rows):
+            sel = slice(lo, min(lo + block_rows, n))
             sel = sel if rows is None else rows[sel]
             acc.add(dataset.design_matrix(sel), dataset.response[sel])
-        return acc
+            # a whole block leaves its one node; the partial last one stays buffered
+            out.append(acc._nodes.pop()[1] if acc._nodes else acc._total())
+        return out
 
-    if threads <= 1 or n <= 2 * block_rows:
-        return span(0, n)._total()
-    n_blocks = -(-n // block_rows)
-    rows_per = -(-n_blocks // threads) * block_rows
+    acc = StreamingOLS(_DESIGN_NAMES, block_rows=block_rows)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda lo: span(lo, min(lo + rows_per, n)),
-                              range(0, n, rows_per)))
-    for part in parts[1:]:
-        parts[0].merge(part)
-    return parts[0]._total()
+        for blocks in zip_longest(*pool.map(stride, range(threads))):
+            for moments in blocks:
+                if moments is not None:
+                    acc._push(moments)
+    return acc._total()
 
 
 def fit_ols(dataset, block_rows=4096, threads=1):

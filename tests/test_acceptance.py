@@ -247,20 +247,18 @@ def test_criterion_9_performance():
         # drive the accumulator directly so its footprint can be inspected
         names = ("const",) + REGRESSOR_NAMES
         acc = StreamingOLS(names, block_rows=4096)
-        chunk = 1 << 20
+        chunk = 1 << 16
         for lo in range(0, n_rows, chunk):
-            hi = min(lo + chunk, n_rows)
-            x = np.empty((hi - lo, K_PARAMETERS))
-            x[:, 0] = 1.0
-            for j, name in enumerate(REGRESSOR_NAMES, start=1):
-                x[:, j] = z.columns[name][lo:hi]
-            acc.add(x, z.response[lo:hi])
+            rows = slice(lo, min(lo + chunk, n_rows))
+            acc.add(z.design_matrix(rows), z.response[rows])
         # O(k^2) accumulator: a logarithmic number of k x k nodes, nothing row-sized
         n_blocks = -(-n_rows // 4096)
         assert len(acc._nodes) <= int(n_blocks).bit_length() + 1
-        assert all(node[2].c.shape == (K_PARAMETERS + 1,) * 2 for node in acc._nodes)
+        assert sum(blocks for blocks, _ in acc._nodes) == n_rows // 4096
+        assert all(node.c.shape == (K_PARAMETERS + 1,) * 2 for _, node in acc._nodes)
         res = acc.result()
         assert res.n == n_rows
+        assert np.allclose(res.beta, tg.fit_ols(z).beta, rtol=1e-8)
         wall = time.perf_counter() - t0
         assert wall < 600.0, wall
 

@@ -129,6 +129,13 @@ def test_threads_flag_is_output_invariant(pipeline, tmp_path):
                "--dyad-csv", world / "dyad.csv", "--threads", "3") == 0
     assert (threaded / "relatedness.csv").read_bytes() == \
         (stage / "relatedness.csv").read_bytes()
+    meta = ["--trade", stage / "reconciled.csv", "--relatedness", stage / "relatedness.csv",
+            "--country-csv", world / "country.csv", "--dyad-csv", world / "dyad.csv",
+            "--split", "period", "--periods", "2000-2002"]
+    for threads in ("1", "3"):
+        assert run("gravity", "-o", tmp_path / threads, *meta, "--threads", threads) == 0
+    for name in ("gravity_period.json", "gravity_period.csv"):
+        assert (tmp_path / "3" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
 
 def test_manifest_contents(pipeline):

@@ -147,41 +147,20 @@ def test_shuffled_rows_match_dense_oracle():
         assert res.adj_r2 == pytest.approx(ref.adj_r2, rel=1e-8)
 
 
-def test_block_aligned_merge_is_bitwise():
-    rng = np.random.default_rng(9)
-    n, b = 2048, 256
-    x = rng.normal(size=(n, 3))
-    y = rng.normal(size=n)
-    names = ("a", "b", "c")
-    one = StreamingOLS(names, block_rows=b)
-    one.add(x, y)
-    # three partials at block-aligned starts, merged left to right
-    parts = []
-    cuts = [0, 3 * b, 5 * b, n]
-    for i in range(3):
-        acc = StreamingOLS(names, block_rows=b, start_block=cuts[i] // b)
-        acc.add(x[cuts[i]:cuts[i + 1]], y[cuts[i]:cuts[i + 1]])
-        parts.append(acc)
-    merged = parts[0].merge(parts[1]).merge(parts[2])
-    assert np.array_equal(one.result().beta, merged.result().beta)
-
-
 def test_threaded_fit_is_bitwise(small_dataset):
     # a raw dataset: a standardized one carries its moments and is not streamed
-    one = tg.fit_ols(small_dataset, block_rows=16)
-    three = tg.fit_ols(small_dataset, block_rows=16, threads=3)
-    assert np.array_equal(one.beta, three.beta)
-    assert np.array_equal(one.se, three.se)
-    assert one.adj_r2 == three.adj_r2
-
-
-def test_misaligned_merge_rejected():
-    names = ("a",)
-    left = StreamingOLS(names, block_rows=4)
-    left.add(np.ones((2, 1)), np.ones(2))  # partial block pending
-    right = StreamingOLS(names, block_rows=4, start_block=1)
-    with pytest.raises(tg.TradeDataError):
-        left.merge(right)
+    ds = small_dataset
+    names = ("const",) + REGRESSOR_NAMES
+    assert ds.n % 16 != 0 and ds.n % 128 != 0  # the last block is partial
+    # 128-row blocks make two, so the third thread's stride is empty
+    for block_rows, threads in ((16, 1), (16, 3), (128, 3)):
+        acc = StreamingOLS(names, block_rows=block_rows)
+        acc.add(ds.design_matrix(), ds.response)
+        want = acc.result()
+        got = tg.fit_ols(ds, block_rows=block_rows, threads=threads)
+        assert np.array_equal(got.beta, want.beta), (block_rows, threads)
+        assert np.array_equal(got.se, want.se), (block_rows, threads)
+        assert got.adj_r2 == want.adj_r2 and got.resid_se == want.resid_se
 
 
 def test_singular_design_lists_columns():
@@ -576,7 +555,7 @@ def test_split_cells_equal_their_standardized_refit(tmp_path, split, standardize
 
 
 def test_threaded_split_cells_are_bitwise():
-    # cells above 2 x 4096 rows, so threads=3 cuts each into spans
+    # cells of several 4096-row blocks, so threads=3 strides over each
     rng = np.random.default_rng(12)
     n = 27_000
     columns = {name: (rng.random(n) < 0.3).astype(float) if name in BINARY_COLUMNS
