@@ -436,15 +436,15 @@ class _Moments:
         self.n, self.mean, self.c = n, mean, c
 
     @classmethod
-    def of(cls, rows):
-        # deviations from the first row are exactly zero in a constant column, so
-        # its C entries stay zero; unoptimized einsum stays off the BLAS
-        # threading path, so block sums do not depend on the thread configuration
-        dev = rows - rows[0]
-        offset = dev.mean(axis=0)
-        dev -= offset
-        return cls(rows.shape[0], rows[0] + offset,
-                   np.einsum("ni,nj->ij", dev, dev, optimize=False))
+    def of(cls, block):
+        """The moments of a column-major block: one contiguous row per column."""
+        # deviations from the first entry are exactly zero in a constant column, so
+        # its C entries stay zero; dev @ dev.T runs as a BLAS syrk whose bits do
+        # not depend on the BLAS thread count (a subprocess test guards this)
+        dev = block - block[:, :1]
+        offset = dev.mean(axis=1)
+        dev -= offset[:, None]
+        return cls(block.shape[1], block[:, 0] + offset, dev @ dev.T)
 
     def __add__(self, other):
         # pairwise update of Chan, Golub & LeVeque (1979)
@@ -477,7 +477,7 @@ class StreamingOLS:
         self.k = len(self.names)
         self.block_rows = int(block_rows)
         self._nodes = []  # (whole blocks, _Moments) runs, chronological
-        self._buf = np.empty((self.block_rows, self.k + 1))  # [x | y] of the open block
+        self._buf = np.empty((self.k + 1, self.block_rows))  # [x | y] of the open block, by column
         self._buffered = 0
 
     def add(self, x, y):
@@ -492,9 +492,9 @@ class StreamingOLS:
         pos, m = 0, x.shape[0]
         while pos < m:
             take = min(self.block_rows - self._buffered, m - pos)
-            block = self._buf[self._buffered:self._buffered + take]
-            block[:, :-1] = x[pos:pos + take]
-            block[:, -1] = y[pos:pos + take]
+            block = self._buf[:, self._buffered:self._buffered + take]
+            block[:-1] = x[pos:pos + take].T
+            block[-1] = y[pos:pos + take]
             self._buffered += take
             pos += take
             if self._buffered == self.block_rows:
@@ -512,7 +512,7 @@ class StreamingOLS:
     def _total(self):
         parts = [payload for _, payload in self._nodes]  # chronological
         if self._buffered:
-            parts.append(_Moments.of(self._buf[:self._buffered]))
+            parts.append(_Moments.of(self._buf[:, :self._buffered]))
         if not parts:
             raise TradeDataError("no rows accumulated")
         return sum(parts[1:], parts[0])

@@ -96,36 +96,41 @@ def _check_bounds(values, label):
     return np.clip(values, 0.0, 1.0)
 
 
-def _weighted_share(group, col, v, weights, denom, chunk_rows, threads):
+def _weighted_share(lead, second, n_second, col, v, weights, denom, chunk_rows, threads):
     """Each cell's weighted share of its group's flows, aligned with the input cells.
 
-    For a cell c with group key g the value is
-    sum over cells c' of g of v[c'] * weights[col[c'], col[c]], divided by
-    denom[c]: the entry (g, col[c]) of S @ weights, where S is the
-    (groups x weights.shape[0]) sparse matrix of the group flows by column.
-    The product runs over chunks of ``chunk_rows`` groups, on ``threads``
-    threads, with the cells sorted by group so that each chunk's gather is
-    local; keys that are already ascending keep their order. A zero
-    denominator gives NaN.
+    A cell's group is (lead, second), and the cells come sorted by lead. For a
+    cell c the value is the sum over the cells c' of its group of
+    v[c'] * weights[col[c'], col[c]], divided by denom[c]: the entry
+    (group, col[c]) of S @ weights, where S is the sparse matrix of the group
+    flows by column. The product runs over chunks of whole lead values, about
+    ``chunk_rows`` groups each, on ``threads`` threads, so a chunk's cells are
+    one slice. Weights over 1 MB are multiplied 64 output columns at a time,
+    each tile copied once, so the tile stays in cache. Every entry sums its
+    group's cells in column order whatever the chunks and tiles, so neither
+    changes a bit. A zero denominator gives NaN.
     """
     import scipy.sparse as sp  # here: CLI stages that never evaluate relatedness skip its import
 
-    ascending = np.all(group[1:] >= group[:-1])
-    order = slice(None) if ascending else np.argsort(group, kind="stable")
-    group, col, v = group[order], col[order], v[order]
-    inverse = np.zeros(group.size, dtype=np.int64)
-    inverse[1:] = np.cumsum(group[1:] != group[:-1])
-    n_groups = int(inverse[-1]) + 1 if group.size else 0
-    starts = np.arange(0, n_groups + chunk_rows, chunk_rows)
-    bounds = np.searchsorted(inverse, starts)
-    numer = np.empty(group.size)
+    leads = max(chunk_rows // n_second, 1)
+    n_lead = int(lead[-1]) + 1 if lead.size else 0
+    starts = np.append(np.arange(0, n_lead, leads), n_lead)
+    bounds = np.searchsorted(lead, starts)
+    width = weights.shape[1] if weights.nbytes <= 1 << 20 else 64
+    tiles = [np.ascontiguousarray(weights[:, j:j + width])
+             for j in range(0, weights.shape[1], width)]
+    numer = np.empty(lead.size)
 
     def work(ci):
-        sel = slice(bounds[ci], bounds[ci + 1])
-        rows = inverse[sel] - starts[ci]
-        s = sp.csr_matrix((v[sel], (rows, col[sel])),
-                          shape=(min(chunk_rows, n_groups - starts[ci]), weights.shape[0]))
-        numer[sel] = s.dot(weights)[rows, col[sel]]
+        lo, hi = bounds[ci], bounds[ci + 1]
+        rows = (lead[lo:hi] - starts[ci]) * n_second + second[lo:hi]
+        c = col[lo:hi]
+        s = sp.csr_matrix((v[lo:hi], (rows, c)),
+                          shape=((starts[ci + 1] - starts[ci]) * n_second, weights.shape[0]))
+        tile = c // width
+        for j, w in enumerate(tiles):
+            hit = slice(None) if len(tiles) == 1 else np.flatnonzero(tile == j)
+            numer[lo:hi][hit] = s.dot(w)[rows[hit], c[hit] - j * width]
 
     chunks = range(starts.size - 1)
     if threads > 1 and len(chunks) > 1:
@@ -134,9 +139,7 @@ def _weighted_share(group, col, v, weights, denom, chunk_rows, threads):
     else:
         for ci in chunks:
             work(ci)
-    in_cell_order = np.empty(group.size)
-    in_cell_order[order] = numer
-    return np.divide(in_cell_order, denom, out=np.full(group.size, np.nan), where=denom > 0)
+    return np.divide(numer, denom, out=np.full(lead.size, np.nan), where=denom > 0)
 
 
 def product_relatedness(tensor, prox, year, chunk_rows=4096, threads=1):
@@ -149,7 +152,7 @@ def product_relatedness(tensor, prox, year, chunk_rows=4096, threads=1):
     if tensor.n_products == 1:
         return np.zeros(o.size)  # the sum over other products is empty
     phi_p = prox.marginals[p]
-    omega = _weighted_share(o.astype(np.int64) * tensor.n_countries + d, p, v, prox.phi,
+    omega = _weighted_share(o, d, tensor.n_countries, p, v, prox.phi,
                             phi_p * tensor.x_od(year)[o, d], chunk_rows, threads)
     undefined = ~(phi_p > 0)
     if undefined.any():
@@ -162,16 +165,19 @@ def product_relatedness(tensor, prox, year, chunk_rows=4096, threads=1):
 def importer_relatedness(tensor, weights, year, chunk_rows=65536, threads=1):
     """Values for every active cell of the year, aligned with tensor.flows(year)."""
     o, p, d, v = tensor.flows(year)
-    values = _weighted_share(o.astype(np.int64) * tensor.n_products + p, d, v,
-                             weights.matrix.T, tensor.x_op(year)[o, p], chunk_rows, threads)
+    values = _weighted_share(o, p, tensor.n_products, d, v, weights.matrix.T,
+                             tensor.x_op(year)[o, p], chunk_rows, threads)
     return _check_bounds(values, "importer relatedness")
 
 
 def exporter_relatedness(tensor, weights, year, chunk_rows=65536, threads=1):
     """Values for every active cell of the year, aligned with tensor.flows(year)."""
     o, p, d, v = tensor.flows(year)
-    values = _weighted_share(p.astype(np.int64) * tensor.n_countries + d, o, v,
-                             weights.matrix.T, tensor.x_pd(year)[p, d], chunk_rows, threads)
+    order = np.argsort(p, kind="stable")  # the cells come sorted by o; the lead is p
+    o, p, d, v = o[order], p[order], d[order], v[order]
+    values = np.empty(order.size)
+    values[order] = _weighted_share(p, d, tensor.n_countries, o, v, weights.matrix.T,
+                                    tensor.x_pd(year)[p, d], chunk_rows, threads)
     return _check_bounds(values, "exporter relatedness")
 
 

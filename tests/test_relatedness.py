@@ -216,6 +216,27 @@ def test_chunk_size_does_not_change_values(small_pipeline):
         assert np.array_equal(np.nan_to_num(measure, nan=-1), np.nan_to_num(small_chunks, nan=-1))
 
 
+def test_weighted_share_bits_match_one_whole_year_product():
+    # 400 x 400 weights are over 1 MB, so the kernel multiplies them in
+    # 64-column tiles; fewer chunk rows than n_second make one lead a chunk
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(17)
+    n_lead, n_second, n_col = 6, 9, 400
+    weights = rng.random((n_col, n_col))
+    # cells sorted by (lead, col, second), as omega's (o, p, d)
+    lead, col, second = np.nonzero(rng.random((n_lead, n_col, n_second)) < 0.3)
+    v = rng.lognormal(size=lead.size)
+    # the reference: one product over every group in ascending key order
+    _, group = np.unique(lead * n_second + second, return_inverse=True)
+    s = sp.csr_matrix((v, (group, col)), shape=(group.max() + 1, n_col))
+    want = (s @ weights)[group, col]
+    for chunk_rows, threads in ((n_second - 1, 1), (3 * n_second, 2)):
+        got = tg.relatedness._weighted_share(lead, second, n_second, col, v, weights,
+                                             np.ones(v.size), chunk_rows, threads)
+        assert np.array_equal(got, want), (chunk_rows, threads)
+
+
 def test_relatedness_csv_roundtrip(tmp_path, small_pipeline):
     w, prox, weights, rel = small_pipeline
     path = tmp_path / "rel.csv"
