@@ -67,18 +67,9 @@ class LallCategory(str, enum.Enum):
     EXCLUDED = "excluded"
 
 
-# CSV code -> category, ascending technological sophistication for the first five
-LALL_CODES = {
-    "PP": LallCategory.PRIMARY,
-    "RB": LallCategory.RESOURCE_BASED,
-    "LT": LallCategory.LOW_TECH,
-    "MT": LallCategory.MEDIUM_TECH,
-    "HT": LallCategory.HIGH_TECH,
-    "SP": LallCategory.EXCLUDED,
-}
-LALL_RANK_ORDER = (LallCategory.PRIMARY, LallCategory.RESOURCE_BASED,
-                   LallCategory.LOW_TECH, LallCategory.MEDIUM_TECH,
-                   LallCategory.HIGH_TECH)
+# CSV code -> category, in LallCategory order: ascending sophistication, then EXCLUDED
+LALL_CODES = dict(zip(("PP", "RB", "LT", "MT", "HT", "SP"), LallCategory))
+LALL_RANK_ORDER = tuple(LallCategory)[:5]
 
 
 class Columns(Mapping):
@@ -244,7 +235,7 @@ class RegressionResult:
         return float(self.beta[self.names.index(name)])
 
     def to_dict(self, split_key=None):
-        out = {
+        return {
             "split_key": split_key,
             "n": int(self.n),
             "adj_r2": round(float(self.adj_r2), 6),
@@ -257,7 +248,6 @@ class RegressionResult:
                  "p": round(float(self.pvalue[i]), 6)}
                 for i, name in enumerate(self.names)],
         }
-        return out
 
 
 @dataclass
@@ -462,6 +452,33 @@ class _Moments:
         return solve_normal_equations(self.c, self.mean, self.n, names)
 
 
+def _push(nodes, moments, block_rows):
+    """Append a block's moments to ``nodes``, its (whole blocks, _Moments) runs, and
+    merge equal runs like a binary counter; a partial block counts 0, so stays last."""
+    nodes.append((moments.n // block_rows, moments))
+    while len(nodes) >= 2 and nodes[-2][0] == nodes[-1][0]:
+        (blocks, a), (_, b) = nodes[-2:]
+        nodes[-2:] = [(2 * blocks, a + b)]
+
+
+def _total(nodes):
+    """The sum of the runs in ``nodes``, added in block order."""
+    if not nodes:
+        raise TradeDataError("no rows accumulated")
+    return sum((payload for _, payload in nodes[1:]), nodes[0][1])
+
+
+def _checked(x, y, k):
+    """x (m, k) and y (m,) as float64; a bad shape or a non-finite entry is an error."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != k or y.shape != (x.shape[0],):
+        raise TradeDataError(f"bad chunk shape {x.shape}/{y.shape} for k={k}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise TradeDataError("non-finite entries in regression chunk")
+    return x, y
+
+
 class StreamingOLS:
     """One-pass least-squares accumulator over a fixed pairwise reduction tree.
 
@@ -482,13 +499,7 @@ class StreamingOLS:
 
     def add(self, x, y):
         """Accumulate a chunk of rows; x is (m, k), y is (m,)."""
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.k or y.shape != (x.shape[0],):
-            raise TradeDataError(
-                f"bad chunk shape {x.shape}/{y.shape} for k={self.k}")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise TradeDataError("non-finite entries in regression chunk")
+        x, y = _checked(x, y, self.k)
         pos, m = 0, x.shape[0]
         while pos < m:
             take = min(self.block_rows - self._buffered, m - pos)
@@ -499,27 +510,12 @@ class StreamingOLS:
             pos += take
             if self._buffered == self.block_rows:
                 self._buffered = 0
-                self._push(_Moments.of(self._buf))
-
-    def _push(self, moments):
-        # a partial block counts 0 whole blocks: it never pairs and stays last
-        nodes = self._nodes
-        nodes.append((moments.n // self.block_rows, moments))
-        while len(nodes) >= 2 and nodes[-2][0] == nodes[-1][0]:
-            (blocks, a), (_, b) = nodes[-2:]
-            nodes[-2:] = [(2 * blocks, a + b)]
-
-    def _total(self):
-        parts = [payload for _, payload in self._nodes]  # chronological
-        if self._buffered:
-            parts.append(_Moments.of(self._buf[:, :self._buffered]))
-        if not parts:
-            raise TradeDataError("no rows accumulated")
-        return sum(parts[1:], parts[0])
+                _push(self._nodes, _Moments.of(self._buf), self.block_rows)
 
     def result(self):
         """Solve the accumulated normal equations."""
-        return self._total().solve(self.names)
+        partial = [(0, _Moments.of(self._buf[:, :self._buffered]))] if self._buffered else []
+        return _total(self._nodes + partial).solve(self.names)
 
 
 def _cholesky_with_diagnostics(a, names, tol=1e-10):
@@ -606,22 +602,22 @@ def _accumulate(dataset, rows=None, block_rows=4096, threads=1):
     n = dataset.n if rows is None else rows.size
 
     def stride(j):
-        acc, out = StreamingOLS(_DESIGN_NAMES, block_rows=block_rows), []
+        # one reused block buffer: a fresh array per block made _Moments.of twice as slow
+        buf, out = np.empty((K_PARAMETERS + 1, block_rows)), []
         for lo in range(j * block_rows, n, threads * block_rows):
             sel = slice(lo, min(lo + block_rows, n))
             sel = sel if rows is None else rows[sel]
-            acc.add(dataset.design_matrix(sel), dataset.response[sel])
-            # a whole block leaves its one node; the partial last one stays buffered
-            out.append(acc._nodes.pop()[1] if acc._nodes else acc._total())
+            x, y = _checked(dataset.design_matrix(sel), dataset.response[sel], K_PARAMETERS)
+            out.append(_Moments.of(np.concatenate((x.T, y[None]), out=buf[:, :y.size])))
         return out
 
-    acc = StreamingOLS(_DESIGN_NAMES, block_rows=block_rows)
+    nodes = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for blocks in zip_longest(*pool.map(stride, range(threads))):
             for moments in blocks:
                 if moments is not None:
-                    acc._push(moments)
-    return acc._total()
+                    _push(nodes, moments, block_rows)
+    return _total(nodes)
 
 
 def fit_ols(dataset, block_rows=4096, threads=1):
@@ -645,30 +641,29 @@ def _zscored(moments, standardize_response):
     return z, shift, scale
 
 
-def _exporter_class(r, new_threshold, experienced_threshold):
-    return np.where(r < new_threshold, ExporterClass.NEW.value,
-                    np.where(r <= experienced_threshold, ExporterClass.NASCENT.value,
-                             ExporterClass.EXPERIENCED.value))
+def _exporter_codes(rca, new_threshold, experienced_threshold):
+    """Positions in ``ExporterClass`` of RCA values, NaN counting as 0."""
+    if not 0 <= new_threshold <= experienced_threshold < np.inf:
+        raise TradeDataError(f"exporter thresholds need 0 <= new ({new_threshold}) "
+                             f"<= experienced ({experienced_threshold}), both finite")
+    r = np.fmax(rca, 0.0)  # fmax takes the number over a NaN
+    return np.add(r >= new_threshold, r > experienced_threshold, dtype=np.uint8)
 
 
 def classify_exporter(rca_value, new_threshold=0.2, experienced_threshold=1.0):
     """Three-way exporter experience class from an RCA value."""
     if rca_value < 0 or not np.isfinite(rca_value):
         raise TradeDataError(f"RCA must be finite and non-negative, got {rca_value}")
-    return ExporterClass(_exporter_class(rca_value, new_threshold, experienced_threshold).item())
+    return tuple(ExporterClass)[_exporter_codes(rca_value, new_threshold, experienced_threshold)]
 
 
-def exporter_class_labels(dataset, rca, new_threshold=0.2, experienced_threshold=1.0):
-    """Per-row exporter class labels from a classification RCA matrix.
-
-    Countries absent from the RCA matrix (no exports in its window) count as
-    RCA 0, hence new exporters.
-    """
+def exporter_class_codes(dataset, rca, new_threshold=0.2, experienced_threshold=1.0):
+    """Per-row positions in ``ExporterClass`` from a classification RCA matrix;
+    countries it lacks (no exports in its window) count as RCA 0, hence new."""
     if tuple(rca.countries) != tuple(dataset.countries) or \
             tuple(rca.products) != tuple(dataset.products):
         raise TradeDataError("classification RCA uses a different vocabulary")
-    values = np.nan_to_num(rca.values, nan=0.0)
-    return _exporter_class(values[dataset.o, dataset.p], new_threshold, experienced_threshold)
+    return _exporter_codes(rca.values, new_threshold, experienced_threshold)[dataset.o, dataset.p]
 
 
 class LallConcordance:
@@ -704,16 +699,17 @@ class LallConcordance:
         return sorted(p for p in products if p not in self._mapping)
 
 
-def lall_labels(dataset, concordance):
-    """Per-row category labels; every product appearing in a row must map."""
-    used = np.unique(dataset.p)
-    codes = [dataset.products[i] for i in used]
-    missing = concordance.coverage_report(codes)
+def lall_codes(dataset, concordance):
+    """Per-row positions in ``LallCategory``; every product a row reads must map."""
+    used = np.flatnonzero(np.bincount(dataset.p, minlength=len(dataset.products)))
+    names = [dataset.products[i] for i in used]
+    missing = concordance.coverage_report(names)
     if missing:
         raise CoverageError(
             f"{len(missing)} products missing from the concordance: {missing[:10]}")
-    per_used = np.array([concordance.category(code).value for code in codes], dtype=str)
-    return per_used[np.searchsorted(used, dataset.p)]
+    table = np.zeros(len(dataset.products), dtype=np.uint8)  # products no row reads stay 0
+    table[used] = [tuple(LallCategory).index(concordance.category(name)) for name in names]
+    return table[dataset.p]
 
 
 def run_split_regressions(dataset, split, periods=None, horizon=2, rca=None,
@@ -742,32 +738,35 @@ def run_split_regressions(dataset, split, periods=None, horizon=2, rca=None,
             log.warning("split %s cell %s skipped: %s", split, key, exc)
             return None
 
-    # (key, row mask) per cell, made lazily; None keeps every row
+    # (key, rows) per cell, made lazily; None keeps every row
     if split == "none":
         cells = [("all", None)]
     elif split == "period":
         if not periods:
             raise TradeDataError("period split needs period definitions")
-        cells = ((f"{start}-{end}", (dataset.t >= start) & (dataset.t <= end - horizon))
-                 for start, end in periods)
-    elif split == "exporter":
-        if rca is None:
-            raise TradeDataError("exporter split needs a classification RCA matrix")
-        labels = exporter_class_labels(dataset, rca, new_threshold, experienced_threshold)
-        cells = ((c.value, labels == c.value) for c in ExporterClass)
-    elif split == "lall":
-        if concordance is None:
+        cells = ((f"{a}-{b}", np.flatnonzero((dataset.t >= a) & (dataset.t <= b - horizon)))
+                 for a, b in periods)
+    elif split in ("exporter", "lall"):
+        if split == "exporter":
+            if rca is None:
+                raise TradeDataError("exporter split needs a classification RCA matrix")
+            codes = exporter_class_codes(dataset, rca, new_threshold, experienced_threshold)
+        elif concordance is None:
             raise TradeDataError("lall split needs a concordance")
-        labels = lall_labels(dataset, concordance)
-        n_excluded = int((labels == LallCategory.EXCLUDED.value).sum())
-        if n_excluded:
-            log.info("lall split: dropping %d special-transaction rows", n_excluded)
-        cells = ((c.value, labels == c.value) for c in LALL_RANK_ORDER)
+        else:
+            codes = lall_codes(dataset, concordance)
+        counts = np.bincount(codes, minlength=len(LallCategory))
+        if counts[-1]:  # EXCLUDED, the last Lall code, joins no cell
+            log.info("lall split: dropping %d special-transaction rows", counts[-1])
+        # one stable sort lists the rows of each code, ascending, as one slice
+        ends, order = np.cumsum(counts), np.argsort(codes, kind="stable")
+        keys = tuple(ExporterClass) if split == "exporter" else LALL_RANK_ORDER
+        cells = ((key.value, order[end - count:end]) for key, count, end in zip(keys, counts, ends))
     else:
         raise TradeDataError(f"unknown split {split!r}")
     results = {}
-    for key, mask in cells:
-        res = fit_cell(key, None if mask is None else np.flatnonzero(mask))
+    for key, rows in cells:
+        res = fit_cell(key, rows)
         if res is not None:
             results[key] = res
     return results

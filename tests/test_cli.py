@@ -138,6 +138,16 @@ def test_threads_flag_is_output_invariant(pipeline, tmp_path):
         assert (tmp_path / "3" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
 
+def test_unordered_exporter_thresholds_are_exit_one(pipeline, tmp_path, capsys):
+    root, world, stage = pipeline
+    assert run("gravity", "-o", tmp_path, "--trade", stage / "reconciled.csv",
+               "--relatedness", stage / "relatedness.csv",
+               "--country-csv", world / "country.csv", "--dyad-csv", world / "dyad.csv",
+               "--split", "exporter", "--rca-new", "2", "--rca-experienced", "1") == 1
+    err = capsys.readouterr().err
+    assert "new (2.0)" in err and "experienced (1.0)" in err, err
+
+
 def test_manifest_contents(pipeline):
     _, world, stage = pipeline
     manifest = json.loads((stage / "relatedness_manifest.json").read_text())

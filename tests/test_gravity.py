@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import tradegravity as tg
-from tradegravity.gravity import (BINARY_COLUMNS, REGRESSOR_NAMES, StreamingOLS,
-                                  exporter_class_labels, lall_labels,
+from tradegravity.gravity import (BINARY_COLUMNS, LALL_CODES, LALL_RANK_ORDER,
+                                  REGRESSOR_NAMES, StreamingOLS, _accumulate, _Moments,
+                                  exporter_class_codes, lall_codes,
                                   solve_normal_equations, trend_over_lall)
 
 from conftest import make_dataset, write_lall_concordance
@@ -161,6 +162,61 @@ def test_threaded_fit_is_bitwise(small_dataset):
         assert np.array_equal(got.beta, want.beta), (block_rows, threads)
         assert np.array_equal(got.se, want.se), (block_rows, threads)
         assert got.adj_r2 == want.adj_r2 and got.resid_se == want.resid_se
+
+
+def random_dataset(n, seed):
+    """A hand-built dataset of n rows whose regressors and response vary."""
+    rng = np.random.default_rng(seed)
+    columns = {name: (rng.random(n) < 0.3).astype(float) if name in BINARY_COLUMNS
+               else rng.normal(size=n) * (j + 1) + j for j, name in enumerate(REGRESSOR_NAMES)}
+    return make_dataset(columns, response=0.05 * sum(columns.values()) + rng.normal(size=n))
+
+
+def test_reduction_tree_is_pinned():
+    # five whole blocks and a partial one: runs of 4 and 1 blocks, then the partial
+    ds = random_dataset(5 * 4096 + 100, seed=6)
+    x, y = ds.design_matrix(), ds.response
+    b = [_Moments.of(np.vstack((x[lo:lo + 4096].T, y[lo:lo + 4096])))
+         for lo in range(0, ds.n, 4096)]
+    want = ((b[0] + b[1]) + (b[2] + b[3])) + b[4] + b[5]
+    names = ("const",) + REGRESSOR_NAMES
+    acc = StreamingOLS(names)
+    for lo in range(0, ds.n, 3000):  # chunks that straddle the blocks
+        acc.add(x[lo:lo + 3000], y[lo:lo + 3000])
+    assert [blocks for blocks, _ in acc._nodes] == [4, 1]
+    got = acc._nodes[0][1] + acc._nodes[1][1] + _Moments.of(acc._buf[:, :100])
+    for threads in (1, 2):
+        for moments in (got, _accumulate(ds, threads=threads)):
+            assert moments.n == want.n == ds.n
+            assert np.array_equal(moments.mean, want.mean), threads
+            assert np.array_equal(moments.c, want.c), threads
+    fit = want.solve(names)
+    for res in (acc.result(), tg.fit_ols(ds, threads=2)):
+        assert np.array_equal(res.beta, fit.beta) and np.array_equal(res.se, fit.se)
+        assert res.adj_r2 == fit.adj_r2 and res.resid_se == fit.resid_se
+
+
+def test_non_finite_and_misshapen_rows_are_errors(caplog):
+    acc = StreamingOLS(("a", "b"))
+    for bad in (np.nan, np.inf, -np.inf):
+        for x, y in ((np.array([[1.0, bad]]), np.ones(1)), (np.ones((1, 2)), np.array([bad]))):
+            with pytest.raises(tg.TradeDataError, match="non-finite"):
+                acc.add(x, y)
+    for x, y in ((np.ones((3, 3)), np.ones(3)), (np.ones(2), np.ones(2)),
+                 (np.ones((3, 2)), np.ones(4)), (np.ones((3, 2)), np.ones((3, 1)))):
+        with pytest.raises(tg.TradeDataError, match="bad chunk shape"):
+            acc.add(x, y)
+    # a NaN regressor in a hand-built dataset, in a row of the first period only
+    ds = random_dataset(200, seed=7)
+    ds.t = np.repeat(np.arange(2000, 2004, dtype=np.int32), 50)
+    ds.columns["omega_d"][10] = np.nan
+    with pytest.raises(tg.TradeDataError, match="non-finite"):
+        tg.fit_ols(ds)
+    with caplog.at_level("WARNING"):
+        results = tg.run_split_regressions(ds, "period", periods=((2000, 2002), (2002, 2005)))
+    assert set(results) == {"2002-2005"}
+    assert any("2000-2002 skipped" in rec.message and "non-finite" in rec.message
+               for rec in caplog.records)
 
 
 def test_singular_design_lists_columns():
@@ -430,6 +486,21 @@ def test_summaries_of_a_standardized_pool_copy_no_columns(pool_200k):
     assert peak < 3 * 8 * ds.n, peak / (8 * ds.n)
 
 
+def test_split_cells_copy_no_columns(pool_200k):
+    w, rel = pool_200k
+    ds = tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2002))
+    rca = tg.compute_rca(w.tensor, (2000, 2000))
+    categories = list(LALL_CODES.values())
+    conc = tg.LallConcordance((p, categories[i % 6]) for i, p in enumerate(w.tensor.products))
+    tg.run_split_regressions(ds, "none")  # scipy.special's first import is not the split's
+    for kwargs in ({"rca": rca}, {"concordance": conc}):
+        split = "exporter" if "rca" in kwargs else "lall"
+        cells, _, peak = traced(lambda: tg.run_split_regressions(ds, split, **kwargs))
+        assert len(cells) == (3 if split == "exporter" else 5)
+        # a uint8 code and an 8-byte row index a row, plus a few blocks' temporaries
+        assert peak < 3 * 8 * ds.n, (split, peak / ds.n)
+
+
 # ------------------------------------------------------------ classification
 
 def test_classify_exporter_thresholds():
@@ -443,6 +514,17 @@ def test_classify_exporter_thresholds():
     assert tg.classify_exporter(np.nextafter(1.0, 2)) is tg.ExporterClass.EXPERIENCED
     with pytest.raises(tg.TradeDataError):
         tg.classify_exporter(-0.1)
+
+
+def test_exporter_thresholds_are_validated():
+    # NaN, unordered or infinite thresholds have no three-way class; both values are named
+    for new, experienced in ((np.nan, 1.0), (0.2, np.nan), (2.0, 1.0), (-0.1, 1.0),
+                             (0.2, np.inf)):
+        named = rf"new \({new}\).*experienced \({experienced}\)"
+        with pytest.raises(tg.TradeDataError, match=named):
+            tg.classify_exporter(0.1, new_threshold=new, experienced_threshold=experienced)
+    assert tg.classify_exporter(1.0, 1.0, 1.0) is tg.ExporterClass.NASCENT  # equal is ordered
+    assert tg.classify_exporter(0.0, 0.0, 0.0) is tg.ExporterClass.NASCENT
 
 
 def test_map_lall(tmp_path):
@@ -481,8 +563,8 @@ def test_exporter_split_three_cells():
     w, rel = multi_year_world()
     ds = tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2006))
     rca = tg.compute_rca(w.tensor, (2000, 2000))
-    labels = exporter_class_labels(ds, rca)
-    assert set(np.unique(labels)) == {"new", "nascent", "experienced"}
+    codes = exporter_class_codes(ds, rca)
+    assert codes.dtype == np.uint8 and set(np.unique(codes)) == {0, 1, 2}
     results = tg.run_split_regressions(ds, "exporter", rca=rca)
     assert set(results) == {"new", "nascent", "experienced"}
     assert sum(r.n for r in results.values()) == ds.n
@@ -494,12 +576,14 @@ def test_lall_split_five_cells_excluded_dropped(tmp_path):
     cats = ["PP", "RB", "LT", "MT", "HT", "SP", "PP", "RB"]
     path = write_lall_concordance(tmp_path / "lall.csv", w.tensor.products, cats)
     conc = tg.LallConcordance.from_csv(path)
-    labels = lall_labels(ds, conc)
+    codes = lall_codes(ds, conc)
+    assert codes.dtype == np.uint8
     results = tg.run_split_regressions(ds, "lall", concordance=conc)
     assert set(results) == {"primary", "resource_based", "low_tech",
                             "medium_tech", "high_tech"}
-    assert sum(r.n for r in results.values()) == int((labels != "excluded").sum())
-    assert (labels == "excluded").sum() > 0
+    excluded = list(tg.LallCategory).index(tg.LallCategory.EXCLUDED)
+    assert sum(r.n for r in results.values()) == int((codes != excluded).sum())
+    assert (codes == excluded).sum() > 0
 
 
 def test_undersized_cell_skipped(small_dataset, caplog):
@@ -541,14 +625,14 @@ def test_split_cells_equal_their_standardized_refit(tmp_path, split, standardize
         masks = {f"{a}-{b}": (ds.t >= a) & (ds.t <= b - 2) for a, b in kwargs["periods"]}
     elif split == "exporter":
         kwargs["rca"] = tg.compute_rca(w.tensor, (2000, 2000))
-        labels = exporter_class_labels(ds, kwargs["rca"])
-        masks = {c.value: labels == c.value for c in tg.ExporterClass}
+        codes = exporter_class_codes(ds, kwargs["rca"])
+        masks = {c.value: codes == i for i, c in enumerate(tg.ExporterClass)}
     elif split == "lall":
         path = write_lall_concordance(tmp_path / "lall.csv", w.tensor.products,
                                       ["PP", "RB", "LT", "MT", "HT", "SP", "PP", "RB"])
         kwargs["concordance"] = tg.LallConcordance.from_csv(path)
-        labels = lall_labels(ds, kwargs["concordance"])
-        masks = {c.value: labels == c.value for c in tg.gravity.LALL_RANK_ORDER}
+        codes = lall_codes(ds, kwargs["concordance"])
+        masks = {c.value: codes == i for i, c in enumerate(LALL_RANK_ORDER)}
     results = tg.run_split_regressions(ds, split, standardize_response=standardize_response,
                                        **kwargs)
     assert_matches_standardized_refit(results, ds, masks, standardize_response)
@@ -556,23 +640,39 @@ def test_split_cells_equal_their_standardized_refit(tmp_path, split, standardize
 
 def test_threaded_split_cells_are_bitwise():
     # cells of several 4096-row blocks, so threads=3 strides over each
-    rng = np.random.default_rng(12)
-    n = 27_000
-    columns = {name: (rng.random(n) < 0.3).astype(float) if name in BINARY_COLUMNS
-               else rng.normal(size=n) * (j + 1) + j for j, name in enumerate(REGRESSOR_NAMES)}
-    ds = make_dataset(columns, response=0.05 * sum(columns.values()) + rng.normal(size=n))
+    n = 60_000
+    ds = random_dataset(n, seed=12)
+    rng = np.random.default_rng(13)
     ds.t = np.repeat(np.arange(2000, 2003, dtype=np.int32), n // 3)
+    ds.o = rng.integers(0, 4, n, dtype=np.int32)
+    ds.p = rng.integers(0, 7, n, dtype=np.int32)
+    ds.countries = tuple(f"C{i}" for i in range(4))
+    ds.products = tuple(f"{i:04d}" for i in range(7))
+    rca = tg.RcaMatrix(rng.choice([0.1, 0.5, 1.5, np.nan], size=(4, 7)), ds.countries,
+                       ds.products, (2000, 2000))
+    lall = list(LALL_CODES.values()) + [tg.LallCategory.PRIMARY]
+    conc = tg.LallConcordance(zip(ds.products, lall))
     periods = ((2000, 2003), (2001, 2004))
-    for split, kwargs in (("none", {}), ("period", {"periods": periods})):
+    exporter = exporter_class_codes(ds, rca)
+    lall_code = lall_codes(ds, conc)
+    for split, kwargs, masks in (
+            ("none", {}, {"all": np.ones(n, dtype=bool)}),
+            ("period", {"periods": periods},
+             {f"{a}-{b}": (ds.t >= a) & (ds.t <= b - 2) for a, b in periods}),
+            ("exporter", {"rca": rca},
+             {c.value: exporter == i for i, c in enumerate(tg.ExporterClass)}),
+            ("lall", {"concordance": conc},
+             {c.value: lall_code == i for i, c in enumerate(LALL_RANK_ORDER)})):
         one = tg.run_split_regressions(ds, split, **kwargs)
         three = tg.run_split_regressions(ds, split, threads=3, **kwargs)
-        assert set(one) == set(three) and len(one) == (1 if split == "none" else 2)
+        assert set(one) == set(three) == set(masks), split
+        assert all(mask.sum() > 2 * 4096 for mask in masks.values()), split
         for key in one:
             assert np.array_equal(one[key].beta, three[key].beta), key
             assert np.array_equal(one[key].se, three[key].se), key
             assert one[key].adj_r2 == three[key].adj_r2, key
-    masks = {f"{a}-{b}": (ds.t >= a) & (ds.t <= b - 2) for a, b in periods}
-    assert_matches_standardized_refit(three, ds, masks, False)
+            assert one[key].resid_se == three[key].resid_se, key
+        assert_matches_standardized_refit(three, ds, masks, False)
 
 
 def test_constant_column_cell_skipped_naming_it(caplog):
