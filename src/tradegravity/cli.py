@@ -226,6 +226,8 @@ def cmd_gravity(args, out):
             raise TradeDataError("--split lall needs --concordance")
         concordance = gravity.LallConcordance.from_csv(args.concordance)
         inputs.append(args.concordance)
+    elif args.split == "exporter":  # before any input is read
+        gravity.check_exporter_thresholds(args.rca_new, args.rca_experienced)
     tensor, period, ds = _gravity_dataset(args, period)
     if args.split == "exporter":
         year = args.rca_year or period[0]
@@ -352,7 +354,7 @@ def build_parser():
     p.add_argument("--dyad-csv", required=True)
     p.add_argument("--years", type=_parse_period, default=None,
                    help="inclusive year range (default: all years)")
-    p.add_argument("--threads", type=_thread_count, default=1)
+    p.add_argument("--threads", type=_thread_count, default=relatedness.usable_cpus())
     p.set_defaults(func=cmd_relatedness)
 
     def gravity_common(p):

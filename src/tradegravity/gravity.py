@@ -641,11 +641,16 @@ def _zscored(moments, standardize_response):
     return z, shift, scale
 
 
-def _exporter_codes(rca, new_threshold, experienced_threshold):
-    """Positions in ``ExporterClass`` of RCA values, NaN counting as 0."""
+def check_exporter_thresholds(new_threshold, experienced_threshold):
+    """Raise unless the thresholds give three ordered, finite exporter classes."""
     if not 0 <= new_threshold <= experienced_threshold < np.inf:
         raise TradeDataError(f"exporter thresholds need 0 <= new ({new_threshold}) "
                              f"<= experienced ({experienced_threshold}), both finite")
+
+
+def _exporter_codes(rca, new_threshold, experienced_threshold):
+    """Positions in ``ExporterClass`` of RCA values, NaN counting as 0."""
+    check_exporter_thresholds(new_threshold, experienced_threshold)
     r = np.fmax(rca, 0.0)  # fmax takes the number over a NaN
     return np.add(r >= new_threshold, r > experienced_threshold, dtype=np.uint8)
 
@@ -701,8 +706,9 @@ class LallConcordance:
 
 def lall_codes(dataset, concordance):
     """Per-row positions in ``LallCategory``; every product a row reads must map."""
-    used = np.flatnonzero(np.bincount(dataset.p, minlength=len(dataset.products)))
-    names = [dataset.products[i] for i in used]
+    used = np.zeros(len(dataset.products), dtype=bool)
+    used[dataset.p] = True  # a flag a product: np.bincount would copy p as 8-byte ints
+    names = [dataset.products[i] for i in np.flatnonzero(used)]
     missing = concordance.coverage_report(names)
     if missing:
         raise CoverageError(
@@ -755,13 +761,13 @@ def run_split_regressions(dataset, split, periods=None, horizon=2, rca=None,
             raise TradeDataError("lall split needs a concordance")
         else:
             codes = lall_codes(dataset, concordance)
-        counts = np.bincount(codes, minlength=len(LallCategory))
-        if counts[-1]:  # EXCLUDED, the last Lall code, joins no cell
-            log.info("lall split: dropping %d special-transaction rows", counts[-1])
-        # one stable sort lists the rows of each code, ascending, as one slice
-        ends, order = np.cumsum(counts), np.argsort(codes, kind="stable")
+        order = np.argsort(codes, kind="stable")  # each code's rows, ascending, as one slice
+        bounds = np.arange(len(LallCategory) + 1, dtype=np.uint8)  # the codes' dtype: no copy
+        edges = np.searchsorted(codes, bounds, sorter=order)
+        if edges[-1] > edges[-2]:  # EXCLUDED, the last Lall code, joins no cell
+            log.info("lall split: dropping %d special-transaction rows", edges[-1] - edges[-2])
         keys = tuple(ExporterClass) if split == "exporter" else LALL_RANK_ORDER
-        cells = ((key.value, order[end - count:end]) for key, count, end in zip(keys, counts, ends))
+        cells = ((key.value, order[a:b]) for key, a, b in zip(keys, edges, edges[1:]))
     else:
         raise TradeDataError(f"unknown split {split!r}")
     results = {}

@@ -15,7 +15,9 @@ matrix diagonal are both zero.
 """
 from __future__ import annotations
 
+import ctypes
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,6 +31,11 @@ log = logging.getLogger(__name__)
 
 _BOUND_SLACK = 1e-9
 RELATEDNESS_COLUMNS = ("year", "origin", "product", "destination", "omega", "omega_d", "omega_o")
+# glibc's malloc_trim: worker threads free their chunks into their own malloc arenas,
+# which the main thread never reuses, so their free pages go back to the OS
+_MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
+if _MALLOC_TRIM is not None:
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
 
 
 class DistanceWeights:
@@ -96,26 +103,31 @@ def _check_bounds(values, label):
     return np.clip(values, 0.0, 1.0)
 
 
-def _weighted_share(lead, second, n_second, col, v, weights, denom, chunk_rows, threads):
+def usable_cpus():
+    """The CPUs this process may run on: the default relatedness thread count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _weighted_share(lead, second, n_second, col, v, weights, denom, chunk_rows, threads, order=None):
     """Each cell's weighted share of its group's flows, aligned with the input cells.
 
-    A cell's group is (lead, second), and the cells come sorted by lead. For a
-    cell c the value is the sum over the cells c' of its group of
-    v[c'] * weights[col[c'], col[c]], divided by denom[c]: the entry
-    (group, col[c]) of S @ weights, where S is the sparse matrix of the group
-    flows by column. The product runs over chunks of whole lead values, about
-    ``chunk_rows`` groups each, on ``threads`` threads, so a chunk's cells are
-    one slice. Weights over 1 MB are multiplied 64 output columns at a time,
-    each tile copied once, so the tile stays in cache. Every entry sums its
-    group's cells in column order whatever the chunks and tiles, so neither
-    changes a bit. A zero denominator gives NaN.
+    A cell's group is (lead, second); ``order`` lists the cells sorted by lead
+    (default: as given). For a cell c the value is the sum over the cells c'
+    of its group of v[c'] * weights[col[c'], col[c]], divided by denom[c]: the
+    entry (group, col[c]) of S @ weights, where S is the sparse matrix of the
+    group flows by column. The product runs over chunks of whole lead values,
+    about ``chunk_rows`` groups each and each one slice of ``order``, on
+    ``threads`` threads (None: ``usable_cpus()``). Weights over 1 MB are
+    multiplied 64 output columns at a time, each tile copied once, so the tile
+    stays in cache. Every entry sums its group's cells in column order whatever
+    the chunks and tiles, so neither changes a bit. A zero denominator gives NaN.
     """
     import scipy.sparse as sp  # here: CLI stages that never evaluate relatedness skip its import
 
     leads = max(chunk_rows // n_second, 1)
-    n_lead = int(lead[-1]) + 1 if lead.size else 0
+    n_lead = int(lead.max()) + 1 if lead.size else 0
     starts = np.append(np.arange(0, n_lead, leads), n_lead)
-    bounds = np.searchsorted(lead, starts)
+    bounds = np.searchsorted(lead, starts, sorter=order)
     width = weights.shape[1] if weights.nbytes <= 1 << 20 else 64
     tiles = [np.ascontiguousarray(weights[:, j:j + width])
              for j in range(0, weights.shape[1], width)]
@@ -123,26 +135,30 @@ def _weighted_share(lead, second, n_second, col, v, weights, denom, chunk_rows, 
 
     def work(ci):
         lo, hi = bounds[ci], bounds[ci + 1]
-        rows = (lead[lo:hi] - starts[ci]) * n_second + second[lo:hi]
-        c = col[lo:hi]
-        s = sp.csr_matrix((v[lo:hi], (rows, c)),
+        cells = slice(lo, hi) if order is None else order[lo:hi]
+        rows = (lead[cells] - int(starts[ci])) * n_second + second[cells]  # int(): lead's dtype
+        c = col[cells]
+        s = sp.csr_matrix((v[cells], (rows, c)),
                           shape=((starts[ci + 1] - starts[ci]) * n_second, weights.shape[0]))
-        tile = c // width
-        for j, w in enumerate(tiles):
-            hit = slice(None) if len(tiles) == 1 else np.flatnonzero(tile == j)
-            numer[lo:hi][hit] = s.dot(w)[rows[hit], c[hit] - j * width]
+        if len(tiles) == 1:
+            numer[cells] = s.dot(tiles[0])[rows, c]
+            return
+        by_col = np.argsort(c, kind="stable")  # each tile's cells become one slice
+        ends = np.searchsorted(c, np.arange(width, weights.shape[1], width, dtype=c.dtype),
+                               sorter=by_col)
+        out = numer[cells] if order is None else np.empty(c.size)  # a view saves a copy
+        for j, (w, hit) in enumerate(zip(tiles, np.split(by_col, ends))):
+            out[hit] = s.dot(w)[rows[hit], c[hit] - j * width]
+        numer[cells] = out  # a no-op for the view
 
-    chunks = range(starts.size - 1)
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, chunks))
-    else:
-        for ci in chunks:
-            work(ci)
+    with ThreadPoolExecutor(usable_cpus() if threads is None else threads) as pool:
+        list(pool.map(work, range(starts.size - 1)))
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
     return np.divide(numer, denom, out=np.full(lead.size, np.nan), where=denom > 0)
 
 
-def product_relatedness(tensor, prox, year, chunk_rows=4096, threads=1):
+def product_relatedness(tensor, prox, year, chunk_rows=4096, threads=None):
     """Values for every active cell of the year, aligned with tensor.flows(year).
 
     Cells whose product has a zero proximity marginal are returned as NaN and
@@ -162,7 +178,7 @@ def product_relatedness(tensor, prox, year, chunk_rows=4096, threads=1):
     return _check_bounds(omega, "product relatedness")
 
 
-def importer_relatedness(tensor, weights, year, chunk_rows=65536, threads=1):
+def importer_relatedness(tensor, weights, year, chunk_rows=4096, threads=None):
     """Values for every active cell of the year, aligned with tensor.flows(year)."""
     o, p, d, v = tensor.flows(year)
     values = _weighted_share(o, p, tensor.n_products, d, v, weights.matrix.T,
@@ -170,19 +186,17 @@ def importer_relatedness(tensor, weights, year, chunk_rows=65536, threads=1):
     return _check_bounds(values, "importer relatedness")
 
 
-def exporter_relatedness(tensor, weights, year, chunk_rows=65536, threads=1):
+def exporter_relatedness(tensor, weights, year, chunk_rows=4096, threads=None):
     """Values for every active cell of the year, aligned with tensor.flows(year)."""
     o, p, d, v = tensor.flows(year)
-    order = np.argsort(p, kind="stable")  # the cells come sorted by o; the lead is p
-    o, p, d, v = o[order], p[order], d[order], v[order]
-    values = np.empty(order.size)
-    values[order] = _weighted_share(p, d, tensor.n_countries, o, v, weights.matrix.T,
-                                    tensor.x_pd(year)[p, d], chunk_rows, threads)
+    values = _weighted_share(p, d, tensor.n_countries, o, v, weights.matrix.T,
+                             tensor.x_pd(year)[p, d], chunk_rows, threads,
+                             np.argsort(p, kind="stable"))  # the cells come sorted by o
     return _check_bounds(values, "exporter relatedness")
 
 
-def compute_relatedness(tensor, prox, weights, year, threads=1):
-    """All three measures for the active cells of one year."""
+def compute_relatedness(tensor, prox, weights, year, threads=None):
+    """All three measures for the active cells of one year; threads default to usable_cpus()."""
     if tuple(weights.countries) != tuple(tensor.countries):
         raise TradeDataError("distance weights were built for a different country sample")
     if tuple(prox.products) != tuple(tensor.products):

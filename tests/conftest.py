@@ -14,11 +14,12 @@ def small_world():
 
 @pytest.fixture(scope="session")
 def small_pipeline(small_world):
-    """(world, proximity, weights, relatedness by year) for the small world."""
+    """(world, proximity, weights, relatedness by year) for the small world; the
+    relatedness is the one-thread reference the invariance tests compare against."""
     w = small_world
     prox = tg.compute_proximity(tg.binarize(tg.compute_rca(w.tensor, w.proximity_window)))
     weights = tg.DistanceWeights.from_dyads(w.tensor.countries, w.dyad_meta)
-    rel = {y: tg.compute_relatedness(w.tensor, prox, weights, y)
+    rel = {y: tg.compute_relatedness(w.tensor, prox, weights, y, threads=1)
            for y in w.tensor.years}
     return w, prox, weights, rel
 

@@ -123,12 +123,13 @@ def test_rerun_is_byte_identical(pipeline, tmp_path):
 
 def test_threads_flag_is_output_invariant(pipeline, tmp_path):
     root, world, stage = pipeline
-    threaded = tmp_path / "threaded"
-    assert run("relatedness", "-o", threaded, "--trade", stage / "reconciled.csv",
-               "--proximity", stage / "proximity.csv",
-               "--dyad-csv", world / "dyad.csv", "--threads", "3") == 0
-    assert (threaded / "relatedness.csv").read_bytes() == \
-        (stage / "relatedness.csv").read_bytes()
+    # the pipeline's relatedness stage ran on the default, every usable CPU
+    for threads in ("1", "3"):
+        assert run("relatedness", "-o", tmp_path / threads, "--trade", stage / "reconciled.csv",
+                   "--proximity", stage / "proximity.csv",
+                   "--dyad-csv", world / "dyad.csv", "--threads", threads) == 0
+        assert (tmp_path / threads / "relatedness.csv").read_bytes() == \
+            (stage / "relatedness.csv").read_bytes()
     meta = ["--trade", stage / "reconciled.csv", "--relatedness", stage / "relatedness.csv",
             "--country-csv", world / "country.csv", "--dyad-csv", world / "dyad.csv",
             "--split", "period", "--periods", "2000-2002"]
@@ -146,6 +147,13 @@ def test_unordered_exporter_thresholds_are_exit_one(pipeline, tmp_path, capsys):
                "--split", "exporter", "--rca-new", "2", "--rca-experienced", "1") == 1
     err = capsys.readouterr().err
     assert "new (2.0)" in err and "experienced (1.0)" in err, err
+    # the thresholds are checked before any input is read
+    assert run("gravity", "-o", tmp_path, "--trade", tmp_path / "missing.csv",
+               "--relatedness", tmp_path / "missing.csv", "--country-csv", tmp_path / "missing.csv",
+               "--dyad-csv", tmp_path / "missing.csv",
+               "--split", "exporter", "--rca-new", "2", "--rca-experienced", "1") == 1
+    err = capsys.readouterr().err
+    assert "new (2.0)" in err and "missing.csv" not in err, err
 
 
 def test_manifest_contents(pipeline):

@@ -493,12 +493,17 @@ def test_split_cells_copy_no_columns(pool_200k):
     categories = list(LALL_CODES.values())
     conc = tg.LallConcordance((p, categories[i % 6]) for i, p in enumerate(w.tensor.products))
     tg.run_split_regressions(ds, "none")  # scipy.special's first import is not the split's
-    for kwargs in ({"rca": rca}, {"concordance": conc}):
+    block = (tg.gravity.K_PARAMETERS + 1) * 4096 * 8  # one 4096-row block of [1 | x | y]
+    for kwargs, codes in (({"rca": rca}, lambda: exporter_class_codes(ds, rca)),
+                          ({"concordance": conc}, lambda: lall_codes(ds, conc))):
         split = "exporter" if "rca" in kwargs else "lall"
         cells, _, peak = traced(lambda: tg.run_split_regressions(ds, split, **kwargs))
         assert len(cells) == (3 if split == "exporter" else 5)
         # a uint8 code and an 8-byte row index a row, plus a few blocks' temporaries
-        assert peak < 3 * 8 * ds.n, (split, peak / ds.n)
+        assert peak < 9 * ds.n + 5 * block, (split, peak / ds.n)
+        # a code is a byte a row, with no 8-byte count of the products on the side
+        peak = traced(codes)[2]
+        assert peak < 2 * ds.n, (split, peak / ds.n)
 
 
 # ------------------------------------------------------------ classification

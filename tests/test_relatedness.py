@@ -1,3 +1,7 @@
+import os
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -235,6 +239,68 @@ def test_weighted_share_bits_match_one_whole_year_product():
         got = tg.relatedness._weighted_share(lead, second, n_second, col, v, weights,
                                              np.ones(v.size), chunk_rows, threads)
         assert np.array_equal(got, want), (chunk_rows, threads)
+
+
+def test_weighted_share_through_an_order_matches_sorted_cells():
+    # cells sorted by column, as exporter relatedness's (o, p, d) with the lead
+    # p; a stable order by lead lists each group's cells in column order, so
+    # the 64-column tiles and the chunks keep the bits of the lead-sorted run
+    rng = np.random.default_rng(19)
+    n_lead, n_second, n_col = 7, 5, 400
+    weights = rng.random((n_col, n_col))
+    col, lead, second = np.nonzero(rng.random((n_col, n_lead, n_second)) < 0.3)
+    v = rng.lognormal(size=lead.size)
+    order = np.argsort(lead, kind="stable")
+    want = np.empty(v.size)
+    want[order] = tg.relatedness._weighted_share(lead[order], second[order], n_second,
+                                                 col[order], v[order], weights,
+                                                 np.ones(v.size), 10 ** 6, 1)
+    for chunk_rows, threads in ((n_second - 1, 1), (2 * n_second, 2)):
+        got = tg.relatedness._weighted_share(lead, second, n_second, col, v, weights,
+                                             np.ones(v.size), chunk_rows, threads, order)
+        assert np.array_equal(got, want), (chunk_rows, threads)
+
+
+def test_default_threads_are_the_usable_cpus(small_pipeline, monkeypatch):
+    w, prox, weights, rel = small_pipeline
+    if hasattr(os, "sched_getaffinity"):
+        assert tg.relatedness.usable_cpus() == len(os.sched_getaffinity(0))
+    pools = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(tg.relatedness, "ThreadPoolExecutor", Recording)
+    year = w.tensor.years[0]
+    base = rel[year]  # threads=1
+    # one lead value a chunk: six origins for omega and omega_d, nine products for omega_o
+    for measure, default in [
+            (base.omega, tg.product_relatedness(w.tensor, prox, year, chunk_rows=1)),
+            (base.omega_d, tg.importer_relatedness(w.tensor, weights, year, chunk_rows=1)),
+            (base.omega_o, tg.exporter_relatedness(w.tensor, weights, year, chunk_rows=1))]:
+        assert np.array_equal(measure, default, equal_nan=True)
+    assert pools == [tg.relatedness.usable_cpus()] * 3
+
+
+def test_exporter_relatedness_keeps_no_year_wide_copies():
+    # a year's cells take the p-order index, the denominator, the numerator and
+    # the quotient (8 bytes each) and small chunks; permuted year-wide copies of
+    # o, p, d and v and their scatter back took about 61 bytes a cell
+    cfg = tg.SyntheticWorldConfig(n_countries=40, n_products=250, n_years=1, sparsity=0.5,
+                                  seed=2)
+    w = tg.generate_world(cfg)
+    weights = tg.DistanceWeights.from_dyads(w.tensor.countries, w.dyad_meta)
+    year = w.tensor.years[0]
+    tg.exporter_relatedness(w.tensor, weights, year)  # the marginal is cached
+    tracemalloc.start()
+    try:
+        tg.exporter_relatedness(w.tensor, weights, year, chunk_rows=1024, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * w.tensor.n_cells(year), peak / w.tensor.n_cells(year)
 
 
 def test_relatedness_csv_roundtrip(tmp_path, small_pipeline):
