@@ -24,7 +24,7 @@ import logging
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 import numpy as np
 
@@ -305,9 +305,10 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
     }
 
     missing_pair = np.isnan(fields["distance"])
-    chunks = []
-    dropped_omega = 0
-    for yr, t in enumerate(years):
+    dropped_omega = []  # per year
+
+    def plan(t):
+        """Check year t, fill its tables; its keep mask and kept cells' positions, or None."""
         if not tensor.has_year(t):
             raise TradeDataError(f"no flows for base year {t} in period ({start},{end})")
         rel = relatedness_by_year.get(t)
@@ -318,13 +319,13 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
 
         o, p, d, v = tensor.flows(t)
         keys = tensor.cell_keys(t)
-        fwd, found = np.zeros(keys.size), np.zeros(keys.size, dtype=bool)
+        fpos = np.full(keys.size, -1, dtype=np.int32)  # -1: no forward flow
         if tensor.has_year(t + horizon):
             found, pos = lookup(tensor.cell_keys(t + horizon), keys)
-            fwd[found] = tensor.flows(t + horizon)[3][pos[found]]
+            fpos[found] = pos[found]
         elif zeros == "drop":
             raise TradeDataError(f"no flows for forward year {t + horizon}")
-        keep = found if zeros == "drop" else np.ones(keys.size, dtype=bool)
+        keep = fpos >= 0 if zeros == "drop" else np.ones(keys.size, dtype=bool)
 
         # relatedness computed from this tensor holds its cells in its order;
         # a file's cells lack the undefined-omega ones its writer dropped,
@@ -335,16 +336,12 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
             rel_found, rpos = lookup(rel.cell_keys(), keys)
             omega = np.where(rel_found, rel.omega[rpos], np.nan)
         omega_defined = np.isfinite(omega)
-        dropped_omega += int((keep & ~omega_defined).sum())
+        dropped_omega.append(int((keep & ~omega_defined).sum()))
         keep &= omega_defined
 
         if not keep.any():
-            continue
-        o, p, d, v, fwd = o[keep], p[keep], d[keep], v[keep], fwd[keep]
-        rsel = keep if rpos is None else rpos[keep]
-        chunks.append((np.full(o.size, t, dtype=np.int32), o, p, d,
-                       np.log(fwd) if zeros == "drop" else np.log1p(fwd),
-                       omega[keep], rel.omega_d[rsel], rel.omega_o[rsel], np.log(v)))
+            return None
+        yr, o, d = t - start, o[keep], d[keep]
 
         with np.errstate(divide="ignore"):  # log 0 = -inf: a marginal no row reads
             np.log(tensor.x_op(t), out=log_x_op[yr])
@@ -362,33 +359,50 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
             if hit.size:
                 raise CoverageError(f"no dyad data for sampled pair "
                                     f"({countries[o[hit[0]]]},{countries[d[hit[0]]]})")
+        return t, keep, fpos[keep], rel, None if rpos is None else rpos[keep]
 
-    if not chunks:
+    plans = list(filter(None, map(plan, years)))  # the years' temporaries are gone
+    if not plans:
         raise TradeDataError(f"no regression rows in period ({start},{end})")
-    if dropped_omega:
+    if sum(dropped_omega):
         log.info("build_dataset: dropped %d rows with undefined product relatedness",
-                 dropped_omega)
-    # a single-year pool skips the concatenate copy
-    t, o, p, d, response, *stored = (c[0] if len(chunks) == 1 else np.concatenate(c)
-                                     for c in zip(*chunks))
-    stored = dict(zip(REGRESSOR_NAMES, stored))
+                 sum(dropped_omega))
+    # each pooled row is written once, into its year's slice of the row arrays
+    ends = list(accumulate(int(keep.sum()) for _, keep, *_ in plans))
+    row_keys = {axis: np.empty(ends[-1], dtype=np.int32) for axis in "topd"}
+    response = np.empty(ends[-1])
+    stored = {name: np.empty(ends[-1]) for name in REGRESSOR_NAMES[:4]}
+    spans = [(t, slice(lo, hi)) for (t, *_), lo, hi in zip(plans, [0] + ends, ends)]
+    for (t, keep, ahead, rel, rpos), (_, rows) in zip(plans, spans):
+        cells = np.flatnonzero(keep)
+        row_keys["t"][rows] = t
+        for a, out in zip(tensor.flows(t), (*map(row_keys.get, "opd"), stored["log_x_opd"])):
+            np.take(a, cells, out=out[rows], mode="clip")
+        for name in REGRESSOR_NAMES[:3]:
+            np.take(getattr(rel, name), cells if rpos is None else rpos, out=stored[name][rows],
+                    mode="clip")
+        np.log(stored["log_x_opd"][rows], out=stored["log_x_opd"][rows])
+        if tensor.has_year(t + horizon):  # -1 wraps to the last flow, set to 0 below
+            np.take(tensor.flows(t + horizon)[3], ahead, out=response[rows], mode="wrap")
+        response[rows][ahead < 0] = 0.0
+        (np.log if zeros == "drop" else np.log1p)(response[rows], out=response[rows])
     for name in REGRESSOR_NAMES:
         if name in stored:
             finite = np.isfinite(stored[name]).all()
         else:
-            finite = not _reads_non_finite(*tables[name], chunks, start)
+            finite = not _reads_non_finite(*tables[name], row_keys, spans, start)
         if not finite:
             raise TradeDataError(f"non-finite values in column {name}")
-    columns = Columns(stored, tables, {"t": t, "o": o, "p": p, "d": d}, first_year=start)
-    return GravityDataset(t=t, o=o, p=p, d=d, response=response, columns=columns,
+    columns = Columns(stored, tables, row_keys, first_year=start)
+    return GravityDataset(**row_keys, response=response, columns=columns,
                           countries=countries, products=products)
 
 
-def _reads_non_finite(axes, table, chunks, first_year):
-    """Whether a row of ``chunks`` reads a non-finite entry of a gathered table."""
-    for t, o, p, d, *_ in chunks:
-        bad = ~np.isfinite(table[t[0] - first_year] if axes[0] == "t" else table)
-        at = tuple({"o": o, "p": p, "d": d}[axis] for axis in axes.removeprefix("t"))
+def _reads_non_finite(axes, table, keys, spans, first_year):
+    """Whether a row of any year's ``rows`` reads a non-finite entry of a gathered table."""
+    for t, rows in spans:
+        bad = ~np.isfinite(table[t - first_year] if axes[0] == "t" else table)
+        at = tuple(keys[axis][rows] for axis in axes.removeprefix("t"))
         if bad.any() and bad[at].any():
             return True
     return False

@@ -94,13 +94,14 @@ class RelatednessValues:
 
 
 def _check_bounds(values, label):
-    finite = values[np.isfinite(values)]
-    if finite.size == 0:
+    finite = np.isfinite(values)
+    if not finite.any():
         return values
-    lo, hi = finite.min(), finite.max()
+    lo = np.min(values, where=finite, initial=np.inf)
+    hi = np.max(values, where=finite, initial=-np.inf)
     if lo < -_BOUND_SLACK or hi > 1.0 + _BOUND_SLACK:
         raise TradeDataError(f"{label} out of [0,1]: min={lo!r} max={hi!r}")
-    return np.clip(values, 0.0, 1.0)
+    return np.clip(values, 0.0, 1.0, out=values)  # in place: callers pass their own arrays
 
 
 def usable_cpus():
@@ -126,7 +127,7 @@ def _weighted_share(lead, second, n_second, col, v, weights, denom, chunk_rows, 
 
     leads = max(chunk_rows // n_second, 1)
     n_lead = int(lead.max()) + 1 if lead.size else 0
-    starts = np.append(np.arange(0, n_lead, leads), n_lead)
+    starts = np.append(np.arange(0, n_lead, leads), n_lead).astype(lead.dtype)  # no int64 lead
     bounds = np.searchsorted(lead, starts, sorter=order)
     width = weights.shape[1] if weights.nbytes <= 1 << 20 else 64
     tiles = [np.ascontiguousarray(weights[:, j:j + width])

@@ -467,6 +467,50 @@ def test_dataset_holds_nine_row_arrays_and_its_tables(pool_200k):
     assert held <= rows + tables + 2 ** 16, (held, rows + tables)
 
 
+@pytest.fixture(scope="module")
+def exits_pool():
+    """Four base years with exits and, every year, cells of undefined omega."""
+    cfg = tg.SyntheticWorldConfig(n_countries=20, n_products=60, n_years=6, sparsity=0.5, seed=3)
+    w = tg.generate_world(cfg)
+    prox = tg.compute_proximity(tg.binarize(tg.compute_rca(w.tensor, (2000, 2005))))
+    phi = prox.phi.copy()
+    phi[0] = phi[:, 0] = 0.0  # the first product relates to none: its omega is undefined
+    prox = tg.ProximityMatrix(phi, prox.products)
+    weights = tg.DistanceWeights.from_dyads(w.tensor.countries, w.dyad_meta)
+    rel = {y: tg.compute_relatedness(w.tensor, prox, weights, y) for y in range(2000, 2004)}
+    return w, rel
+
+
+def test_dataset_from_a_relatedness_file_is_bitwise_the_in_memory_one(tmp_path, exits_pool):
+    w, rel = exits_pool
+    assert all(np.isnan(r.omega).any() for r in rel.values())
+    path = tmp_path / "rel.csv"
+    tg.relatedness.write_relatedness_csv(list(rel.values()), path)
+    back = tg.relatedness.read_relatedness_csv(path, w.tensor.countries, w.tensor.products)
+    n = {}
+    for zeros in ("drop", "log1p"):
+        want, got = (tg.build_dataset(w.tensor, r, w.country_meta, w.dyad_meta, (2000, 2005),
+                                      zeros=zeros) for r in (rel, back))
+        assert len(np.unique(want.t)) == 4
+        for name in ("t", "o", "p", "d", "response"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        for name in REGRESSOR_NAMES:
+            a, b = got.columns[name], want.columns[name]
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        n[zeros] = want.n
+    assert n["log1p"] > n["drop"]  # the exits that log1p keeps
+
+
+@pytest.mark.parametrize("zeros", ["drop", "log1p"])
+def test_dataset_build_peaks_near_the_rows_it_holds(exits_pool, zeros):
+    # each pooled row is written once: no per-year copies to concatenate
+    w, rel = exits_pool
+    _, held, peak = traced(lambda: tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta,
+                                                    (2000, 2005), zeros=zeros))
+    assert peak <= 1.5 * held, peak / held
+
+
 def test_standardized_fit_copies_no_columns(pool_200k):
     w, rel = pool_200k
     ds = tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2002))

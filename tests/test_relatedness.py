@@ -303,6 +303,19 @@ def test_exporter_relatedness_keeps_no_year_wide_copies():
     assert peak < 40 * w.tensor.n_cells(year), peak / w.tensor.n_cells(year)
 
 
+def test_bounds_check_keeps_nan_clips_the_slack_and_rejects_the_rest():
+    values = np.array([np.nan, -5e-10, 0.25, 1.0 + 5e-10, np.nan])
+    got = tg.relatedness._check_bounds(values.copy(), "omega")
+    assert np.array_equal(got, [np.nan, 0.0, 0.25, 1.0, np.nan], equal_nan=True)
+    nan = np.full(3, np.nan)
+    assert np.array_equal(tg.relatedness._check_bounds(nan.copy(), "omega"), nan, equal_nan=True)
+    for lo, hi in ((-2e-9, 0.5), (0.5, 1.0 + 2e-9)):
+        with pytest.raises(tg.TradeDataError) as err:
+            tg.relatedness._check_bounds(np.array([lo, np.nan, hi]), "omega")
+        want = f"omega out of [0,1]: min={np.float64(lo)!r} max={np.float64(hi)!r}"
+        assert str(err.value) == want
+
+
 def test_relatedness_csv_roundtrip(tmp_path, small_pipeline):
     w, prox, weights, rel = small_pipeline
     path = tmp_path / "rel.csv"
