@@ -370,7 +370,7 @@ def build_parser():
 
     p = sub.add_parser("gravity", help="fit the pooled two-year-ahead model")
     gravity_common(p)
-    p.add_argument("--threads", type=_thread_count, default=1)
+    p.add_argument("--threads", type=_thread_count, default=relatedness.usable_cpus())
     p.add_argument("--split", default="none",
                    choices=["none", "period", "exporter", "lall"])
     p.add_argument("--periods", type=_parse_periods, default=None,

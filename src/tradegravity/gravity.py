@@ -31,6 +31,7 @@ import numpy as np
 from .csvio import read_json, read_table, write_rows
 from .errors import CoverageError, SingularDesignError, TradeDataError
 from .ingest import lookup
+from .relatedness import usable_cpus
 
 log = logging.getLogger(__name__)
 
@@ -113,7 +114,8 @@ class Columns(Mapping):
 
     def design_matrix(self, rows):
         """The intercept and the 15 regressors at ``rows`` (a slice or an index array)."""
-        return self._block(rows).T
+        m = len(range(self._n)[rows]) if isinstance(rows, slice) else len(rows)
+        return self._block(rows, np.empty((K_PARAMETERS, m))).T
 
     def _build(self, name):
         if name in self._stored:
@@ -126,14 +128,12 @@ class Columns(Mapping):
             self._gather((name,), rows, out[:, rows])
         return out[0]
 
-    def _block(self, rows):
+    def _block(self, rows, out):
         # one contiguous row per design-matrix column, so the gathers and the
-        # z-scoring run along rows
-        m = len(range(self._n)[rows]) if isinstance(rows, slice) else len(rows)
-        x = np.empty((K_PARAMETERS, m))
-        x[0] = 1.0
-        self._gather(REGRESSOR_NAMES, rows, x[1:])
-        return x
+        # z-scoring run along rows; only the first 16 rows of ``out`` are written
+        out[0] = 1.0
+        self._gather(REGRESSOR_NAMES, rows, out[1:K_PARAMETERS])
+        return out
 
     def _gather(self, names, rows, out):
         """Write each named column at ``rows`` into its row of ``out``."""
@@ -170,11 +170,11 @@ class _ZScored(Columns):
         z /= self._scale[j]
         return z
 
-    def _block(self, rows):
-        x = self._base._block(rows)
-        x -= self._shift[:, None]
-        x /= self._scale[:, None]
-        return x
+    def _block(self, rows, out):
+        self._base._block(rows, out)
+        out[:K_PARAMETERS] -= self._shift[:, None]
+        out[:K_PARAMETERS] /= self._scale[:, None]
+        return out
 
 
 @dataclass
@@ -443,12 +443,14 @@ class _Moments:
     def of(cls, block):
         """The moments of a column-major block: one contiguous row per column."""
         # deviations from the first entry are exactly zero in a constant column, so
-        # its C entries stay zero; dev @ dev.T runs as a BLAS syrk whose bits do
-        # not depend on the BLAS thread count (a subprocess test guards this)
+        # its C entries stay zero; np.dot(dev, dev.T) runs as a BLAS syrk whose bits do
+        # not depend on the BLAS thread count (a subprocess test guards this). It is
+        # dev @ dev.T's syrk, bit for bit, but releases the GIL, which numpy's @ holds,
+        # so the workers of _accumulate overlap
         dev = block - block[:, :1]
         offset = dev.mean(axis=1)
         dev -= offset[:, None]
-        return cls(block.shape[1], block[:, 0] + offset, dev @ dev.T)
+        return cls(block.shape[1], block[:, 0] + offset, np.dot(dev, dev.T))
 
     def __add__(self, other):
         # pairwise update of Chan, Golub & LeVeque (1979)
@@ -606,23 +608,29 @@ def solve_normal_equations(c, mean, n, names):
                             resid_se=float(np.sqrt(sigma2)), ortho_rel=ortho)
 
 
-def _accumulate(dataset, rows=None, block_rows=4096, threads=1):
+def _accumulate(dataset, rows=None, block_rows=4096, threads=None):
     """The moments of [1 | x | y] over ``rows`` (an index array; None is every
     row, whose moments a dataset made by ``standardize`` carries), else streamed
-    by blocks: worker j of ``threads`` reads blocks j, j + threads, ..., and
-    their moments join in block order, so ``threads`` never changes the bits."""
+    by blocks: worker j of ``threads`` (None: every usable CPU) reads blocks j,
+    j + threads, ..., and their moments join in block order, so ``threads`` never
+    changes the bits."""
     if rows is None and dataset.moments is not None:
         return dataset.moments
     n = dataset.n if rows is None else rows.size
+    threads = usable_cpus() if threads is None else threads
 
     def stride(j):
-        # one reused block buffer: a fresh array per block made _Moments.of twice as slow
+        # each worker gathers its blocks in place into one (17, block_rows) buffer:
+        # a fresh array per block made _Moments.of twice as slow
         buf, out = np.empty((K_PARAMETERS + 1, block_rows)), []
         for lo in range(j * block_rows, n, threads * block_rows):
-            sel = slice(lo, min(lo + block_rows, n))
+            block, sel = buf[:, :n - lo], slice(lo, lo + block_rows)
             sel = sel if rows is None else rows[sel]
-            x, y = _checked(dataset.design_matrix(sel), dataset.response[sel], K_PARAMETERS)
-            out.append(_Moments.of(np.concatenate((x.T, y[None]), out=buf[:, :y.size])))
+            dataset.columns._block(sel, block)
+            block[-1] = dataset.response[sel]
+            if not np.isfinite(block).all():
+                raise TradeDataError("non-finite entries in regression chunk")
+            out.append(_Moments.of(block))
         return out
 
     nodes = []
@@ -634,9 +642,9 @@ def _accumulate(dataset, rows=None, block_rows=4096, threads=1):
     return _total(nodes)
 
 
-def fit_ols(dataset, block_rows=4096, threads=1):
+def fit_ols(dataset, block_rows=4096, threads=None):
     """Fit the full 16-parameter model from the moments ``standardize`` left on the
-    dataset, else streamed one block at a time; ``threads`` never changes the result."""
+    dataset, else streamed by blocks; ``threads`` (None: every usable CPU) never changes it."""
     return _accumulate(dataset, block_rows=block_rows, threads=threads).solve(_DESIGN_NAMES)
 
 
@@ -735,7 +743,7 @@ def lall_codes(dataset, concordance):
 def run_split_regressions(dataset, split, periods=None, horizon=2, rca=None,
                           concordance=None, new_threshold=0.2,
                           experienced_threshold=1.0, standardize_response=False,
-                          threads=1):
+                          threads=None):
     """Fit the model within each split cell, z-scored over the cell's own rows.
 
     ``split`` is one of "none", "period", "exporter", "lall". Period splits
@@ -794,17 +802,22 @@ def run_split_regressions(dataset, split, periods=None, horizon=2, rca=None,
 
 def summary_stats(dataset):
     """Per regressor: (name, n, mean, std, min, max); a constant column is flagged.
-    n, mean and std come from the co-moments, min and max from one column read."""
+    n, mean and std come from the co-moments, min and max from one pass over
+    blocks of rows gathered into one reused buffer."""
     moments = _accumulate(dataset)
     std = moments.std()
+    buf = np.empty((K_PARAMETERS, 4096))
+    low, high = np.full(K_PARAMETERS, np.inf), np.full(K_PARAMETERS, -np.inf)
+    for lo in range(0, dataset.n, 4096):
+        block = dataset.columns._block(slice(lo, lo + 4096), buf[:, :dataset.n - lo])
+        np.minimum(low, block.min(axis=1), out=low)
+        np.maximum(high, block.max(axis=1), out=high)
     rows = []
     for j, name in enumerate(REGRESSOR_NAMES, start=1):
         if std[j] == 0:
             log.warning("summary_stats: column %s has zero variance", name)
-        col = dataset.columns.column(name)
         rows.append((name, moments.n, float(moments.mean[j]), float(std[j]),
-                     float(col.min()), float(col.max())))
-        del col  # freed before the next column is built
+                     float(low[j]), float(high[j])))
     return rows
 
 

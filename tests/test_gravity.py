@@ -1,12 +1,14 @@
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import tradegravity as tg
+from tradegravity.cli import build_parser
 from tradegravity.gravity import (BINARY_COLUMNS, LALL_CODES, LALL_RANK_ORDER,
                                   REGRESSOR_NAMES, StreamingOLS, _accumulate, _Moments,
-                                  exporter_class_codes, lall_codes,
+                                  _zscored, exporter_class_codes, lall_codes,
                                   solve_normal_equations, trend_over_lall)
 
 from conftest import make_dataset, write_lall_concordance
@@ -194,6 +196,49 @@ def test_reduction_tree_is_pinned():
     for res in (acc.result(), tg.fit_ols(ds, threads=2)):
         assert np.array_equal(res.beta, fit.beta) and np.array_equal(res.se, fit.se)
         assert res.adj_r2 == fit.adj_r2 and res.resid_se == fit.resid_se
+    # a split cell's index array: three whole blocks and a partial one, whose
+    # binary-counter tree is the sum in block order, at any thread count
+    rows = np.random.default_rng(8).permutation(ds.n)[:3 * 4096 + 1000]
+    # each block C-ordered, one contiguous row a column, as _Moments.of reads it
+    b = [_Moments.of(np.vstack((x[sel].T, y[sel])).copy(order="C"))
+         for sel in (rows[lo:lo + 4096] for lo in range(0, rows.size, 4096))]
+    want = sum(b[1:], b[0])
+    for threads in (1, 2, 3):
+        moments = _accumulate(ds, rows, threads=threads)
+        assert moments.n == want.n == rows.size
+        assert np.array_equal(moments.mean, want.mean), threads
+        assert np.array_equal(moments.c, want.c), threads
+
+
+def test_default_threads_are_the_usable_cpus(monkeypatch):
+    pools = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(tg.gravity, "ThreadPoolExecutor", Recording)
+    ds = random_dataset(5 * 4096 + 100, seed=9)  # raw: every pass is streamed
+    ds.t = np.repeat(np.arange(2000, 2004, dtype=np.int32), (5 * 4096 + 100) // 4)
+    periods = ((2000, 2003), (2001, 2005))
+    serial = (tg.fit_ols(ds, threads=1), _zscored(_accumulate(ds, threads=1), False)[0],
+              tg.run_split_regressions(ds, "period", periods=periods, threads=1))
+    pools.clear()
+    default = (tg.fit_ols(ds), tg.standardize(ds)[0].moments,
+               tg.run_split_regressions(ds, "period", periods=periods))
+    assert pools == [tg.relatedness.usable_cpus()] * 4  # the fit, standardize, two cells
+    fits = [(serial[0], default[0])] + [(serial[2][k], default[2][k]) for k in serial[2]]
+    assert len(fits) == 3
+    for one, many in fits:
+        assert np.array_equal(one.beta, many.beta) and np.array_equal(one.se, many.se)
+        assert one.adj_r2 == many.adj_r2 and one.resid_se == many.resid_se
+    assert np.array_equal(serial[1].mean, default[1].mean)
+    assert np.array_equal(serial[1].c, default[1].c)
+    args = build_parser().parse_args(
+        ["gravity", "--trade", "t", "--relatedness", "r", "--country-csv", "c",
+         "--dyad-csv", "d"])
+    assert args.threads == tg.relatedness.usable_cpus()
 
 
 def test_non_finite_and_misshapen_rows_are_errors(caplog):
@@ -747,6 +792,17 @@ def test_summary_stats_standardized(small_dataset):
         else:
             assert abs(mean) < 1e-9
             assert abs(std - 1.0) < 1e-9
+
+
+def test_summary_min_max_are_the_columns_exactly(pool_200k):
+    w, rel = pool_200k
+    raw = tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2002))
+    assert raw.n % 4096 != 0  # the last block is partial
+    for ds in (raw, tg.standardize(raw)[0]):
+        for name, _, _, _, lo, hi in tg.summary_stats(ds):
+            col = ds.columns.column(name)
+            want = np.array([np.min(col), np.max(col)])
+            assert np.array([lo, hi]).tobytes() == want.tobytes(), name
 
 
 def test_summary_stats_flags_constant(caplog):
