@@ -26,6 +26,12 @@ from .errors import ParseError, TradeDataError
 
 log = logging.getLogger(__name__)
 
+# parsed options that only steer the run; the manifest's config leaves them out
+RUN_KEYS = ("command", "func", "output_dir", "log_level")
+# input-file options: the manifest hashes each one given under inputs, not config
+INPUT_KEYS = ("trade", "proximity", "relatedness", "country_csv", "dyad_csv", "concordance",
+              "input", "config")
+
 
 def _sha256(path):
     h = hashlib.sha256()
@@ -35,11 +41,16 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, command, inputs, config, outputs, row_counts, started):
+def _write_manifest(out_dir, args, outputs, row_counts, started):
+    """Write the stage's manifest. Its config is every parsed option but the run-control
+    and input-file ones (a cmd_* writes a default it resolves back onto args); its
+    inputs hash every input file the run was given."""
+    options = vars(args)
+    config = {k: v for k, v in options.items() if k not in RUN_KEYS + INPUT_KEYS}
     config_json = json.dumps(config, sort_keys=True)
     manifest = {
-        "command": command,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "command": args.command,
+        "inputs": {str(options[k]): _sha256(options[k]) for k in INPUT_KEYS if options.get(k)},
         "config": config,
         "config_hash": hashlib.sha256(config_json.encode()).hexdigest(),
         "outputs": {str(p): _sha256(p) for p in outputs},
@@ -48,11 +59,16 @@ def _write_manifest(out_dir, command, inputs, config, outputs, row_counts, start
         # the stage process's peak resident size; ru_maxrss is in KiB on Linux
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
-    path = Path(out_dir) / f"{command}_manifest.json"
+    path = Path(out_dir) / f"{args.command}_manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+def _all_years(tensor):
+    """The default --window/--period: every year of the tensor."""
+    return tensor.years[0], tensor.years[-1]
 
 
 def _parse_period(text):
@@ -123,12 +139,10 @@ def cmd_ingest(args, out):
     batch, rejects = ingest.load_trade_csv(args.trade)
     tensor, audit = ingest.reconcile(batch, policy=args.policy)
     removed = {}
-    inputs = [args.trade]
     if args.filter:
         if not args.country_csv:
             raise TradeDataError("--filter needs --country-csv for population data")
         meta = ingest.CountryMeta.from_csv(args.country_csv)
-        inputs.append(args.country_csv)
         rules = ingest.FilterConfig(
             min_population=args.min_population,
             min_trade_value=args.min_trade,
@@ -140,12 +154,6 @@ def cmd_ingest(args, out):
     rejects_path = out / "rejects.csv"
     ingest.write_tensor_csv(tensor, reconciled)
     ingest.write_rejects_report(rejects, rejects_path)
-    config = {
-        "policy": str(args.policy), "filter": bool(args.filter),
-        "min_population": args.min_population, "min_trade": args.min_trade,
-        "trade_year": args.trade_year, "population_year": args.population_year,
-        "exclude": args.exclude,
-    }
     counts = {
         "records": len(batch), "rejects": len(rejects),
         "cells": sum(tensor.n_cells(y) for y in tensor.years),
@@ -156,29 +164,27 @@ def cmd_ingest(args, out):
                   "both_agree": audit.both_agree,
                   "both_discrepant": audit.both_discrepant},
     }
-    return inputs, config, [reconciled, rejects_path], counts
+    return [reconciled, rejects_path], counts
 
 
 def cmd_rca(args, out):
     tensor = ingest.read_tensor_csv(args.trade)
-    window = args.window if args.window else (tensor.years[0], tensor.years[-1])
-    rca = complexity.compute_rca(tensor, window)
+    args.window = args.window or _all_years(tensor)
+    rca = complexity.compute_rca(tensor, args.window)
     path = out / "rca.csv"
     complexity.write_rca_csv(rca, path)
-    return ([args.trade], {"window": list(window)}, [path],
-            {"countries": len(rca.countries), "products": len(rca.products)})
+    return [path], {"countries": len(rca.countries), "products": len(rca.products)}
 
 
 def cmd_proximity(args, out):
     tensor = ingest.read_tensor_csv(args.trade)
-    window = args.window if args.window else (tensor.years[0], tensor.years[-1])
-    rca = complexity.compute_rca(tensor, window)
+    args.window = args.window or _all_years(tensor)
+    rca = complexity.compute_rca(tensor, args.window)
     prox = complexity.compute_proximity(complexity.binarize(rca, args.rca_threshold))
     edges = out / "proximity.csv"
     hist = out / "proximity_histogram.csv"
     n_edges = complexity.export_product_space(prox, edges, hist, bins=args.bins)
-    config = {"window": list(window), "rca_threshold": args.rca_threshold, "bins": args.bins}
-    return [args.trade], config, [edges, hist], {"edges": n_edges}
+    return [edges, hist], {"edges": n_edges}
 
 
 def cmd_relatedness(args, out):
@@ -198,42 +204,38 @@ def cmd_relatedness(args, out):
         rows += rel.n
     path = out / "relatedness.csv"
     dropped = relatedness.write_relatedness_csv(values, path)
-    config = {"years": list(args.years) if args.years else None, "threads": args.threads}
-    return ([args.trade, args.proximity, args.dyad_csv], config, [path],
-            {"cells": rows, "dropped_undefined": dropped})
+    return [path], {"cells": rows, "dropped_undefined": dropped}
 
 
-def _gravity_dataset(args, period):
-    """The gravity inputs' tensor, the period (default: all years) and its dataset."""
+def _gravity_dataset(args):
+    """The gravity inputs' tensor and the dataset over --period (default: all years)."""
     tensor = ingest.read_tensor_csv(args.trade)
     dyads = ingest.DyadMeta.from_csv(args.dyad_csv)
     meta = ingest.CountryMeta.from_csv(args.country_csv)
     rel_by_year = relatedness.read_relatedness_csv(args.relatedness, tensor.countries,
                                                    tensor.products)
-    period = period or (tensor.years[0], tensor.years[-1])
-    return tensor, period, gravity.build_dataset(tensor, rel_by_year, meta, dyads, period,
-                                                 horizon=args.horizon, zeros=args.zeros)
+    args.period = args.period or _all_years(tensor)
+    return tensor, gravity.build_dataset(tensor, rel_by_year, meta, dyads, args.period,
+                                         horizon=args.horizon, zeros=args.zeros)
 
 
 def cmd_gravity(args, out):
-    inputs = [args.trade, args.relatedness, args.country_csv, args.dyad_csv]
-    period, periods, concordance, rca = args.period, None, None, None
+    concordance = rca = None
     if args.split == "period":
-        periods = args.periods or gravity.DEFAULT_PERIODS
-        period = (min(p[0] for p in periods), max(p[1] for p in periods))
+        args.periods = args.periods or gravity.DEFAULT_PERIODS
+        args.period = (min(p[0] for p in args.periods), max(p[1] for p in args.periods))
     elif args.split == "lall":
         if not args.concordance:
             raise TradeDataError("--split lall needs --concordance")
         concordance = gravity.LallConcordance.from_csv(args.concordance)
-        inputs.append(args.concordance)
     elif args.split == "exporter":  # before any input is read
         gravity.check_exporter_thresholds(args.rca_new, args.rca_experienced)
-    tensor, period, ds = _gravity_dataset(args, period)
+    tensor, ds = _gravity_dataset(args)
     if args.split == "exporter":
-        year = args.rca_year or period[0]
+        year = args.rca_year or args.period[0]
         rca = complexity.compute_rca(tensor, (year, year))
     results = gravity.run_split_regressions(
-        ds, args.split, periods=periods, horizon=args.horizon, rca=rca,
+        ds, args.split, periods=args.periods, horizon=args.horizon, rca=rca,
         concordance=concordance, new_threshold=args.rca_new,
         experienced_threshold=args.rca_experienced,
         standardize_response=args.standardize_response, threads=args.threads)
@@ -249,28 +251,18 @@ def cmd_gravity(args, out):
         trend_path = out / "trend_lall.csv"
         gravity.write_trend_csv(trends, trend_path)
         outputs.append(trend_path)
-    config = {
-        "split": args.split, "periods": [list(p) for p in periods or [period]],
-        "horizon": args.horizon, "zeros": args.zeros,
-        "standardize_response": args.standardize_response,
-        "rca_year": args.rca_year, "rca_new": args.rca_new,
-        "rca_experienced": args.rca_experienced, "threads": args.threads,
-    }
-    return inputs, config, outputs, {key: res.n for key, res in sorted(results.items())}
+    return outputs, {key: res.n for key, res in sorted(results.items())}
 
 
 def cmd_summary(args, out):
-    _, period, ds = _gravity_dataset(args, args.period)
+    _, ds = _gravity_dataset(args)
     z, _ = gravity.standardize(ds, standardize_response=args.standardize_response)
     stats_path = out / "summary_stats.csv"
     corr_path = out / "correlation_matrix.csv"
     gravity.write_summary_csv(gravity.summary_stats(z), stats_path)
     names, corr = gravity.correlation_matrix(z)
     gravity.write_correlation_csv(names, corr, corr_path)
-    config = {"period": list(period), "horizon": args.horizon, "zeros": args.zeros,
-              "standardize_response": args.standardize_response}
-    return ([args.trade, args.relatedness, args.country_csv, args.dyad_csv], config,
-            [stats_path, corr_path], {"rows": ds.n})
+    return [stats_path, corr_path], {"rows": ds.n}
 
 
 def cmd_trend(args, out):
@@ -278,14 +270,13 @@ def cmd_trend(args, out):
     trends = gravity.trend_over_lall(results)
     path = out / "trend.csv"
     gravity.write_trend_csv(trends, path)
-    return [args.input], {}, [path], {"variables": len(trends)}
+    return [path], {"variables": len(trends)}
 
 
 def cmd_synth(args, out):
-    planted = list(args.planted_beta) if args.planted_beta else None
     config = oracle.SyntheticWorldConfig(
         n_countries=args.countries, n_products=args.products, n_years=args.years,
-        start_year=args.start_year, planted_beta=planted,
+        start_year=args.start_year, planted_beta=args.planted_beta,
         noise_sigma=args.noise_sigma, sparsity=args.sparsity, seed=args.seed,
         forward_mode=args.forward_mode)
     world = oracle.generate_world(config)
@@ -295,14 +286,8 @@ def cmd_synth(args, out):
     ingest.write_tensor_csv(world.tensor, trade_path, reporter="exporter")
     world.country_meta.write_csv(country_path)
     world.dyad_meta.write_csv(dyad_path)
-    manifest_cfg = {
-        "countries": args.countries, "products": args.products, "years": args.years,
-        "start_year": args.start_year, "sparsity": args.sparsity, "seed": args.seed,
-        "noise_sigma": args.noise_sigma, "forward_mode": args.forward_mode,
-        "planted_beta": planted,
-        "proximity_window": list(world.proximity_window),
-    }
-    return ([], manifest_cfg, [trade_path, country_path, dyad_path],
+    args.proximity_window = world.proximity_window
+    return ([trade_path, country_path, dyad_path],
             {"cells": sum(world.tensor.n_cells(y) for y in world.tensor.years)})
 
 
@@ -409,8 +394,8 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one subcommand: its cmd_* function returns (inputs, config, outputs,
-    row_counts) for the manifest written here."""
+    """Run one subcommand: its cmd_* function returns (outputs, row_counts), and the
+    manifest written here takes its config and inputs from the parsed options."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -420,7 +405,7 @@ def main(argv=None):
         out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
-        _write_manifest(out, args.command, *args.func(args, out), started)
+        _write_manifest(out, args, *args.func(args, out), started)
         return 0
     except OSError as exc:  # a missing path, or a directory where a file belongs
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",

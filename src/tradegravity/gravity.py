@@ -273,6 +273,8 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
     and ``log_x_opd``; the other 11 regressors are gathered from per-year
     marginal, country and pair tables, with the log already applied.
     """
+    if horizon < 1:
+        raise TradeDataError(f"horizon must be at least 1, got {horizon}")
     start, end = int(period[0]), int(period[1])
     if end - horizon < start:
         raise TradeDataError(f"period ({start},{end}) shorter than horizon {horizon}")
@@ -441,13 +443,14 @@ class _Moments:
 
     @classmethod
     def of(cls, block):
-        """The moments of a column-major block: one contiguous row per column."""
-        # deviations from the first entry are exactly zero in a constant column, so
-        # its C entries stay zero; np.dot(dev, dev.T) runs as a BLAS syrk whose bits do
+        """The moments of a block with one row per column, in any memory layout."""
+        # dev is C-ordered for any block layout, so its row means and products sum in one
+        # order; deviations from the first entry are exactly zero in a constant column,
+        # so its C entries stay zero. np.dot(dev, dev.T) runs as a BLAS syrk whose bits do
         # not depend on the BLAS thread count (a subprocess test guards this). It is
         # dev @ dev.T's syrk, bit for bit, but releases the GIL, which numpy's @ holds,
         # so the workers of _accumulate overlap
-        dev = block - block[:, :1]
+        dev = np.subtract(block, block[:, :1], order="C")
         offset = dev.mean(axis=1)
         dev -= offset[:, None]
         return cls(block.shape[1], block[:, 0] + offset, np.dot(dev, dev.T))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 import tradegravity as tg
-from tradegravity.cli import main
+from tradegravity.cli import build_parser, main
+
+from conftest import write_lall_concordance
 
 
 def run(*argv):
@@ -60,17 +63,22 @@ def test_gravity_and_summary(pipeline):
     assert len(lines) == 16  # header plus the 15 regressors
 
 
+def flags(options):
+    """A {flag: value} mapping as argv."""
+    return [v for item in options.items() for v in item]
+
+
+def lall_concordance(path, stage):
+    """A concordance that spreads the stage's products over the five Lall categories."""
+    products = sorted({line.split(",")[3] for line in
+                       (stage / "reconciled.csv").read_text().strip().splitlines()[1:]})
+    codes = ("PP", "RB", "LT", "MT", "HT")
+    return write_lall_concordance(path, products, [codes[i % 5] for i in range(len(products))])
+
+
 def test_lall_split_and_trend(pipeline, tmp_path):
     root, world, stage = pipeline
-    products = sorted({line.split(",")[3]
-                       for line in (stage / "reconciled.csv").read_text()
-                       .strip().splitlines()[1:]})
-    codes = ["PP", "RB", "LT", "MT", "HT"]
-    conc = tmp_path / "lall.csv"
-    with open(conc, "w") as fh:
-        fh.write("hs4,sitc3,category\n")
-        for i, p in enumerate(products):
-            fh.write(f"{p},001,{codes[i % 5]}\n")
+    conc = lall_concordance(tmp_path / "lall.csv", stage)
     assert run("gravity", "-o", stage, "--trade", stage / "reconciled.csv",
                "--relatedness", stage / "relatedness.csv",
                "--country-csv", world / "country.csv",
@@ -164,6 +172,60 @@ def test_manifest_contents(pipeline):
     assert len(manifest["config_hash"]) == 64
     assert manifest["row_counts"]["cells"] > 0
     assert "wall_time_s" in manifest
+
+
+@pytest.mark.parametrize("command", ["synth", "ingest", "rca", "proximity", "relatedness",
+                                     "gravity", "summary", "trend"])
+def test_manifest_config_and_inputs_come_from_the_parser(pipeline, tmp_path, command):
+    _, world, stage = pipeline
+    conc = lall_concordance(tmp_path / "lall.csv", stage)
+    meta = {"--trade": stage / "reconciled.csv", "--relatedness": stage / "relatedness.csv",
+            "--country-csv": world / "country.csv", "--dyad-csv": world / "dyad.csv"}
+    lall = tmp_path / "lall"
+    if command == "trend":
+        assert run("gravity", "-o", lall, *flags(meta), "--split", "lall",
+                   "--concordance", conc) == 0
+    given = {"synth": {},
+             # the country file is hashed though only --filter reads it
+             "ingest": {"--trade": world / "trade.csv", "--country-csv": world / "country.csv"},
+             "rca": {"--trade": stage / "reconciled.csv"},
+             "proximity": {"--trade": stage / "reconciled.csv"},
+             "relatedness": {"--trade": stage / "reconciled.csv",
+                             "--proximity": stage / "proximity.csv",
+                             "--dyad-csv": world / "dyad.csv"},
+             # the concordance is hashed though only --split lall reads it
+             "gravity": dict(meta, **{"--concordance": conc}),
+             "summary": meta,
+             "trend": {"--input": lall / "gravity_lall.json"}}[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    given = dict(given, **{"--config": cfg})
+    out = tmp_path / "out"
+    assert run(command, "-o", out, *flags(given)) == 0
+    manifest = json.loads((out / f"{command}_manifest.json").read_text())
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest for p in (parser, sub.choices[command]) for a in p._actions
+               if a.option_strings and a.dest != "help"}
+    inputs = {"trade", "proximity", "relatedness", "country_csv", "dyad_csv", "concordance",
+              "input", "config"}
+    extra = {"proximity_window"} if command == "synth" else set()
+    assert set(manifest["config"]) == options - {"output_dir", "log_level"} - inputs | extra
+    assert set(manifest["inputs"]) == {str(path) for path in given.values()}
+
+
+def test_horizon_below_one_is_exit_one(pipeline, tmp_path, capsys):
+    _, world, stage = pipeline
+    args = ["gravity", "-o", tmp_path, "--trade", stage / "reconciled.csv",
+            "--relatedness", stage / "relatedness.csv", "--country-csv", world / "country.csv",
+            "--dyad-csv", world / "dyad.csv"]
+    assert run(*args, "--horizon", "0") == 1
+    assert "horizon must be at least 1, got 0" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"horizon": -1}))
+    assert run(*args, "--config", cfg) == 1
+    assert "horizon must be at least 1, got -1" in capsys.readouterr().err
 
 
 def test_missing_input_is_data_error(tmp_path):

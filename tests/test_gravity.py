@@ -199,15 +199,18 @@ def test_reduction_tree_is_pinned():
     # a split cell's index array: three whole blocks and a partial one, whose
     # binary-counter tree is the sum in block order, at any thread count
     rows = np.random.default_rng(8).permutation(ds.n)[:3 * 4096 + 1000]
-    # each block C-ordered, one contiguous row a column, as _Moments.of reads it
-    b = [_Moments.of(np.vstack((x[sel].T, y[sel])).copy(order="C"))
-         for sel in (rows[lo:lo + 4096] for lo in range(0, rows.size, 4096))]
+    blocks = [np.vstack((x[sel].T, y[sel])).copy(order="C")
+              for sel in (rows[lo:lo + 4096] for lo in range(0, rows.size, 4096))]
+    b = [_Moments.of(block) for block in blocks]
     want = sum(b[1:], b[0])
-    for threads in (1, 2, 3):
-        moments = _accumulate(ds, rows, threads=threads)
+    # the same blocks F-ordered give the C-ordered bits: the layout is no input
+    f = [_Moments.of(np.asfortranarray(block)) for block in blocks]
+    cases = [("F-ordered", sum(f[1:], f[0]))] + [
+        (threads, _accumulate(ds, rows, threads=threads)) for threads in (1, 2, 3)]
+    for case, moments in cases:
         assert moments.n == want.n == rows.size
-        assert np.array_equal(moments.mean, want.mean), threads
-        assert np.array_equal(moments.c, want.c), threads
+        assert np.array_equal(moments.mean, want.mean), case
+        assert np.array_equal(moments.c, want.c), case
 
 
 def test_default_threads_are_the_usable_cpus(monkeypatch):
@@ -344,6 +347,14 @@ def test_window_arithmetic_pools_five_cross_sections():
     w, rel = multi_year_world()
     ds = tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2006))
     assert sorted(np.unique(ds.t)) == [2000, 2001, 2002, 2003, 2004]
+
+
+def test_horizon_below_one_is_rejected():
+    w, rel = multi_year_world()
+    for horizon in (0, -1):
+        with pytest.raises(tg.TradeDataError, match=f"horizon must be at least 1, got {horizon}"):
+            tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2006),
+                             horizon=horizon)
 
 
 def test_rows_require_positive_forward_flow():
@@ -556,7 +567,8 @@ def test_dataset_build_peaks_near_the_rows_it_holds(exits_pool, zeros):
     assert peak <= 1.5 * held, peak / held
 
 
-def test_standardized_fit_copies_no_columns(pool_200k):
+def test_standardized_fit_copies_no_columns(pool_200k, monkeypatch):
+    monkeypatch.setattr(tg.gravity, "usable_cpus", lambda: 2)  # a buffer a worker: fix the count
     w, rel = pool_200k
     ds = tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2002))
     _, _, peak = traced(lambda: tg.fit_ols(tg.standardize(ds)[0]))
@@ -575,7 +587,8 @@ def test_summaries_of_a_standardized_pool_copy_no_columns(pool_200k):
     assert peak < 3 * 8 * ds.n, peak / (8 * ds.n)
 
 
-def test_split_cells_copy_no_columns(pool_200k):
+def test_split_cells_copy_no_columns(pool_200k, monkeypatch):
+    monkeypatch.setattr(tg.gravity, "usable_cpus", lambda: 2)  # a buffer a worker: fix the count
     w, rel = pool_200k
     ds = tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2002))
     rca = tg.compute_rca(w.tensor, (2000, 2000))
