@@ -41,16 +41,15 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, args, outputs, row_counts, started):
+def _write_manifest(out_dir, args, inputs, outputs, row_counts, started):
     """Write the stage's manifest. Its config is every parsed option but the run-control
     and input-file ones (a cmd_* writes a default it resolves back onto args); its
-    inputs hash every input file the run was given."""
-    options = vars(args)
-    config = {k: v for k, v in options.items() if k not in RUN_KEYS + INPUT_KEYS}
+    inputs are the hashes of every input file the run was given."""
+    config = {k: v for k, v in vars(args).items() if k not in RUN_KEYS + INPUT_KEYS}
     config_json = json.dumps(config, sort_keys=True)
     manifest = {
         "command": args.command,
-        "inputs": {str(options[k]): _sha256(options[k]) for k in INPUT_KEYS if options.get(k)},
+        "inputs": inputs,
         "config": config,
         "config_hash": hashlib.sha256(config_json.encode()).hexdigest(),
         "outputs": {str(p): _sha256(p) for p in outputs},
@@ -228,8 +227,6 @@ def cmd_gravity(args, out):
         if not args.concordance:
             raise TradeDataError("--split lall needs --concordance")
         concordance = gravity.LallConcordance.from_csv(args.concordance)
-    elif args.split == "exporter":  # before any input is read
-        gravity.check_exporter_thresholds(args.rca_new, args.rca_experienced)
     tensor, ds = _gravity_dataset(args)
     if args.split == "exporter":
         year = args.rca_year or args.period[0]
@@ -402,10 +399,13 @@ def main(argv=None):
         if args.config:
             args = _apply_config(parser, args, argv)
         logging.basicConfig(level=getattr(logging, args.log_level))
+        if getattr(args, "split", None) == "exporter":  # options first, then the inputs
+            gravity.check_exporter_thresholds(args.rca_new, args.rca_experienced)
+        started = time.perf_counter()  # inputs hashed first: a missing one stops the stage
+        inputs = {str(v): _sha256(v) for k, v in vars(args).items() if k in INPUT_KEYS and v}
         out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        started = time.perf_counter()
-        _write_manifest(out, args, *args.func(args, out), started)
+        _write_manifest(out, args, inputs, *args.func(args, out), started)
         return 0
     except OSError as exc:  # a missing path, or a directory where a file belongs
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",

@@ -12,25 +12,29 @@ per row block of a fixed size and merges them in block order along a fixed
 pairwise reduction tree, so results depend neither on how the row stream was
 chunked nor on how many threads read it, and the fit holds k x k numbers
 per block, never a row-sized array. A split cell is z-scored on its own
-moments, without copying its rows. A dataset stores per row only what
-varies by row and gathers the other regressors from small per-year,
-per-country and per-pair tables one block at a time.
+moments, without copying its rows. A dataset row is its position in its base
+year's cells, its response and its log flow; o, p, d and the relatedness are
+read through that position, the other regressors from small per-year,
+per-country and per-pair tables, one block at a time.
 """
 from __future__ import annotations
 
 import enum
 import json
 import logging
+import math
+from bisect import bisect_right
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import accumulate, zip_longest
 
 import numpy as np
 
 from .csvio import read_json, read_table, write_rows
 from .errors import CoverageError, SingularDesignError, TradeDataError
-from .ingest import lookup
+from .ingest import _locked, cell_keys, lookup
 from .relatedness import usable_cpus
 
 log = logging.getLogger(__name__)
@@ -51,6 +55,9 @@ _MOMENT_NAMES = _DESIGN_NAMES + (RESPONSE_NAME,)  # the columns of [1 | x | y]
 _CONTINUOUS = np.array([False] + [name not in BINARY_COLUMNS for name in REGRESSOR_NAMES])
 
 DEFAULT_PERIODS = ((2000, 2006), (2007, 2012), (2012, 2015))
+_MEASURES = REGRESSOR_NAMES[:3]  # the relatedness measures, read per cell
+# base-year cells the dataset build joins and writes per step
+_JOIN_CELLS = 1 << 16
 
 
 class ExporterClass(str, enum.Enum):
@@ -76,26 +83,25 @@ LALL_RANK_ORDER = tuple(LallCategory)[:5]
 class Columns(Mapping):
     """The regressor columns of a dataset's rows, read-only.
 
-    A column is stored as a row array, or gathered from a small table by the
-    rows' keys: ``tables`` maps a name to (axes, table), where the axes are
-    letters among t (base year, counted from ``first_year``), o, p and d, and
-    ``keys`` holds the rows' t, o, p and d. ``design_matrix`` gathers one block
-    of rows at a time; ``columns[name]`` returns a stored array as is and
-    builds a gathered column on its first read, then caches it.
+    Span k holds the rows of base year ``years[k]``: ``positions[k]`` are their
+    int32 positions in the cell arrays ``cells[k]`` (o, p, d and any columns). A
+    column is a stored row array, read from the cells through the positions, or
+    gathered by the rows' keys from ``tables``: name -> (axes, table), the axes
+    letters among t (counted from ``first_year``), o, p and d. ``design_matrix``
+    gathers a block of rows at a time; ``columns[name]`` returns a stored array as
+    is and builds any other column on its first read, then caches it.
     """
 
-    # rows gathered per step when a whole column is built: as fast as larger
-    # steps, with temporaries well under one column
-    _BUILD_ROWS = 1 << 14
+    # rows gathered per step when a whole column is read: temporaries well under one
+    _BUILD_ROWS = 1 << 12
 
-    def __init__(self, stored, tables=None, keys=None, first_year=0):
-        self._stored = dict(stored)
-        self._tables = dict(tables or {})
-        self._keys = keys
-        self._first_year = first_year
-        self._names = tuple(self._stored) + tuple(self._tables)
-        self._n = (keys["o"] if keys else next(iter(self._stored.values()))).size
-        self._cache = {}
+    def __init__(self, stored, cells, years, positions, tables=None, first_year=0):
+        self._stored, self._tables, self._first_year = dict(stored), dict(tables or {}), first_year
+        self._cells, self._years, self._pos = list(cells), list(years), list(positions)
+        self._ends = list(accumulate(pos.size for pos in self._pos))
+        self._starts, self._n, self._cache = [0] + self._ends[:-1], self._ends[-1], {}
+        self._names = tuple(name for name in REGRESSOR_NAMES
+                            if name in self._stored | cells[0] | self._tables)
 
     def __getitem__(self, name):
         if name not in self._cache:
@@ -112,21 +118,24 @@ class Columns(Mapping):
         """``name`` at every row, without filling the cache: for a one-off pass."""
         return self._cache[name] if name in self._cache else self._build(name)
 
+    def read(self, spec):
+        """``spec`` at every row as a read-only array, unscaled: a column, a row key
+        (t, o, p or d), or an (axes, table) pair read by the rows' keys."""
+        dtype = spec[1].dtype if isinstance(spec, tuple) else "i4" if len(spec) == 1 else "f8"
+        out = np.empty(self._n, dtype=dtype)
+        for lo in range(0, self._n, step := self._BUILD_ROWS):
+            self._gather((spec,), slice(lo, lo + step), out[None, lo:lo + step])
+        return _locked(out)
+
     def design_matrix(self, rows):
         """The intercept and the 15 regressors at ``rows`` (a slice or an index array)."""
         m = len(range(self._n)[rows]) if isinstance(rows, slice) else len(rows)
         return self._block(rows, np.empty((K_PARAMETERS, m))).T
 
     def _build(self, name):
-        if name in self._stored:
-            return self._stored[name]
-        if name not in self._tables:
+        if name not in self._names:
             raise KeyError(name)
-        out = np.empty((1, self._n))
-        for lo in range(0, self._n, self._BUILD_ROWS):
-            rows = slice(lo, lo + self._BUILD_ROWS)
-            self._gather((name,), rows, out[:, rows])
-        return out[0]
+        return self._stored[name] if name in self._stored else self.read(name)
 
     def _block(self, rows, out):
         # one contiguous row per design-matrix column, so the gathers and the
@@ -135,24 +144,47 @@ class Columns(Mapping):
         self._gather(REGRESSOR_NAMES, rows, out[1:K_PARAMETERS])
         return out
 
-    def _gather(self, names, rows, out):
-        """Write each named column at ``rows`` into its row of ``out``."""
-        keys, flat = {}, {}
-        for name, dest in zip(names, out):
-            if name in self._stored:
-                dest[:] = self._stored[name][rows]
-                continue
-            axes, table = self._tables[name]
-            if axes not in flat:  # each table index once per call
-                index = 0
-                for axis, size in zip(axes, table.shape):
-                    if axis not in keys:
-                        keys[axis] = self._keys[axis][rows].astype(np.intp)
-                        if axis == "t":
-                            keys[axis] -= self._first_year
-                    index = index * size + keys[axis]
-                flat[axes] = index
-            dest[:] = table.take(flat[axes])
+    def _gather(self, specs, rows, out):
+        """Write each spec (as ``read`` takes it) at ``rows`` into its row of ``out``,
+        a year at a time; positions ascend, so a run of them reads as a slice."""
+        if not out.shape[1]:
+            return out
+        if isinstance(rows, slice) and rows.step in (None, 1):  # cut at the span edges
+            lo, hi, _ = rows.indices(self._n)
+            k, last = bisect_right(self._ends, lo), bisect_right(self._ends, hi - 1)
+            parts = [(slice(a - lo, b - lo), slice(a, b)) for j in range(k, last + 1)
+                     for a, b in [(max(lo, self._starts[j]), min(hi, self._ends[j]))]]
+        else:
+            rows = np.arange(self._n)[rows] if isinstance(rows, slice) else rows
+            span = np.searchsorted(self._ends, rows, side="right")
+            k, years = span[0], np.flatnonzero(np.bincount(span))
+            parts = [(span == j, rows[span == j]) for j in years] if years.size > 1 else ()
+        if len(parts) > 1:
+            for part, sel in parts:
+                out[:, part] = self._gather(specs, sel, np.array(out[:, part]))
+            return out
+        start = self._starts[k]
+        pos = (self._pos[k][lo - start:hi - start] if isinstance(rows, slice)
+               else self._pos[k].take(rows - start))
+        pos = (slice(pos[0], pos[-1] + 1) if pos[-1] - pos[0] == pos.size - 1
+               else pos.astype(np.intp))  # intp: numpy's fastest gather
+        flat = {}
+        key = cache(lambda axis: self._years[k] - self._first_year if axis == "t"
+                    else self._cells[k][axis][pos])  # the block's t (from first_year), o, p or d
+        for spec, dest in zip(specs, out):
+            if isinstance(spec, tuple) or spec in self._tables:
+                axes, table = spec if isinstance(spec, tuple) else self._tables[spec]
+                if (axes, table.shape) not in flat:  # each table index once per call
+                    index = np.intp(0)  # so an index of int32 keys is intp
+                    for axis, size in zip(axes, table.shape):
+                        index = index * size + key(axis)
+                    flat[axes, table.shape] = index
+                dest[:] = table.take(flat[axes, table.shape])
+            elif spec in self._stored:
+                dest[:] = self._stored[spec][rows]
+            else:  # the base year, or an array of the cells
+                dest[:] = self._years[k] if spec == "t" else key(spec)
+        return out
 
 
 class _ZScored(Columns):
@@ -160,8 +192,8 @@ class _ZScored(Columns):
     the shift 0 and scale 1 of the intercept and dummies leave them as they are."""
 
     def __init__(self, base, shift, scale):
+        vars(self).update(vars(base), _cache={})
         self._base, self._shift, self._scale = base, shift, scale
-        self._names, self._n, self._cache = base._names, base._n, {}
 
     def _build(self, name):
         col = self._base.column(name)  # KeyError for a name the view lacks
@@ -179,26 +211,20 @@ class _ZScored(Columns):
 
 @dataclass
 class GravityDataset:
-    """Regression rows keyed by (t, origin, product, destination).
+    """Regression rows, stored year by year, and their response.
 
-    ``columns`` reads the 15 regressors; a plain mapping of row arrays is
-    wrapped in ``Columns``. ``standardize`` sets ``moments``, those of the z-scored
-    [1 | x | y], which the fit and the summaries read instead of the rows.
+    ``columns`` reads their 15 regressors; ``t``, ``o``, ``p`` and ``d`` are gathered on
+    each read into read-only int32 arrays. ``standardize`` sets ``moments``, those of
+    the z-scored [1 | x | y], which the fit and the summaries read instead of the rows.
     """
 
-    t: np.ndarray
-    o: np.ndarray
-    p: np.ndarray
-    d: np.ndarray
     response: np.ndarray
     columns: Columns
     countries: tuple
     products: tuple
     moments: _Moments | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        if not isinstance(self.columns, Columns):
-            self.columns = Columns(self.columns)
+    t, o, p, d = (property(lambda self, axis=axis: self.columns.read(axis)) for axis in "topd")
 
     @property
     def n(self):
@@ -269,9 +295,10 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
     stacked. Covariates are joined at year t; a missing covariate for a
     sampled row raises CoverageError naming the key.
 
-    Each row stores its keys, the response, the three relatedness measures
-    and ``log_x_opd``; the other 11 regressors are gathered from per-year
-    marginal, country and pair tables, with the log already applied.
+    A row stores its int32 position in its base year's cells, its response and
+    ``log_x_opd``; its o, p, d and relatedness are read through that position from
+    the tensor's and the relatedness's arrays, held by reference, and the other 11
+    regressors from per-year marginal, country and pair tables, logged.
     """
     if horizon < 1:
         raise TradeDataError(f"horizon must be at least 1, got {horizon}")
@@ -305,12 +332,12 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
         "language": ("od", fields["language"]),
         "log_lang_proximity": ("od", np.log1p(fields["lang_proximity"])),
     }
-
-    missing_pair = np.isnan(fields["distance"])
+    # the table entries some row reads, by the axes that index them
+    reads = {axes: np.zeros(table.shape, dtype=bool) for axes, table in tables.values()}
     dropped_omega = []  # per year
 
     def plan(t):
-        """Check year t, fill its tables; its keep mask and kept cells' positions, or None."""
+        """Check year t, fill its tables: (cells, t, kept cells, their forward cells or -1)."""
         if not tensor.has_year(t):
             raise TradeDataError(f"no flows for base year {t} in period ({start},{end})")
         rel = relatedness_by_year.get(t)
@@ -318,50 +345,58 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
             raise TradeDataError(f"relatedness not computed for base year {t}")
         if tuple(rel.countries) != countries or tuple(rel.products) != products:
             raise TradeDataError(f"relatedness for year {t} uses a different vocabulary")
-
-        o, p, d, v = tensor.flows(t)
-        keys = tensor.cell_keys(t)
-        fpos = np.full(keys.size, -1, dtype=np.int32)  # -1: no forward flow
-        if tensor.has_year(t + horizon):
-            found, pos = lookup(tensor.cell_keys(t + horizon), keys)
-            fpos[found] = pos[found]
-        elif zeros == "drop":
+        if zeros == "drop" and not tensor.has_year(t + horizon):
             raise TradeDataError(f"no flows for forward year {t + horizon}")
-        keep = fpos >= 0 if zeros == "drop" else np.ones(keys.size, dtype=bool)
+        o, p, d, _ = tensor.flows(t)
+        ahead = tensor.flows(t + horizon)[:3] if tensor.has_year(t + horizon) else [o[:0]] * 3
 
-        # relatedness computed from this tensor holds its cells in its order;
-        # a file's cells lack the undefined-omega ones its writer dropped,
-        # which leave the sample the same way
-        if all(a is b or np.array_equal(a, b) for a, b in ((rel.o, o), (rel.p, p), (rel.d, d))):
-            rpos, omega = None, rel.omega
-        else:
-            rel_found, rpos = lookup(rel.cell_keys(), keys)
-            omega = np.where(rel_found, rel.omega[rpos], np.nan)
-        omega_defined = np.isfinite(omega)
-        dropped_omega.append(int((keep & ~omega_defined).sum()))
-        keep &= omega_defined
+        # a file's relatedness lacks the undefined-omega cells its writer dropped:
+        # it goes into the tensor's cell order once, NaN for those, which leave the sample
+        cells = {"o": o, "p": p, "d": d, **{name: getattr(rel, name) for name in _MEASURES}}
+        if not all(a is b or np.array_equal(a, b) for a, b in ((rel.o, o), (rel.p, p), (rel.d, d))):
+            found, at = lookup(tensor.cell_keys(t), rel.cell_keys())
+            for name in _MEASURES:
+                cells[name] = np.full(o.size, np.nan)
+                cells[name][at[found]] = getattr(rel, name)[found]
 
-        if not keep.any():
+        # chunks of cells, each joined to the forward cells in its key range: no year-sized key
+        kept, fpos = np.empty(o.size, dtype=np.int32), np.empty(o.size, dtype=np.int32)
+        n, first, dropped, yr = 0, 0, 0, t - start
+        for lo in range(0, o.size, _JOIN_CELLS):
+            chunk = slice(lo, lo + _JOIN_CELLS)
+            keys = cell_keys(o[chunk], p[chunk], d[chunk], nc, np_)
+            last = bisect_right(range(ahead[0].size), keys[-1], lo=first,
+                                key=lambda i: cell_keys(*(a[i] for a in ahead), nc, np_))
+            found, pos = lookup(cell_keys(*(a[first:last] for a in ahead), nc, np_), keys)
+            at = np.where(found, pos + first, -1)  # forward positions
+            first, keys, found, pos = last, None, None, None  # the join's temporaries go
+            keep = at >= 0 if zeros == "drop" else np.ones(at.size, dtype=bool)
+            defined = np.isfinite(cells["omega"][chunk])
+            dropped += np.count_nonzero(keep & ~defined)
+            keep &= defined
+            for name in _MEASURES[1:]:  # every kept cell's value must be finite
+                if not (keep <= np.isfinite(cells[name][chunk])).all():
+                    raise TradeDataError(f"non-finite values in column {name}")
+            cell = np.flatnonzero(keep)
+            kept[n:n + cell.size], fpos[n:n + cell.size] = cell + lo, at[cell]
+            n += cell.size
+            ko, kp, kd = (a[chunk][cell] for a in (o, p, d))
+            reads["top"][yr, ko, kp] = reads["tpd"][yr, kp, kd] = reads["od"][ko, kd] = True
+        dropped_omega.append(dropped)
+        if not n:
             return None
-        yr, o, d = t - start, o[keep], d[keep]
-
+        for a in (kept, fpos):
+            a.resize(n, refcheck=False)
         with np.errstate(divide="ignore"):  # log 0 = -inf: a marginal no row reads
             np.log(tensor.x_op(t), out=log_x_op[yr])
             np.log(tensor.x_pd(t), out=log_x_pd[yr])
-        seen = np.zeros(nc, dtype=bool)
-        seen[o] = seen[d] = True
-        for c in np.flatnonzero(seen):
+        for c in np.flatnonzero(reads["top"][yr].any(axis=1) | reads["tpd"][yr].any(axis=0)):
             code = countries[c]
             log_gdp[yr, c] = country_meta.gdp_per_capita(code, t)
             log_pop[yr, c] = country_meta.population(code, t)
         np.log(log_gdp[yr], out=log_gdp[yr])
         np.log(log_pop[yr], out=log_pop[yr])
-        if missing_pair.any():
-            hit = np.flatnonzero(missing_pair[o, d])
-            if hit.size:
-                raise CoverageError(f"no dyad data for sampled pair "
-                                    f"({countries[o[hit[0]]]},{countries[d[hit[0]]]})")
-        return t, keep, fpos[keep], rel, None if rpos is None else rpos[keep]
+        return cells, t, kept, fpos
 
     plans = list(filter(None, map(plan, years)))  # the years' temporaries are gone
     if not plans:
@@ -369,45 +404,35 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
     if sum(dropped_omega):
         log.info("build_dataset: dropped %d rows with undefined product relatedness",
                  sum(dropped_omega))
-    # each pooled row is written once, into its year's slice of the row arrays
-    ends = list(accumulate(int(keep.sum()) for _, keep, *_ in plans))
-    row_keys = {axis: np.empty(ends[-1], dtype=np.int32) for axis in "topd"}
-    response = np.empty(ends[-1])
-    stored = {name: np.empty(ends[-1]) for name in REGRESSOR_NAMES[:4]}
-    spans = [(t, slice(lo, hi)) for (t, *_), lo, hi in zip(plans, [0] + ends, ends)]
-    for (t, keep, ahead, rel, rpos), (_, rows) in zip(plans, spans):
-        cells = np.flatnonzero(keep)
-        row_keys["t"][rows] = t
-        for a, out in zip(tensor.flows(t), (*map(row_keys.get, "opd"), stored["log_x_opd"])):
-            np.take(a, cells, out=out[rows], mode="clip")
-        for name in REGRESSOR_NAMES[:3]:
-            np.take(getattr(rel, name), cells if rpos is None else rpos, out=stored[name][rows],
-                    mode="clip")
-        np.log(stored["log_x_opd"][rows], out=stored["log_x_opd"][rows])
-        if tensor.has_year(t + horizon):  # -1 wraps to the last flow, set to 0 below
-            np.take(tensor.flows(t + horizon)[3], ahead, out=response[rows], mode="wrap")
-        response[rows][ahead < 0] = 0.0
-        (np.log if zeros == "drop" else np.log1p)(response[rows], out=response[rows])
-    for name in REGRESSOR_NAMES:
-        if name in stored:
-            finite = np.isfinite(stored[name]).all()
-        else:
-            finite = not _reads_non_finite(*tables[name], row_keys, spans, start)
-        if not finite:
+    # each pooled row is written once, into its year's slice of the two row arrays
+    ends = list(accumulate(kept.size for *_, kept, _ in plans))
+    response, log_x_opd = np.empty(ends[-1]), np.empty(ends[-1])
+    for (_, t, kept, fpos), lo in zip(plans, [0] + ends):
+        flows = tensor.flows(t)[3]
+        forward = tensor.flows(t + horizon)[3] if tensor.has_year(t + horizon) else np.zeros(1)
+        for at in range(0, kept.size, _JOIN_CELLS):  # chunks: np.take makes intp indices
+            cell = slice(at, at + _JOIN_CELLS)
+            rows = slice(lo + at, lo + min(at + _JOIN_CELLS, kept.size))
+            np.take(flows, kept[cell], out=log_x_opd[rows])
+            # -1 wraps to the last forward flow, set to 0 next
+            np.take(forward, fpos[cell], out=response[rows], mode="wrap")
+            response[rows][fpos[cell] < 0] = 0.0
+    columns = Columns({"log_x_opd": log_x_opd}, *list(zip(*plans))[:3], tables, first_year=start)
+    del plans  # the forward positions
+    np.log(log_x_opd, out=log_x_opd)
+    (np.log if zeros == "drop" else np.log1p)(response, out=response)
+
+    hit = np.argwhere(reads["od"] & np.isnan(fields["distance"]))
+    if hit.size:
+        raise CoverageError(f"no dyad data for sampled pair "
+                            f"({countries[hit[0, 0]]},{countries[hit[0, 1]]})")
+    if not np.isfinite(log_x_opd).all():
+        raise TradeDataError("non-finite values in column log_x_opd")
+    reads["to"], reads["td"] = reads["top"].any(axis=2), reads["tpd"].any(axis=1)
+    for name, (axes, table) in tables.items():
+        if (reads[axes] & ~np.isfinite(table)).any():
             raise TradeDataError(f"non-finite values in column {name}")
-    columns = Columns(stored, tables, row_keys, first_year=start)
-    return GravityDataset(**row_keys, response=response, columns=columns,
-                          countries=countries, products=products)
-
-
-def _reads_non_finite(axes, table, keys, spans, first_year):
-    """Whether a row of any year's ``rows`` reads a non-finite entry of a gathered table."""
-    for t, rows in spans:
-        bad = ~np.isfinite(table[t - first_year] if axes[0] == "t" else table)
-        at = tuple(keys[axis][rows] for axis in axes.removeprefix("t"))
-        if bad.any() and bad[at].any():
-            return True
-    return False
+    return GravityDataset(response, columns, countries, products)
 
 
 def standardize(dataset, standardize_response=False):
@@ -612,14 +637,15 @@ def solve_normal_equations(c, mean, n, names):
 
 
 def _accumulate(dataset, rows=None, block_rows=4096, threads=None):
-    """The moments of [1 | x | y] over ``rows`` (an index array; None is every
-    row, whose moments a dataset made by ``standardize`` carries), else streamed
+    """The moments of [1 | x | y] over ``rows`` (a range or an index array; None is
+    every row, whose moments a dataset made by ``standardize`` carries), else streamed
     by blocks: worker j of ``threads`` (None: every usable CPU) reads blocks j,
     j + threads, ..., and their moments join in block order, so ``threads`` never
     changes the bits."""
     if rows is None and dataset.moments is not None:
         return dataset.moments
-    n = dataset.n if rows is None else rows.size
+    rows = range(dataset.n) if rows is None else rows
+    n = len(rows)
     threads = usable_cpus() if threads is None else threads
 
     def stride(j):
@@ -627,8 +653,8 @@ def _accumulate(dataset, rows=None, block_rows=4096, threads=None):
         # a fresh array per block made _Moments.of twice as slow
         buf, out = np.empty((K_PARAMETERS + 1, block_rows)), []
         for lo in range(j * block_rows, n, threads * block_rows):
-            block, sel = buf[:, :n - lo], slice(lo, lo + block_rows)
-            sel = sel if rows is None else rows[sel]
+            block, sel = buf[:, :n - lo], rows[lo:lo + block_rows]
+            sel = slice(sel.start, sel.stop) if isinstance(sel, range) else sel
             dataset.columns._block(sel, block)
             block[-1] = dataset.response[sel]
             if not np.isfinite(block).all():
@@ -673,18 +699,20 @@ def check_exporter_thresholds(new_threshold, experienced_threshold):
                              f"<= experienced ({experienced_threshold}), both finite")
 
 
-def _exporter_codes(rca, new_threshold, experienced_threshold):
-    """Positions in ``ExporterClass`` of RCA values, NaN counting as 0."""
+def _exporter_codes(r, new_threshold, experienced_threshold):
+    """Positions in ``ExporterClass`` of RCA values r >= 0, a float or an array."""
     check_exporter_thresholds(new_threshold, experienced_threshold)
-    r = np.fmax(rca, 0.0)  # fmax takes the number over a NaN
-    return np.add(r >= new_threshold, r > experienced_threshold, dtype=np.uint8)
+    return 0 + (r >= new_threshold) + (r > experienced_threshold)
+
+
+_EXPORTER_CLASSES = tuple(ExporterClass)
 
 
 def classify_exporter(rca_value, new_threshold=0.2, experienced_threshold=1.0):
     """Three-way exporter experience class from an RCA value."""
-    if rca_value < 0 or not np.isfinite(rca_value):
+    if not (rca_value >= 0 and math.isfinite(rca_value)):
         raise TradeDataError(f"RCA must be finite and non-negative, got {rca_value}")
-    return tuple(ExporterClass)[_exporter_codes(rca_value, new_threshold, experienced_threshold)]
+    return _EXPORTER_CLASSES[_exporter_codes(rca_value, new_threshold, experienced_threshold)]
 
 
 def exporter_class_codes(dataset, rca, new_threshold=0.2, experienced_threshold=1.0):
@@ -693,7 +721,8 @@ def exporter_class_codes(dataset, rca, new_threshold=0.2, experienced_threshold=
     if tuple(rca.countries) != tuple(dataset.countries) or \
             tuple(rca.products) != tuple(dataset.products):
         raise TradeDataError("classification RCA uses a different vocabulary")
-    return _exporter_codes(rca.values, new_threshold, experienced_threshold)[dataset.o, dataset.p]
+    return dataset.columns.read(("op", _exporter_codes(  # fmax takes the number over a NaN
+        np.fmax(rca.values, 0.0), new_threshold, experienced_threshold).astype(np.uint8)))
 
 
 class LallConcordance:
@@ -731,16 +760,16 @@ class LallConcordance:
 
 def lall_codes(dataset, concordance):
     """Per-row positions in ``LallCategory``; every product a row reads must map."""
-    used = np.zeros(len(dataset.products), dtype=bool)
-    used[dataset.p] = True  # a flag a product: np.bincount would copy p as 8-byte ints
-    names = [dataset.products[i] for i in np.flatnonzero(used)]
-    missing = concordance.coverage_report(names)
-    if missing:
+    unmapped = set(concordance.coverage_report(dataset.products))
+    table = np.array([255 if name in unmapped else
+                      tuple(LallCategory).index(concordance.category(name))
+                      for name in dataset.products], dtype=np.uint8)
+    codes = dataset.columns.read(("p", table))
+    if codes.max(initial=0) == 255:  # 255 marks a product the concordance lacks
+        missing = sorted({dataset.products[i] for i in dataset.p[codes == 255].tolist()})
         raise CoverageError(
             f"{len(missing)} products missing from the concordance: {missing[:10]}")
-    table = np.zeros(len(dataset.products), dtype=np.uint8)  # products no row reads stay 0
-    table[used] = [tuple(LallCategory).index(concordance.category(name)) for name in names]
-    return table[dataset.p]
+    return codes
 
 
 def run_split_regressions(dataset, split, periods=None, horizon=2, rca=None,
@@ -757,7 +786,7 @@ def run_split_regressions(dataset, split, periods=None, horizon=2, rca=None,
     Cells that are too small or degenerate are skipped with a warning.
     """
     def fit_cell(key, rows):
-        n = dataset.n if rows is None else rows.size
+        n = dataset.n if rows is None else len(rows)
         if n <= K_PARAMETERS:
             log.warning("split %s cell %s skipped: n=%d <= k=%d", split, key,
                         n, K_PARAMETERS)
@@ -775,8 +804,8 @@ def run_split_regressions(dataset, split, periods=None, horizon=2, rca=None,
     elif split == "period":
         if not periods:
             raise TradeDataError("period split needs period definitions")
-        cells = ((f"{a}-{b}", np.flatnonzero((dataset.t >= a) & (dataset.t <= b - horizon)))
-                 for a, b in periods)
+        t = dataset.t  # ascending, as rows are stored year by year: a cell is a run of rows
+        cells = ((f"{a}-{b}", range(*np.searchsorted(t, (a, b - horizon + 1)))) for a, b in periods)
     elif split in ("exporter", "lall"):
         if split == "exporter":
             if rca is None:

@@ -507,9 +507,10 @@ def year_cell_keys(year, o, p, d, n_countries, n_products):
 def lookup(sorted_keys, keys):
     """Where each key sits in an ascending key array: (found mask, index or 0)."""
     pos = np.searchsorted(sorted_keys, keys)
-    found = pos < sorted_keys.size
-    found[found] = sorted_keys[pos[found]] == keys[found]
-    return found, np.where(found, pos, 0)
+    # a key past the last one reads the last one, which differs from it
+    found = (sorted_keys.take(pos, mode="clip") == keys) if sorted_keys.size else pos < 0
+    pos *= found
+    return found, pos
 
 
 def filter_countries(tensor, meta, rules=None):

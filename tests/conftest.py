@@ -30,11 +30,12 @@ def small_dataset(small_pipeline):
     return tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2002))
 
 
-def make_dataset(columns, response=None):
+def make_dataset(columns, response=None, **keys):
     """Hand-build a GravityDataset from a {name: list} mapping.
 
     Missing regressors are filled with distinct non-constant columns so
-    standardization never trips over them.
+    standardization never trips over them. ``keys`` may give the rows' t, o, p
+    and d (by default year 2000 and index 0) and the countries and products.
     """
     n = len(next(iter(columns.values()))) if columns else len(response)
     full = {}
@@ -48,10 +49,23 @@ def make_dataset(columns, response=None):
     if response is None:
         response = np.linspace(1.0, 2.0, n)
     zeros = np.zeros(n, dtype=np.int32)
-    return tg.GravityDataset(t=zeros + 2000, o=zeros, p=zeros, d=zeros,
-                             response=np.asarray(response, dtype=np.float64),
-                             columns=full, countries=("AAA", "AAB"),
-                             products=("0001",))
+    keys = {"t": zeros + 2000, "o": zeros, "p": zeros, "d": zeros,
+            "countries": ("AAA", "AAB"), "products": ("0001",), **keys}
+    return dataset_from_rows(response=response, columns=full, **keys)
+
+
+def dataset_from_rows(t, o, p, d, response, columns, countries, products):
+    """A GravityDataset whose rows, ordered by base year ``t``, store their keys
+    and every regressor: ``columns`` maps each name to its row array."""
+    assert np.all(np.diff(t) >= 0), "rows must be ordered by base year"
+    years, starts = np.unique(t, return_index=True)
+    spans = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(t)])]
+    keys = [np.asarray(a, dtype=np.int32) for a in (o, p, d)]
+    cells = [dict(zip("opd", (a[rows] for a in keys))) for rows in spans]
+    positions = [np.arange(rows.stop - rows.start, dtype=np.int32) for rows in spans]
+    return tg.GravityDataset(np.asarray(response, dtype=np.float64),
+                             tg.gravity.Columns(columns, cells, years.tolist(), positions),
+                             tuple(countries), tuple(products))
 
 
 def write_lall_concordance(path, products, categories):

@@ -232,6 +232,16 @@ def test_missing_input_is_data_error(tmp_path):
     assert run("rca", "-o", tmp_path, "--trade", tmp_path / "nope.csv") == 1
 
 
+def test_missing_unread_input_stops_the_stage_before_it_writes(pipeline, tmp_path, capsys):
+    # without --filter ingest reads no country file, but one given must exist
+    _, world, _ = pipeline
+    out = tmp_path / "out"
+    assert run("ingest", "-o", out, "--trade", world / "trade.csv",
+               "--country-csv", tmp_path / "missing.csv") == 1
+    assert "missing.csv" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_bad_data_is_exit_one(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("year,origin,destination,product,value,reporter\n"

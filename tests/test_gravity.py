@@ -11,7 +11,7 @@ from tradegravity.gravity import (BINARY_COLUMNS, LALL_CODES, LALL_RANK_ORDER,
                                   _zscored, exporter_class_codes, lall_codes,
                                   solve_normal_equations, trend_over_lall)
 
-from conftest import make_dataset, write_lall_concordance
+from conftest import dataset_from_rows, make_dataset, write_lall_concordance
 
 
 # ---------------------------------------------------------------- standardize
@@ -166,12 +166,13 @@ def test_threaded_fit_is_bitwise(small_dataset):
         assert got.adj_r2 == want.adj_r2 and got.resid_se == want.resid_se
 
 
-def random_dataset(n, seed):
+def random_dataset(n, seed, **keys):
     """A hand-built dataset of n rows whose regressors and response vary."""
     rng = np.random.default_rng(seed)
     columns = {name: (rng.random(n) < 0.3).astype(float) if name in BINARY_COLUMNS
                else rng.normal(size=n) * (j + 1) + j for j, name in enumerate(REGRESSOR_NAMES)}
-    return make_dataset(columns, response=0.05 * sum(columns.values()) + rng.normal(size=n))
+    return make_dataset(columns, response=0.05 * sum(columns.values()) + rng.normal(size=n),
+                        **keys)
 
 
 def test_reduction_tree_is_pinned():
@@ -222,8 +223,8 @@ def test_default_threads_are_the_usable_cpus(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(tg.gravity, "ThreadPoolExecutor", Recording)
-    ds = random_dataset(5 * 4096 + 100, seed=9)  # raw: every pass is streamed
-    ds.t = np.repeat(np.arange(2000, 2004, dtype=np.int32), (5 * 4096 + 100) // 4)
+    ds = random_dataset(5 * 4096 + 100, seed=9,  # raw: every pass is streamed
+                        t=np.repeat(np.arange(2000, 2004, dtype=np.int32), (5 * 4096 + 100) // 4))
     periods = ((2000, 2003), (2001, 2005))
     serial = (tg.fit_ols(ds, threads=1), _zscored(_accumulate(ds, threads=1), False)[0],
               tg.run_split_regressions(ds, "period", periods=periods, threads=1))
@@ -255,8 +256,7 @@ def test_non_finite_and_misshapen_rows_are_errors(caplog):
         with pytest.raises(tg.TradeDataError, match="bad chunk shape"):
             acc.add(x, y)
     # a NaN regressor in a hand-built dataset, in a row of the first period only
-    ds = random_dataset(200, seed=7)
-    ds.t = np.repeat(np.arange(2000, 2004, dtype=np.int32), 50)
+    ds = random_dataset(200, seed=7, t=np.repeat(np.arange(2000, 2004, dtype=np.int32), 50))
     ds.columns["omega_d"][10] = np.nan
     with pytest.raises(tg.TradeDataError, match="non-finite"):
         tg.fit_ols(ds)
@@ -480,7 +480,7 @@ def test_lean_dataset_reads_the_eager_values_bitwise(zeros):
     assert np.array_equal(got.se, split.se)
     plain = {name: (eager[name] - spec.means[name]) / spec.stds[name]
              if name in spec.means else eager[name] for name in REGRESSOR_NAMES}
-    want = tg.fit_ols(tg.GravityDataset(t=ds.t, o=ds.o, p=ds.p, d=ds.d, response=ds.response,
+    want = tg.fit_ols(dataset_from_rows(t=ds.t, o=ds.o, p=ds.p, d=ds.d, response=ds.response,
                                         columns=plain, countries=ds.countries,
                                         products=ds.products))
     assert np.max(np.abs(got.beta - want.beta)) <= 1e-12 * np.max(np.abs(want.beta))
@@ -511,14 +511,14 @@ def traced(fn):
     return out, held, peak
 
 
-def test_dataset_holds_nine_row_arrays_and_its_tables(pool_200k):
+def test_dataset_holds_a_position_and_two_values_a_row_and_its_tables(pool_200k):
     w, rel = pool_200k
     ds, held, _ = traced(lambda: tg.build_dataset(w.tensor, rel, w.country_meta,
                                                   w.dyad_meta, (2000, 2002)))
     n, c, p = ds.n, w.tensor.n_countries, w.tensor.n_products
     assert 1.5e5 < n < 2.5e5
-    # t, o, p, d as int32; the response, three omegas and log_x_opd as float64
-    rows = (4 * 4 + 5 * 8) * n
+    # an int32 position in the year's cells; the response and log_x_opd as float64
+    rows = (4 + 2 * 8) * n
     tables = 8 * (2 * c * p + 5 * c * c + 2 * c)  # x_op, x_pd; dyad fields; gdp, pop
     assert held <= rows + tables + 2 ** 16, (held, rows + tables)
 
@@ -556,6 +556,54 @@ def test_dataset_from_a_relatedness_file_is_bitwise_the_in_memory_one(tmp_path, 
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         n[zeros] = want.n
     assert n["log1p"] > n["drop"]  # the exits that log1p keeps
+
+
+def stored_copy(ds):
+    """The same rows with every key and regressor stored as a row array."""
+    return dataset_from_rows(t=ds.t, o=ds.o, p=ds.p, d=ds.d, response=ds.response,
+                             columns={name: ds.columns[name].copy() for name in REGRESSOR_NAMES},
+                             countries=ds.countries, products=ds.products)
+
+
+def test_positional_dataset_is_bitwise_its_stored_columns(tmp_path, exits_pool):
+    # rows read through their cell positions, from in-memory relatedness and from
+    # a file reordered into the tensor's cells, against the same rows stored
+    w, rel = exits_pool
+    path = tmp_path / "rel.csv"
+    tg.relatedness.write_relatedness_csv(list(rel.values()), path)
+    back = tg.relatedness.read_relatedness_csv(path, w.tensor.countries, w.tensor.products)
+    rca = tg.compute_rca(w.tensor, (2000, 2000))
+    conc = tg.LallConcordance((p, list(LALL_CODES.values())[i % 6])
+                              for i, p in enumerate(w.tensor.products))
+    splits = (("none", {}), ("period", {"periods": ((2000, 2003), (2001, 2005))}),
+              ("exporter", {"rca": rca}), ("lall", {"concordance": conc}))
+    for source in (rel, back):
+        ds = tg.build_dataset(w.tensor, source, w.country_meta, w.dyad_meta, (2000, 2005))
+        ref = stored_copy(ds)
+        for name in ("t", "o", "p", "d"):
+            a, b = getattr(ds, name), getattr(ref, name)
+            assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b), name
+            assert not a.flags.writeable, name
+        edges = np.flatnonzero(np.diff(ds.t)) + 1
+        assert edges.size == 3  # four base years
+        rng = np.random.default_rng(0)
+        blocks = [slice(None), slice(5, ds.n - 5)]
+        blocks += [slice(e - 700, e + 300) for e in edges]  # straddle a year boundary
+        blocks += [np.arange(edges[0] - 50, edges[2] + 50, 7),  # ascending, three years
+                   rng.permutation(ds.n)[:5000]]  # any order, every year
+        for rows in blocks:
+            assert ds.design_matrix(rows).tobytes() == ref.design_matrix(rows).tobytes(), rows
+        for split, kwargs in splits:
+            for threads in (1, 2, None):
+                got, want = (tg.run_split_regressions(d, split, threads=threads, **kwargs)
+                             for d in (ds, ref))
+                assert set(got) == set(want) and got, (split, threads)
+                for key in want:
+                    g, r = got[key], want[key]
+                    assert g.n == r.n, (split, key)
+                    assert g.beta.tobytes() == r.beta.tobytes(), (split, threads, key)
+                    assert g.se.tobytes() == r.se.tobytes(), (split, threads, key)
+                    assert (g.adj_r2, g.resid_se) == (r.adj_r2, r.resid_se), (split, key)
 
 
 @pytest.mark.parametrize("zeros", ["drop", "log1p"])
@@ -705,10 +753,10 @@ def test_undersized_cell_skipped(small_dataset, caplog):
 
 def cell_dataset(ds, mask):
     """A split cell's rows as a dataset of their own."""
-    return tg.GravityDataset(t=ds.t[mask], o=ds.o[mask], p=ds.p[mask], d=ds.d[mask],
-                             response=ds.response[mask],
-                             columns={name: col[mask] for name, col in ds.columns.items()},
-                             countries=ds.countries, products=ds.products)
+    return dataset_from_rows(
+        t=ds.t[mask], o=ds.o[mask], p=ds.p[mask], d=ds.d[mask], response=ds.response[mask],
+        columns={name: col[mask] for name, col in ds.columns.items()},
+        countries=ds.countries, products=ds.products)
 
 
 def assert_matches_standardized_refit(results, ds, masks, standardize_response):
@@ -748,13 +796,12 @@ def test_split_cells_equal_their_standardized_refit(tmp_path, split, standardize
 def test_threaded_split_cells_are_bitwise():
     # cells of several 4096-row blocks, so threads=3 strides over each
     n = 60_000
-    ds = random_dataset(n, seed=12)
     rng = np.random.default_rng(13)
-    ds.t = np.repeat(np.arange(2000, 2003, dtype=np.int32), n // 3)
-    ds.o = rng.integers(0, 4, n, dtype=np.int32)
-    ds.p = rng.integers(0, 7, n, dtype=np.int32)
-    ds.countries = tuple(f"C{i}" for i in range(4))
-    ds.products = tuple(f"{i:04d}" for i in range(7))
+    ds = random_dataset(n, seed=12, t=np.repeat(np.arange(2000, 2003, dtype=np.int32), n // 3),
+                        o=rng.integers(0, 4, n, dtype=np.int32),
+                        p=rng.integers(0, 7, n, dtype=np.int32),
+                        countries=tuple(f"C{i}" for i in range(4)),
+                        products=tuple(f"{i:04d}" for i in range(7)))
     rca = tg.RcaMatrix(rng.choice([0.1, 0.5, 1.5, np.nan], size=(4, 7)), ds.countries,
                        ds.products, (2000, 2000))
     lall = list(LALL_CODES.values()) + [tg.LallCategory.PRIMARY]
