@@ -1,10 +1,12 @@
 """Whole-file CSV reading and writing on column arrays.
 
-``read_table`` parses a file into typed columns in one pass and keeps the
-line and reason of its first malformed row; ``write_rows`` writes text
-columns in the csv module's default dialect (CRLF line ends, minimal
-quoting), byte-identical to a row-by-row ``csv.writer`` loop. ``read_json``
-reads the JSON inputs with the same line-numbered errors.
+``read_table`` splits a file's text into lines once and parses them into
+typed columns, keeping the line and reason of its first malformed row;
+``write_rows`` writes text columns in the csv module's default dialect (CRLF
+line ends, minimal quoting), byte-identical to a row-by-row ``csv.writer``
+loop. ``read_json`` reads the JSON inputs with the same line-numbered errors.
+``vocabulary`` and ``code_index`` turn code columns into int32 indices through
+one int64 key per code.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from .errors import ParseError
 
 _DTYPE = {int: "i8", float: "f8"}
 _TEXT_WIDTH = 16  # longest text field the array parser takes
+_SPACES = " \t\x0b\x0c\x1c\x1d\x1e\x1f"  # ASCII whitespace str.strip drops, line ends aside
 _WRITE_CHUNK = 1 << 16
 
 
@@ -78,18 +81,27 @@ def read_table(path, fields, numeric=(), exact=True):
     are text with surrounding whitespace stripped. Blank lines are skipped
     but counted.
 
-    Files without quotes or lone CR line ends go to ``np.loadtxt``, which
-    accepts a strict subset of what Python's int and float accept and gives
-    the same values. Other files, and any it refuses, go to the csv module and
-    Python's int and float, which find the exact line and reason of a
-    malformed row.
+    The text is split at its line feeds once. The header is the first line,
+    and the list of lines goes to ``np.loadtxt``, which accepts a strict
+    subset of what Python's int and float accept and gives the same values,
+    and refuses a CR anywhere but at the end of a line. A file with a quote,
+    a blank line before its last row or a text field of 16 characters or
+    more goes to the csv module and Python's int and float instead, as does
+    any file ``np.loadtxt`` refuses; they find the exact line and reason of
+    a malformed row.
     """
     path = str(path)
     fields = fields if isinstance(fields, dict) else dict(zip(fields, fields))
     text = _read_text(path)
-    header = next(csv.reader(io.StringIO(text, newline="")), None)
-    if header is None:
+    if not text:
         raise ParseError(path, 1, "empty file, header required")
+    lines = text.split("\n")
+    first = lines[0].removesuffix("\r")
+    plain = '"' not in text and "\r" not in first
+    if plain:
+        header = first.split(",") if first else []
+    else:
+        header = next(csv.reader(io.StringIO(text, newline="")))
     header = [h.strip() for h in header]
     if exact and header != list(fields.values()):
         raise ParseError(path, 1, f"expected header {','.join(fields.values())}")
@@ -98,42 +110,38 @@ def read_table(path, fields, numeric=(), exact=True):
             raise ParseError(path, 1, f"missing column '{column}' for field '{name}'")
     position = {name: header.index(column) for name, column in fields.items()}
     numbers = [(position[name], name, kind) for name, kind in dict(numeric).items()]
-    columns, line, pending, raw = (_read_array(text, len(header), numbers)
+    columns, line, pending, raw = ((plain and _read_array(text, lines, len(header), numbers))
                                    or _read_records(text, len(header), numbers))
     return Table(path, {name: columns[i] for name, i in position.items()}, line, pending, raw)
 
 
-def _read_array(text, width, numbers):
-    """np.loadtxt parse, or None where it could differ from the csv module."""
-    if '"' in text or text.count("\r") != text.count("\r\n"):
-        return None
+def _read_array(text, lines, width, numbers):
+    """np.loadtxt parse of the lines, or None where it could differ from the csv module."""
     kinds = {j: kind for j, _, kind in numbers}
     dtype = [(f"c{j}", _DTYPE[kinds[j]] if j in kinds else f"U{_TEXT_WIDTH}")
              for j in range(width)]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a header-only file is "empty input"
-            parsed = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",", skiprows=1,
-                                comments=None, ndmin=1)
+            parsed = np.loadtxt(lines, dtype=dtype, delimiter=",", skiprows=1, comments=None,
+                                ndmin=1)
     except ValueError:
         return None
-    if parsed.size != text.count("\n") + (not text.endswith("\n")) - 1:
+    if parsed.size != len(lines) - 1 - (lines[-1] == ""):
         return None  # blank lines moved the line numbers
-    columns = [parsed[f"c{j}"] for j in range(width)]
+    # an ASCII text without _SPACES has no field to strip
+    spaced = not text.isascii() or any(ch in text for ch in _SPACES)
+    columns = []
     for j in range(width):
+        column = parsed[f"c{j}"]
         if j not in kinds:
-            longest = int(np.strings.str_len(columns[j]).max(initial=1))
+            longest = int(np.strings.str_len(column).max(initial=1))
             if longest >= _TEXT_WIDTH:
                 return None  # possibly cut at the field width
-            columns[j] = np.strings.strip(columns[j]).astype(f"U{longest}")
-    lines = []
-
-    def raw(line_no):
-        if not lines:
-            lines.extend(text.split("\n"))
-        return lines[line_no - 1].removesuffix("\r")
-
-    return columns, np.arange(2, parsed.size + 2), None, raw
+            column = np.strings.strip(column) if spaced else column
+        columns.append(np.ascontiguousarray(column, dtype=None if j in kinds else f"U{longest}"))
+    return columns, np.arange(2, parsed.size + 2), None, \
+        lambda line_no: lines[line_no - 1].removesuffix("\r")
 
 
 def _read_records(text, width, numbers):
@@ -218,25 +226,61 @@ def code_text(vocab, index):
 
 def vocabulary(*columns):
     """Sorted distinct codes over text columns, and each column's int32 indices."""
-    codes = sorted(set().union(*(c.tolist() for c in columns)))
-    keys = np.array(codes, dtype=str)
-    return tuple(codes), [np.searchsorted(keys, c).astype(np.int32) for c in columns]
+    codes, index = _distinct_codes(np.concatenate([np.asarray(c, dtype=str) for c in columns]))
+    ends = np.cumsum([len(c) for c in columns[:-1]])
+    return tuple(codes), np.split(index.astype(np.int32), ends)
 
 
 def code_index(vocab, codes):
     """Index of each code in a vocabulary (in any order), -1 for unknown codes."""
-    keys = np.array(vocab, dtype=str)
-    codes = np.asarray(codes, dtype=str)
-    if keys.size == 0:
-        return np.full(codes.size, -1, dtype=np.int32)
-    order = np.argsort(keys)
-    at = order[np.minimum(np.searchsorted(keys[order], codes), keys.size - 1)]
-    return np.where(keys[at] == codes, at, -1).astype(np.int32)
+    found, index = _distinct_codes(np.asarray(codes, dtype=str))
+    position = {code: i for i, code in enumerate(vocab)}
+    return np.array([position.get(code, -1) for code in found], dtype=np.int32)[index]
+
+
+def _distinct_codes(codes):
+    """Sorted distinct codes of a text array, as a list, and each code's index in it.
+
+    A code is packed into one int64 key, its characters big-end first, so the
+    keys sort like the codes; codes too wide for that are sorted as text.
+    """
+    width = codes.dtype.itemsize // 4
+    chars = np.ascontiguousarray(codes).view(np.uint32).reshape(codes.size, width)
+    bits = int(chars.max(initial=0)).bit_length()
+    if bits * width > 63:
+        text, index = np.unique(codes, return_inverse=True)
+        return text.tolist(), index
+    key = np.zeros(codes.size, dtype=np.int64)
+    for j in range(width):
+        key <<= bits
+        key |= chars[:, j]
+    keys, index = distinct(key)
+    shifts = bits * np.arange(width - 1, -1, -1)
+    chars = ((keys[:, None] >> shifts) & ((1 << bits) - 1)).astype(np.uint32)
+    return chars.view(f"U{width}").ravel().tolist(), index
+
+
+def distinct(key):
+    """Sorted distinct values of a key array, and each key's index among them.
+
+    Only the first key of each run of equal keys is sorted, so keys that come
+    grouped, as in a file written in key order, cost one pass.
+    """
+    heads = np.flatnonzero(key[1:] != key[:-1]) + 1
+    starts = np.concatenate(([0], heads)) if key.size else heads
+    values, index = np.unique(key[starts], return_inverse=True)
+    return values, np.repeat(index, np.diff(starts, append=key.size))
+
+
+def ascending(key):
+    """Whether the keys rise strictly: already sorted, and no key repeats."""
+    return bool(np.all(key[1:] > key[:-1]))
 
 
 def repeats(key):
     """Mask of rows whose key already appeared on an earlier row."""
-    order = np.argsort(key, kind="stable")
     seen = np.zeros(key.size, dtype=bool)
-    seen[order[1:]] = key[order[1:]] == key[order[:-1]]
+    if not ascending(key):
+        order = np.argsort(key, kind="stable")
+        seen[order[1:]] = key[order[1:]] == key[order[:-1]]
     return seen

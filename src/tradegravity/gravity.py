@@ -424,8 +424,7 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
 
     hit = np.argwhere(reads["od"] & np.isnan(fields["distance"]))
     if hit.size:
-        raise CoverageError(f"no dyad data for sampled pair "
-                            f"({countries[hit[0, 0]]},{countries[hit[0, 1]]})")
+        dyad_meta.record(countries[hit[0, 0]], countries[hit[0, 1]])  # raises: no record
     if not np.isfinite(log_x_opd).all():
         raise TradeDataError("non-finite values in column log_x_opd")
     reads["to"], reads["td"] = reads["top"].any(axis=2), reads["tpd"].any(axis=1)

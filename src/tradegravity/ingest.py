@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import (code_index, code_text, float_text, quoted, read_table, repeats, vocabulary,
-                    write_rows)
+from .csvio import (ascending, code_index, code_text, distinct, float_text, quoted, read_table,
+                    repeats, vocabulary, write_rows)
 from .errors import CoverageError, ParseError, TradeDataError
 
 log = logging.getLogger(__name__)
@@ -145,14 +145,11 @@ class TradeTensor:
 
     @classmethod
     def from_arrays(cls, countries, products, year, o, p, d, v):
-        """Build from parallel cell arrays in any order; o, p, d index the vocabularies."""
-        order = np.argsort(year_cell_keys(year, o, p, d, len(countries), len(products)),
-                           kind="stable")
-        year, o, p, d, v = (np.asarray(a)[order] for a in (year, o, p, d, v))
-        years, starts = np.unique(year, return_index=True)
-        ends = np.append(starts[1:], year.size)
-        flows = {int(y): (o[s:e], p[s:e], d[s:e], v[s:e])
-                 for y, s, e in zip(years, starts, ends)}
+        """Build from parallel cell arrays in any order; o, p, d index the vocabularies.
+
+        Arrays that come in cell order are kept as they are, not copied."""
+        flows = by_year(year_cell_keys(year, o, p, d, len(countries), len(products)), year,
+                        o, p, d, v)
         return cls(countries, products, sorted(flows), flows)
 
     @classmethod
@@ -264,6 +261,7 @@ class CountryMeta:
     def __init__(self):
         self._pop = {}
         self._gdp = {}
+        self.source = None  # the file read into it, named by a coverage error
 
     @classmethod
     def from_csv(cls, path):
@@ -275,6 +273,8 @@ class CountryMeta:
         for name, value in (("population", population), ("gdp_per_capita", gdp_per_capita)):
             if not value > 0:
                 raise TradeDataError(f"{code}/{year}: {name} must be positive, got {value}")
+            if value == np.inf:
+                raise TradeDataError(f"{code}/{year}: {name} must be finite, got {value}")
         key = (code, int(year))
         if key in self._pop and (self._pop[key], self._gdp[key]) != (population, gdp_per_capita):
             raise TradeDataError(f"conflicting duplicate country row ({code},{year})")
@@ -285,13 +285,14 @@ class CountryMeta:
         try:
             return self._pop[(code, int(year))]
         except KeyError:
-            raise CoverageError(f"no population for country {code} in year {year}") from None
+            raise _uncovered(self, f"no population for country {code} in year {year}") from None
 
     def gdp_per_capita(self, code, year):
         try:
             return self._gdp[(code, int(year))]
         except KeyError:
-            raise CoverageError(f"no gdp_per_capita for country {code} in year {year}") from None
+            raise _uncovered(self, f"no gdp_per_capita for country {code} in year {year}") \
+                from None
 
     def write_csv(self, path):
         keys = sorted(self._pop)
@@ -307,6 +308,7 @@ def _add_rows(meta, table, columns):
     An add that fails raises ParseError at its row's line; it comes first
     because the table holds only the rows above the first malformed one.
     """
+    meta.source = table.path
     for line_no, *row in zip(table.line.tolist(), *(table[name].tolist() for name in columns)):
         try:
             meta.add(*row)
@@ -314,6 +316,11 @@ def _add_rows(meta, table, columns):
             raise ParseError(table.path, line_no, str(exc)) from None
     table.check()
     return meta
+
+
+def _uncovered(meta, message):
+    """CoverageError for metadata, naming the file it was read from."""
+    return CoverageError(f"{meta.source}: {message}" if meta.source else message)
 
 
 @dataclass(frozen=True, slots=True)
@@ -330,6 +337,7 @@ class DyadMeta:
 
     def __init__(self):
         self._records = {}
+        self.source = None  # the file read into it, named by a coverage error
 
     @staticmethod
     def _key(a, b):
@@ -364,7 +372,7 @@ class DyadMeta:
         try:
             return self._records[self._key(a, b)]
         except KeyError:
-            raise CoverageError(f"no dyad data for country pair ({a},{b})") from None
+            raise _uncovered(self, f"no dyad data for country pair ({a},{b})") from None
 
     def distance(self, a, b):
         return self.record(a, b).distance_km
@@ -423,10 +431,11 @@ def load_trade_csv(path, schema=None):
     table = read_table(path, {name: schema.get(name, name) for name in TRADE_COLUMNS},
                        numeric={"year": int, "value": float}, exact=False)
     value, reporter = table["value"], table["reporter"]
-    sides = {r.value for r in Reporter}
+    sides = {r.value: int(r is Reporter.IMPORTER) for r in Reporter}
+    side = _per_code(reporter, lambda c: sides.get(c.lower(), -1), dtype=np.int8)
     table.check((value < 0, lambda i: f"negative trade value {float(value[i])}"),
-                (~_per_code(reporter, lambda c: c.lower() in sides),
-                 lambda i: f"unknown reporter '{reporter[i]}'"))
+                (~np.isfinite(value), lambda i: f"non-finite value {float(value[i])}"),
+                (side < 0, lambda i: f"unknown reporter '{reporter[i]}'"))
     origin, destination, product = table["origin"], table["destination"], table["product"]
     reason = np.select([~_per_code(origin, COUNTRY_RE.match),
                         ~_per_code(destination, COUNTRY_RE.match),
@@ -437,19 +446,17 @@ def load_trade_csv(path, schema=None):
     rejects = [RejectedRow(int(table.line[i]), REJECT_REASONS[reason[i] - 1], raw)
                for i, raw in zip(bad, table.raw(bad))]
     ok = reason == 0
-    importer = _per_code(reporter, lambda c: c.lower() == Reporter.IMPORTER.value)
     batch = TradeBatch(table["year"][ok], origin[ok], destination[ok], product[ok],
-                       value[ok], importer[ok])
+                       value[ok], side[ok] == 1)
     if rejects:
         log.info("load_trade_csv: %d records parsed, %d rows rejected", len(batch), len(rejects))
     return batch, rejects
 
 
-def _per_code(codes, test):
-    """Truth of test(code), evaluated once per distinct code, for each row."""
-    codes = codes.tolist()
-    result = {c: bool(test(c)) for c in set(codes)}
-    return np.fromiter(map(result.__getitem__, codes), dtype=bool, count=len(codes))
+def _per_code(codes, test, dtype=bool):
+    """test(code) for each row, evaluated once per distinct code."""
+    found, (index,) = vocabulary(codes)
+    return np.array([test(c) for c in found], dtype=dtype)[index]
 
 
 def write_rejects_report(rejects, path):
@@ -499,9 +506,20 @@ def cell_keys(o, p, d, n_countries, n_products):
 
 def year_cell_keys(year, o, p, d, n_countries, n_products):
     """One int64 key per (year, origin, product, destination) cell, ordered like the tuple."""
-    _, y = np.unique(year, return_inverse=True)
+    _, y = distinct(np.asarray(year))
     return (y.astype(np.int64) * (n_countries * n_products * n_countries)
             + cell_keys(o, p, d, n_countries, n_products))
+
+
+def by_year(key, year, *arrays):
+    """{year: the arrays' slices for that year}, each slice in key order.
+
+    Arrays whose keys already rise strictly are sliced as they are, not sorted."""
+    order = slice(None) if ascending(key) else np.argsort(key, kind="stable")
+    year, *arrays = (np.asarray(a)[order] for a in (year, *arrays))
+    starts = np.flatnonzero(np.diff(year, prepend=year[:1] - 1))
+    return {y: [a[s:e] for a in arrays]
+            for y, s, e in zip(year[starts].tolist(), starts, np.append(starts[1:], year.size))}
 
 
 def lookup(sorted_keys, keys):
@@ -576,6 +594,7 @@ def read_tensor_csv(path):
     products, (p,) = vocabulary(product)
     table.check(
         (~(value > 0), lambda i: f"non-positive value {float(value[i])}"),
+        (~np.isfinite(value), lambda i: f"non-finite value {float(value[i])}"),
         (o == d, lambda i: f"origin equals destination {origin[i]}"),
         (repeats(year_cell_keys(year, o, p, d, len(countries), len(products))),
          lambda i: "duplicate cell "

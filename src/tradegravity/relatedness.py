@@ -25,7 +25,7 @@ import numpy as np
 
 from .csvio import code_index, code_text, float_text, read_table, repeats, write_rows
 from .errors import TradeDataError
-from .ingest import cell_keys, year_cell_keys
+from .ingest import by_year, cell_keys, year_cell_keys
 
 log = logging.getLogger(__name__)
 
@@ -258,14 +258,5 @@ def read_relatedness_csv(path, countries, products):
            lambda i, m=m: f"{m} {float(table[m][i])} outside [0, 1]") for m in measures],
         (repeats(key), lambda i: f"duplicate cell {int(year[i])},{origin[i]},{product[i]},"
                                  f"{destination[i]}"))
-    order = np.argsort(key, kind="stable")
-    years, starts = np.unique(year[order], return_index=True)
-    ends = np.append(starts[1:], order.size)
-    out = {}
-    for y, s, e in zip(years.tolist(), starts, ends):
-        rows = order[s:e]
-        out[y] = RelatednessValues(
-            year=y, o=o[rows], p=p[rows], d=d[rows],
-            omega=table["omega"][rows], omega_d=table["omega_d"][rows],
-            omega_o=table["omega_o"][rows], countries=countries, products=products)
-    return out
+    cells = by_year(key, year, o, p, d, *(table[m] for m in measures))
+    return {y: RelatednessValues(y, *arrays, countries, products) for y, arrays in cells.items()}

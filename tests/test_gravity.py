@@ -409,9 +409,8 @@ def test_non_finite_covariate_read_by_a_row_names_its_column():
     meta = tg.CountryMeta()
     for c in w.tensor.countries:
         for y in w.tensor.years:
-            gdp = np.inf if (c, y) == (w.tensor.countries[0], 2000) else \
-                w.country_meta.gdp_per_capita(c, y)
-            meta.add(c, y, w.country_meta.population(c, y), gdp)
+            meta.add(c, y, w.country_meta.population(c, y), w.country_meta.gdp_per_capita(c, y))
+    meta._gdp[(w.tensor.countries[0], 2000)] = np.inf  # add() rejects it
     with pytest.raises(tg.TradeDataError, match="non-finite values in column log_gdp_o"):
         tg.build_dataset(w.tensor, rel, meta, w.dyad_meta, (2000, 2002))
 

@@ -261,6 +261,8 @@ def test_meta_csv_roundtrip(tmp_path, small_world):
     ("AAA,2000,2e7,300\n", "conflicting duplicate country row (AAA,2000)"),
     ("BBB,2000,nan,50\n", "BBB/2000: population must be positive, got nan"),
     ("BBB,2000,1e6,0\n", "BBB/2000: gdp_per_capita must be positive, got 0.0"),
+    ("BBB,2000,inf,50\n", "BBB/2000: population must be finite, got inf"),
+    ("BBB,2000,1e6,inf\n", "BBB/2000: gdp_per_capita must be finite, got inf"),
 ])
 def test_country_reader_names_line_and_reason(tmp_path, bad, reason):
     path = tmp_path / "country.csv"
@@ -308,6 +310,7 @@ GOOD_CELL = "2000,AAA,BBB,0101,1.5\n"
     ("2000,AAA,BBB,0102,0\n", "non-positive value 0.0"),
     ("2000,AAA,BBB,0102,-2\n", "non-positive value -2.0"),
     ("2000,AAA,BBB,0102,nan\n", "non-positive value nan"),
+    ("2000,AAA,BBB,0102,inf\n", "non-finite value inf"),
     ("2000,AAA,AAA,0102,1\n", "origin equals destination AAA"),
     (GOOD_CELL, "duplicate cell (2000, 'AAA', '0101', 'BBB')"),
 ])
@@ -326,6 +329,8 @@ def test_tensor_reader_names_line_and_reason(tmp_path, bad, reason):
     ("20x3,KOR,CHL,6201,1,exporter\n", "unparseable year '20x3'"),
     ("2003,KOR,CHL,6201, one ,exporter\n", "unparseable value 'one'"),
     ("2003,KOR,CHL,6201,-1,exporter\n", "negative trade value -1.0"),
+    ("2003,KOR,CHL,6201,inf,exporter\n", "non-finite value inf"),
+    ("2003,KOR,CHL,6201,nan,exporter\n", "non-finite value nan"),
     ("2003,KOR,CHL,6201,1, customs \n", "unknown reporter 'customs'"),
 ])
 def test_trade_reader_names_line_and_reason(tmp_path, bad, reason):
