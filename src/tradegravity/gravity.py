@@ -424,7 +424,7 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
 
     hit = np.argwhere(reads["od"] & np.isnan(fields["distance"]))
     if hit.size:
-        dyad_meta.record(countries[hit[0, 0]], countries[hit[0, 1]])  # raises: no record
+        raise dyad_meta.missing(countries[hit[0, 0]], countries[hit[0, 1]])
     if not np.isfinite(log_x_opd).all():
         raise TradeDataError("non-finite values in column log_x_opd")
     reads["to"], reads["td"] = reads["top"].any(axis=2), reads["tpd"].any(axis=1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import (ascending, code_index, code_text, distinct, float_text, quoted, read_table,
+from .csvio import (ascending, code_index, code_text, float_text, quoted, read_table,
                     repeats, vocabulary, write_rows)
 from .errors import CoverageError, ParseError, TradeDataError
 
@@ -372,7 +372,11 @@ class DyadMeta:
         try:
             return self._records[self._key(a, b)]
         except KeyError:
-            raise _uncovered(self, f"no dyad data for country pair ({a},{b})") from None
+            raise self.missing(a, b) from None
+
+    def missing(self, a, b):
+        """CoverageError for a pair with no record, naming the file."""
+        return _uncovered(self, f"no dyad data for country pair ({a},{b})")
 
     def distance(self, a, b):
         return self.record(a, b).distance_km
@@ -385,7 +389,7 @@ class DyadMeta:
         dist = self.field_matrices(countries)["distance"]
         missing = np.argwhere(np.isnan(dist))
         if missing.size:
-            self.record(*(countries[k] for k in missing[0]))  # raises for that pair
+            raise self.missing(*(countries[k] for k in missing[0]))
         return dist
 
     def field_matrices(self, countries):
@@ -506,7 +510,7 @@ def cell_keys(o, p, d, n_countries, n_products):
 
 def year_cell_keys(year, o, p, d, n_countries, n_products):
     """One int64 key per (year, origin, product, destination) cell, ordered like the tuple."""
-    _, y = distinct(np.asarray(year))
+    _, y = np.unique(year, return_inverse=True)
     return (y.astype(np.int64) * (n_countries * n_products * n_countries)
             + cell_keys(o, p, d, n_countries, n_products))
 

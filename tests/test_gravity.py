@@ -404,6 +404,20 @@ def test_missing_covariate_names_key():
         tg.build_dataset(w.tensor, rel, meta, w.dyad_meta, (2000, 2002))
 
 
+def test_missing_dyad_pair_names_pair_and_file(tmp_path):
+    w, rel = multi_year_world()
+    o, _, d, _ = w.tensor.flows(2000)
+    a, b = sorted((w.tensor.countries[o[0]], w.tensor.countries[d[0]]))
+    path = tmp_path / "dyad.csv"
+    w.dyad_meta.write_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith(f"{a},{b},")))
+    dyads = tg.DyadMeta.from_csv(path)
+    with pytest.raises(tg.CoverageError) as exc:
+        tg.build_dataset(w.tensor, rel, w.country_meta, dyads, (2000, 2002))
+    assert str(exc.value) == f"{path}: no dyad data for country pair ({a},{b})"
+
+
 def test_non_finite_covariate_read_by_a_row_names_its_column():
     w, rel = multi_year_world()
     meta = tg.CountryMeta()

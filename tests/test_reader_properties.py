@@ -237,5 +237,3 @@ def test_repeats_match_python(keys, ascending):
     key = np.array(keys, dtype=np.int64)
     assert csvio.ascending(key) == all(a < b for a, b in zip(keys, keys[1:]))
     assert csvio.repeats(key).tolist() == [k in keys[:i] for i, k in enumerate(keys)]
-    values, index = csvio.distinct(key)
-    assert values.tolist() == sorted(set(keys)) and values[index].tolist() == keys
