@@ -26,8 +26,9 @@ from .errors import ParseError, TradeDataError
 
 log = logging.getLogger(__name__)
 
-# parsed options that only steer the run; the manifest's config leaves them out
-RUN_KEYS = ("command", "func", "output_dir", "log_level")
+# parsed options that only steer the run; the manifest's config leaves them out (the
+# thread count, which never changes the output bytes, is recorded beside the run's time)
+RUN_KEYS = ("command", "func", "output_dir", "log_level", "threads")
 # input-file options: the manifest hashes each one given under inputs, not config
 INPUT_KEYS = ("trade", "proximity", "relatedness", "country_csv", "dyad_csv", "concordance",
               "input", "config")
@@ -55,6 +56,7 @@ def _write_manifest(out_dir, args, inputs, outputs, row_counts, started):
         "outputs": {str(p): _sha256(p) for p in outputs},
         "row_counts": row_counts,
         "wall_time_s": round(time.perf_counter() - started, 3),
+        "threads": getattr(args, "threads", None),
         # the stage process's peak resident size; ru_maxrss is in KiB on Linux
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }

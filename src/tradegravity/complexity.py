@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import code_index, code_text, float_text, read_table, repeats, write_rows
+from .csvio import Column, code_index, codes, floats, read_table, repeats, write_rows
 from .errors import TradeDataError
 
 log = logging.getLogger(__name__)
@@ -144,12 +144,12 @@ def export_product_space(prox, edges_path, histogram_path, bins=50):
     iu, ju = np.triu_indices(n, k=1)
     vals = prox.phi[iu, ju]
     write_rows(edges_path, ("product_i", "product_j", "phi"),
-               [code_text(prox.products, iu), code_text(prox.products, ju), float_text(vals)])
+               [[codes(prox.products, iu), codes(prox.products, ju), floats(vals)]])
     counts, edges = np.histogram(vals, bins=bins, range=(0.0, 1.0))
     fraction = np.cumsum(counts) / max(vals.size, 1)
     six = lambda xs: [f"{x:.6f}" for x in xs]
     write_rows(histogram_path, ("bin_lower", "bin_upper", "count", "cumulative_fraction"),
-               [six(edges[:-1]), six(edges[1:]), [str(c) for c in counts], six(fraction)])
+               [[six(edges[:-1]), six(edges[1:]), [str(c) for c in counts], six(fraction)]])
     return int(vals.size)
 
 
@@ -157,10 +157,11 @@ def write_rca_csv(rca, path):
     """Long-form country,product,rca rows; absent (NaN) rows are skipped."""
     rows = np.flatnonzero(~np.all(np.isnan(rca.values), axis=1))
     n_products = len(rca.products)
+    ten = lambda xs: [f"{x:.10g}" for x in xs.tolist()]
     write_rows(path, ("country", "product", "rca"),
-               [code_text(rca.countries, np.repeat(rows, n_products)),
-                code_text(rca.products, np.tile(np.arange(n_products), rows.size)),
-                [f"{x:.10g}" for x in rca.values[rows].ravel()]])
+               [[codes(rca.countries, np.repeat(rows, n_products)),
+                 codes(rca.products, np.tile(np.arange(n_products), rows.size)),
+                 Column(ten, rca.values[rows].ravel())]])
 
 
 def read_proximity_csv(path, products):

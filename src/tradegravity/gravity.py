@@ -951,21 +951,21 @@ def write_results_csv(results, path):
     rows.append(["n"] + [str(r.n) for r in fits])
     rows.append(["adj_r2"] + [f"{r.adj_r2:.6f}" for r in fits])
     rows.append(["resid_se"] + [f"{r.resid_se:.6f}" for r in fits])
-    write_rows(path, ["variable"] + [str(k) for k in keys], list(zip(*rows)))
+    write_rows(path, ["variable"] + [str(k) for k in keys], [list(zip(*rows))])
 
 
 def write_trend_csv(trends, path):
     rows = [(name, f"{t.slope:.6f}", f"{t.se:.6f}", f"{t.pvalue:.6f}", str(t.significant).lower())
             for name, t in sorted(trends.items())]
-    write_rows(path, ("variable", "slope", "se", "p", "significant"), list(zip(*rows)))
+    write_rows(path, ("variable", "slope", "se", "p", "significant"), [list(zip(*rows))])
 
 
 def write_summary_csv(rows, path):
     rows = [(name, str(n), *(f"{x:.6f}" for x in stats)) for name, n, *stats in rows]
-    write_rows(path, ("variable", "n", "mean", "std", "min", "max"), list(zip(*rows)))
+    write_rows(path, ("variable", "n", "mean", "std", "min", "max"), [list(zip(*rows))])
 
 
 def write_correlation_csv(names, matrix, path):
     rows = [[name] + [f"{matrix[i, j]:.6f}" for j in range(len(names))]
             for i, name in enumerate(names)]
-    write_rows(path, ["variable"] + list(names), list(zip(*rows)))
+    write_rows(path, ["variable"] + list(names), [list(zip(*rows))])

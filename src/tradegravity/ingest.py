@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import (ascending, code_index, code_text, float_text, quoted, read_table,
-                    repeats, vocabulary, write_rows)
+from .csvio import (ascending, code_index, codes, floats, lookup, quoted, read_table,
+                    repeated, repeats, vocabulary, write_rows)
 from .errors import CoverageError, ParseError, TradeDataError
 
 log = logging.getLogger(__name__)
@@ -138,8 +138,7 @@ class TradeTensor:
                 raise TradeDataError(f"year {year}: non-positive flow value stored in tensor")
             if np.any(o == d):
                 raise TradeDataError(f"year {year}: origin equals destination in tensor cell")
-            key = cell_keys(o, p, d, self.n_countries, self.n_products)
-            if key.size > 1 and np.any(np.diff(key) <= 0):
+            if not ascending(cell_keys(o, p, d, self.n_countries, self.n_products)):
                 raise TradeDataError(f"year {year}: tensor cells not sorted or not unique")
             self._flows[int(year)] = (o, p, d, v)
 
@@ -297,9 +296,9 @@ class CountryMeta:
     def write_csv(self, path):
         keys = sorted(self._pop)
         write_rows(path, COUNTRY_COLUMNS,
-                   [quoted(k[0] for k in keys), [str(k[1]) for k in keys],
-                    float_text([self._pop[k] for k in keys]),
-                    float_text([self._gdp[k] for k in keys])])
+                   [[quoted(k[0] for k in keys), [str(k[1]) for k in keys],
+                     floats([self._pop[k] for k in keys]),
+                     floats([self._gdp[k] for k in keys])]])
 
 
 def _add_rows(meta, table, columns):
@@ -360,6 +359,9 @@ class DyadMeta:
                 raise TradeDataError(f"dyad ({a},{b}): {name} must be 0 or 1, got {val}")
         if not lang_proximity >= 0:
             raise TradeDataError(f"dyad ({a},{b}): lang_proximity must be non-negative")
+        for name, val in (("distance", distance_km), ("lang_proximity", lang_proximity)):
+            if val == np.inf:
+                raise TradeDataError(f"dyad ({a},{b}): {name} must be finite, got {val}")
         rec = DyadRecord(float(distance_km), int(border), int(colony),
                          int(language), float(lang_proximity))
         key = self._key(a, b)
@@ -413,11 +415,11 @@ class DyadMeta:
         keys = sorted(self._records)
         records = [self._records[k] for k in keys]
         write_rows(path, DYAD_COLUMNS,
-                   [quoted(k[0] for k in keys), quoted(k[1] for k in keys),
-                    float_text([r.distance_km for r in records]),
-                    *([str(getattr(r, name)) for r in records]
-                      for name in ("border", "colony", "language")),
-                    float_text([r.lang_proximity for r in records])])
+                   [[quoted(k[0] for k in keys), quoted(k[1] for k in keys),
+                     floats([r.distance_km for r in records]),
+                     *([str(getattr(r, name)) for r in records]
+                       for name in ("border", "colony", "language")),
+                     floats([r.lang_proximity for r in records])]])
 
 
 def load_trade_csv(path, schema=None):
@@ -465,8 +467,8 @@ def _per_code(codes, test, dtype=bool):
 
 def write_rejects_report(rejects, path):
     write_rows(path, ("line", "reason", "row"),
-               [[str(r.line_no) for r in rejects], [r.reason for r in rejects],
-                quoted(r.raw for r in rejects)])
+               [[[str(r.line_no) for r in rejects], [r.reason for r in rejects],
+                 quoted(r.raw for r in rejects)]])
 
 
 def reconcile(batch, policy=ReconcilePolicy.IMPORTER):
@@ -505,14 +507,21 @@ def reconcile(batch, policy=ReconcilePolicy.IMPORTER):
 
 def cell_keys(o, p, d, n_countries, n_products):
     """One int64 key per (origin, product, destination) cell, ordered like the tuple."""
-    return (o.astype(np.int64) * n_products + p) * n_countries + d
+    return _fold(o.astype(np.int64), (p, n_products), (d, n_countries))
 
 
 def year_cell_keys(year, o, p, d, n_countries, n_products):
     """One int64 key per (year, origin, product, destination) cell, ordered like the tuple."""
-    _, y = np.unique(year, return_inverse=True)
-    return (y.astype(np.int64) * (n_countries * n_products * n_countries)
-            + cell_keys(o, p, d, n_countries, n_products))
+    rank = np.searchsorted(np.unique(year), year).astype(np.int64, copy=False)
+    return _fold(rank, (o, n_countries), (p, n_products), (d, n_countries))
+
+
+def _fold(key, *digits):
+    """key, then each (digit, base) pair appended as a lower digit, in place."""
+    for digit, base in digits:
+        key *= base
+        key += digit
+    return key
 
 
 def by_year(key, year, *arrays):
@@ -521,18 +530,9 @@ def by_year(key, year, *arrays):
     Arrays whose keys already rise strictly are sliced as they are, not sorted."""
     order = slice(None) if ascending(key) else np.argsort(key, kind="stable")
     year, *arrays = (np.asarray(a)[order] for a in (year, *arrays))
-    starts = np.flatnonzero(np.diff(year, prepend=year[:1] - 1))
+    starts = np.append(0, np.flatnonzero(year[1:] != year[:-1]) + 1)[:year.size]
     return {y: [a[s:e] for a in arrays]
             for y, s, e in zip(year[starts].tolist(), starts, np.append(starts[1:], year.size))}
-
-
-def lookup(sorted_keys, keys):
-    """Where each key sits in an ascending key array: (found mask, index or 0)."""
-    pos = np.searchsorted(sorted_keys, keys)
-    # a key past the last one reads the last one, which differs from it
-    found = (sorted_keys.take(pos, mode="clip") == keys) if sorted_keys.size else pos < 0
-    pos *= found
-    return found, pos
 
 
 def filter_countries(tensor, meta, rules=None):
@@ -576,17 +576,15 @@ def write_tensor_csv(tensor, path, reporter=None):
     With ``reporter`` ("exporter" or "importer") every row also carries that
     reporter column: the raw trade format that load_trade_csv reads.
     """
-    flows = [tensor.flows(year) for year in tensor.years]
-    o, p, d, v = (np.concatenate([f[j] for f in flows] or [np.empty(0, dtype=np.int64)])
-                  for j in range(4))
-    columns = [np.repeat(np.array([str(y) for y in tensor.years], dtype=object),
-                         [f[0].size for f in flows]),
-               code_text(tensor.countries, o), code_text(tensor.countries, d),
-               code_text(tensor.products, p), float_text(v)]
-    header = TENSOR_COLUMNS
-    if reporter is not None:
-        header, columns = TRADE_COLUMNS, columns + [[Reporter(reporter).value] * v.size]
-    write_rows(path, header, columns)
+    side = None if reporter is None else Reporter(reporter).value
+
+    def parts():
+        for year in tensor.years:
+            o, p, d, v = tensor.flows(year)
+            columns = [repeated(str(year), v.size), codes(tensor.countries, o),
+                       codes(tensor.countries, d), codes(tensor.products, p), floats(v)]
+            yield columns if side is None else columns + [repeated(side, v.size)]
+    write_rows(path, TENSOR_COLUMNS if side is None else TRADE_COLUMNS, parts())
 
 
 def read_tensor_csv(path):

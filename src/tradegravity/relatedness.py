@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import code_index, code_text, float_text, read_table, repeats, write_rows
+from .csvio import code_index, codes, floats, read_table, repeated, repeats, write_rows
 from .errors import TradeDataError
 from .ingest import by_year, cell_keys, year_cell_keys
 
@@ -221,18 +221,20 @@ def write_relatedness_csv(values_by_year, path):
     relatedness are dropped (and counted in the return value) rather than
     written with holes.
     """
-    columns = [[] for _ in RELATEDNESS_COLUMNS]
     dropped = 0
-    for rel in sorted(values_by_year, key=lambda r: r.year):
-        keep = np.isfinite(rel.omega)
-        dropped += int((~keep).sum())
-        parts = ([str(rel.year)] * int(keep.sum()), code_text(rel.countries, rel.o[keep]),
-                 code_text(rel.products, rel.p[keep]), code_text(rel.countries, rel.d[keep]),
-                 float_text(rel.omega[keep]), float_text(rel.omega_d[keep]),
-                 float_text(rel.omega_o[keep]))
-        for column, part in zip(columns, parts):
-            column.extend(part)
-    write_rows(path, RELATEDNESS_COLUMNS, columns)
+
+    def parts():
+        nonlocal dropped
+        for rel in sorted(values_by_year, key=lambda r: r.year):
+            finite = np.isfinite(rel.omega.sum())  # every omega finite: no mask, no copies
+            keep = slice(None) if finite else np.isfinite(rel.omega)
+            n = rel.omega.size if finite else int(keep.sum())
+            dropped += rel.omega.size - n
+            yield [repeated(str(rel.year), n), codes(rel.countries, rel.o[keep]),
+                   codes(rel.products, rel.p[keep]), codes(rel.countries, rel.d[keep]),
+                   floats(rel.omega[keep]), floats(rel.omega_d[keep]),
+                   floats(rel.omega_o[keep])]
+    write_rows(path, RELATEDNESS_COLUMNS, parts())
     if dropped:
         log.info("write_relatedness_csv: dropped %d cells with undefined omega", dropped)
     return dropped

@@ -145,6 +145,12 @@ def test_threads_flag_is_output_invariant(pipeline, tmp_path):
         assert run("gravity", "-o", tmp_path / threads, *meta, "--threads", threads) == 0
     for name in ("gravity_period.json", "gravity_period.csv"):
         assert (tmp_path / "3" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+    # the thread count is recorded beside the run's time, outside the config and its hash
+    for stage in ("relatedness", "gravity"):
+        one, three = (json.loads((tmp_path / t / f"{stage}_manifest.json").read_text())
+                      for t in ("1", "3"))
+        assert (one["threads"], three["threads"]) == (1, 3)
+        assert one["config_hash"] == three["config_hash"] and "threads" not in one["config"]
 
 
 def test_unordered_exporter_thresholds_are_exit_one(pipeline, tmp_path, capsys):
@@ -211,7 +217,8 @@ def test_manifest_config_and_inputs_come_from_the_parser(pipeline, tmp_path, com
     inputs = {"trade", "proximity", "relatedness", "country_csv", "dyad_csv", "concordance",
               "input", "config"}
     extra = {"proximity_window"} if command == "synth" else set()
-    assert set(manifest["config"]) == options - {"output_dir", "log_level"} - inputs | extra
+    run_keys = {"output_dir", "log_level", "threads"}
+    assert set(manifest["config"]) == options - run_keys - inputs | extra
     assert set(manifest["inputs"]) == {str(path) for path in given.values()}
 
 

@@ -280,6 +280,8 @@ def test_country_reader_names_line_and_reason(tmp_path, bad, reason):
 @pytest.mark.parametrize("bad,reason", [
     ("AAA,CCC,nan,0,0,0,0.5\n", "dyad (AAA,CCC): distance must be positive"),
     ("AAA,CCC,10,0,0,0,nan\n", "dyad (AAA,CCC): lang_proximity must be non-negative"),
+    ("AAA,CCC,inf,0,0,0,0.5\n", "dyad (AAA,CCC): distance must be finite, got inf"),
+    ("AAA,CCC,10,0,0,0,inf\n", "dyad (AAA,CCC): lang_proximity must be finite, got inf"),
     ("BBB,AAA,10,0,0,0,0.5\n", "conflicting duplicate dyad (BBB,AAA)"),
 ])
 def test_dyad_reader_names_line_and_reason(tmp_path, bad, reason):

@@ -4,12 +4,16 @@ A seeded fuzz mutates a small valid file of every CSV input and runs the CLI
 stage that reads it: each case exits 0, or 1 with a message naming the file,
 and the array parser gives the csv-module parser's table and reason. A file
 that its reader accepts may still leave the stage too little data to
-standardize; that refusal names the column, not the file. The
+standardize; that refusal names the column, not the file. The same fuzz,
+with the read block cut to a line or a few, checks that the block reader
+gives the csv module's table or reason wherever a block edge falls. The
 vocabulary tests check the integer-key code indices and the skipped sorts
-against plain Python.
+against plain Python, and the memory tests check that the large readers and
+writers hold their columns and about one block, not the file's text.
 """
 import contextlib
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -162,6 +166,60 @@ def test_mutated_inputs_exit_cleanly_and_parse_alike(world, name, data):
         assert str(path) in message or "standardize" in message, message
 
 
+# read blocks (bytes) that cut every line into its own block, or a few lines into one,
+# so that a mutation lands before, on and after a block edge
+BLOCKS = (7, 100)
+
+
+@pytest.mark.parametrize("name", ["trade", "tensor", "proximity", "relatedness", "country",
+                                  "dyad"])
+@FUZZ
+@given(data=st.data())
+def test_block_edges_read_like_the_csv_module(world, name, data):
+    root, files, tensor = world
+    file_name, (fields, numeric, *exact), reader, _ = _inputs(files, tensor)[name]
+    path = root / f"blocks_{file_name}"
+    head = (files / file_name).read_bytes().split(b"\n")[:41]  # the header and 40 rows
+    path.write_bytes(data.draw(mutated(b"\n".join(head) + b"\n")))
+    with mock.patch.object(csvio, "_read_array", return_value=None):
+        slow = _outcome(csvio.read_table, path, fields, numeric, *exact)
+        slow_read = _outcome(reader, path)
+    for block in BLOCKS:
+        with mock.patch.object(csvio, "_READ_BLOCK", block):
+            fast = _outcome(csvio.read_table, path, fields, numeric, *exact)
+            assert fast[0] == slow[0]
+            if fast[0] == "ok":  # Table.raw reads the lines again, in blocks of this size
+                assert _table_rows(fast[1]) == _table_rows(slow[1])
+            else:
+                assert fast == slow
+    # the reader's code indices, a few rows at a time
+    with mock.patch.object(csvio, "_READ_BLOCK", BLOCKS[-1]), \
+            mock.patch.object(csvio, "_ROW_BLOCK", 3):
+        fast_read = _outcome(reader, path)
+    assert fast_read[0] == slow_read[0]
+    if fast_read[0] == "error":
+        assert fast_read == slow_read
+
+
+def test_late_block_names_its_line(world, tmp_path):
+    _, files, tensor = world
+    fields, numeric = ingest.TENSOR_COLUMNS, {"year": int, "value": float}
+    lines = (files / "reconciled.csv").read_bytes().split(b"\n")
+    with mock.patch.object(csvio, "_READ_BLOCK", 64):
+        table = csvio.read_table(files / "reconciled.csv", fields, numeric)
+        rows = [len(table) - 1, 0, len(table) // 2, 1, len(table) - 1]
+        assert table.raw(rows) == [lines[r + 1].decode().removesuffix("\r") for r in rows]
+        for k in (1, len(lines) // 2, len(lines) - 2):  # a line near the end, in a late block
+            path = tmp_path / f"bad{k}.csv"
+            path.write_bytes(b"\n".join(lines[:k] + [lines[k][:6] + b"\xff" + lines[k][6:]]
+                                        + lines[k + 1:]))
+            for head in (lines[0], b"year,origin\r"):  # reported before a wrong header too
+                path.write_bytes(path.read_bytes().replace(lines[0], head, 1))
+                with pytest.raises(tg.ParseError) as exc:
+                    csvio.read_table(path, fields, numeric)
+                assert str(exc.value) == f"{path}:{k + 1}: not UTF-8 text"
+
+
 CODE_CHARS = st.characters(exclude_categories=("Cs",), exclude_characters="\x00")
 
 
@@ -237,3 +295,65 @@ def test_repeats_match_python(keys, ascending):
     key = np.array(keys, dtype=np.int64)
     assert csvio.ascending(key) == all(a < b for a, b in zip(keys, keys[1:]))
     assert csvio.repeats(key).tolist() == [k in keys[:i] for i, k in enumerate(keys)]
+
+
+COUNTRIES = tuple(f"C{i:02d}" for i in range(40))
+PRODUCTS = tuple(f"{i:04d}" for i in range(500))
+
+
+def _world(n):
+    """A two-year tensor of n random cells, and a relatedness for every cell."""
+    rng = np.random.default_rng(n)
+    nc, n_products = len(COUNTRIES), len(PRODUCTS)
+    cell = np.sort(rng.choice(nc * (nc - 1) * n_products, n, replace=False))
+    o, rest = np.divmod(cell, (nc - 1) * n_products)
+    p, d = np.divmod(rest, nc - 1)
+    d += d >= o
+    year = np.where(np.arange(n) < n // 2, 2000, 2001)
+    tensor = tg.TradeTensor.from_arrays(COUNTRIES, PRODUCTS, year, o, p, d,
+                                        rng.uniform(1, 1e6, n))
+    rel = [relatedness.RelatednessValues(y, *tensor.flows(y)[:3],
+                                         *rng.uniform(0, 1, (3, tensor.n_cells(y))),
+                                         COUNTRIES, PRODUCTS) for y in tensor.years]
+    return tensor, rel
+
+
+def _peak(fn):
+    """Peak bytes that fn allocates while it runs, what it returns included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+BLOCK_BYTES = 1 << 19  # what one small block of reading or writing may hold, at any row count
+
+
+@pytest.mark.parametrize("n", [5_000, 30_000])
+def test_large_reads_and_writes_hold_their_columns_and_one_block(tmp_path, n):
+    # reading a file's text whole held 400-530 bytes a row besides what the read kept
+    tensor, rel = _world(n)
+    tensor_path, rel_path = tmp_path / "reconciled.csv", tmp_path / "relatedness.csv"
+    with mock.patch.object(csvio, "_READ_BLOCK", 1 << 14), \
+            mock.patch.object(csvio, "_ROW_BLOCK", 1 << 8):
+        # a write holds one block of text above the arrays it is given
+        assert _peak(lambda: ingest.write_tensor_csv(tensor, tensor_path)) < BLOCK_BYTES
+        assert _peak(lambda: relatedness.write_relatedness_csv(rel, rel_path)) < BLOCK_BYTES
+        for path, fields, numeric, read in (
+                (tensor_path, ingest.TENSOR_COLUMNS, {"year": int, "value": float},
+                 lambda: ingest.read_tensor_csv(tensor_path)),
+                (rel_path, relatedness.RELATEDNESS_COLUMNS,
+                 {"year": int, "omega": float, "omega_d": float, "omega_o": float},
+                 lambda: relatedness.read_relatedness_csv(rel_path, COUNTRIES, PRODUCTS))):
+            columns = csvio.read_table(path, fields, numeric).columns
+            assert len(next(iter(columns.values()))) == n
+            # a read holds its table's typed columns and their codes, and one block
+            assert _peak(read) < 2 * sum(c.nbytes for c in columns.values()) + BLOCK_BYTES
+    # the undefined omega of a cell drops its row
+    rel[0].omega[[0, 5]] = np.nan
+    assert relatedness.write_relatedness_csv(rel, rel_path) == 2
+    again = relatedness.read_relatedness_csv(rel_path, COUNTRIES, PRODUCTS)
+    assert again[2000].n == rel[0].n - 2
+    assert np.array_equal(again[2000].omega_d, np.delete(rel[0].omega_d, [0, 5]))
