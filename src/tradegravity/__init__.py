@@ -20,8 +20,7 @@ from .gravity import (DEFAULT_PERIODS, ExporterClass, GravityDataset,
 from .ingest import (CountryMeta, DyadMeta, FilterConfig, ReconcilePolicy,
                      Reporter, TradeBatch, TradeTensor, filter_countries,
                      load_trade_csv, reconcile)
-from .oracle import (SyntheticWorld, SyntheticWorldConfig, brute_force_ols,
-                     brute_force_relatedness, dense_relatedness, generate_world)
+from .oracle import SyntheticWorld, SyntheticWorldConfig, generate_world
 from .relatedness import (DistanceWeights, RelatednessValues,
                           compute_relatedness, exporter_relatedness,
                           importer_relatedness, product_relatedness)
@@ -35,12 +34,11 @@ __all__ = [
     "ProximityMatrix", "RcaMatrix", "ReconcilePolicy", "RegressionResult",
     "RelatednessValues", "Reporter", "SingularDesignError", "StreamingOLS",
     "SyntheticWorld", "SyntheticWorldConfig", "TradeDataError",
-    "TradeBatch", "TradeTensor", "TrendResult", "binarize",
-    "brute_force_ols", "brute_force_relatedness", "build_dataset",
+    "TradeBatch", "TradeTensor", "TrendResult", "binarize", "build_dataset",
     "classify_exporter", "compute_proximity", "compute_rca",
-    "compute_relatedness", "correlation_matrix", "dense_relatedness",
-    "export_product_space", "exporter_relatedness", "filter_countries",
-    "fit_ols", "generate_world", "importer_relatedness", "load_trade_csv",
-    "product_relatedness", "reconcile", "run_split_regressions",
-    "standardize", "summary_stats", "trend_test",
+    "compute_relatedness", "correlation_matrix", "export_product_space",
+    "exporter_relatedness", "filter_countries", "fit_ols", "generate_world",
+    "importer_relatedness", "load_trade_csv", "product_relatedness",
+    "reconcile", "run_split_regressions", "standardize", "summary_stats",
+    "trend_test",
 ]

@@ -33,11 +33,6 @@ class RcaMatrix:
     products: tuple
     window: tuple
 
-    def value(self, country, product):
-        i = self.countries.index(country)
-        j = self.products.index(product)
-        return float(self.values[i, j])
-
 
 @dataclass
 class AdvantageMatrix:
@@ -64,11 +59,6 @@ class ProximityMatrix:
         self.phi.flags.writeable = False
         self.marginals = self.phi.sum(axis=1)
         self.marginals.flags.writeable = False
-
-    def value(self, product_i, product_j):
-        i = self.products.index(product_i)
-        j = self.products.index(product_j)
-        return float(self.phi[i, j])
 
 
 def compute_rca(tensor, window):

@@ -37,17 +37,17 @@ _ROW_BLOCK = 1 << 14  # rows formatted and written, or keyed, at a time
 class Table:
     """Typed columns of a CSV file's data rows, cut before the first malformed row.
 
-    ``line`` holds each row's line number (the header is line 1). A row with
-    the wrong field count or an unparseable number is held back as
-    ``pending`` (line, reason), so that ``check`` can still report an
-    earlier row that fails one of the caller's own tests. ``raw_lines(ns)``
-    gives each line n of ns as the csv module reads it: its fields joined by
-    commas.
+    ``line`` holds each row's line number (the header is line 1), a range when
+    the rows are lines 2 onward. A row with the wrong field count or an
+    unparseable number is held back as ``pending`` (line, reason), so that
+    ``check`` can still report an earlier row that fails one of the caller's
+    own tests. ``raw_lines(ns)`` gives each line n of ns as the csv module
+    reads it: its fields joined by commas.
     """
 
     path: str
     columns: dict
-    line: np.ndarray
+    line: object
     pending: tuple | None
     raw_lines: object
 
@@ -55,7 +55,7 @@ class Table:
         return self.columns[name]
 
     def __len__(self):
-        return self.line.size
+        return len(self.line)
 
     def check(self, *tests):
         """Raise ParseError at the first row failing a test, else at the pending row.
@@ -170,7 +170,7 @@ def _read_array(fh, path, width, numbers, keep):
     for j in keep:
         empty = np.empty(0, dtype=_DTYPE[kinds[j]] if j in kinds else "U1")
         columns[j] = np.concatenate(parts.pop(j) or [empty])
-    return columns, np.arange(2, n + 2), None, lambda numbers: _read_lines(path, numbers)
+    return columns, range(2, n + 2), None, lambda numbers: _read_lines(path, numbers)
 
 
 def _blocks(fh, path, line_no):

@@ -257,9 +257,6 @@ class RegressionResult:
     resid_se: float
     ortho_rel: float  # max |X'(y - Xb)| / max |X'y|, a fit health diagnostic
 
-    def coefficient(self, name):
-        return float(self.beta[self.names.index(name)])
-
     def to_dict(self, split_key=None):
         return {
             "split_key": split_key,
@@ -332,8 +329,8 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
         "language": ("od", fields["language"]),
         "log_lang_proximity": ("od", np.log1p(fields["lang_proximity"])),
     }
-    # the table entries some row reads, by the axes that index them
-    reads = {axes: np.zeros(table.shape, dtype=bool) for axes, table in tables.values()}
+    # the (year, origin, destination) entries some row reads
+    reads = np.zeros((len(years), nc, nc), dtype=bool)
     dropped_omega = []  # per year
 
     def plan(t):
@@ -380,8 +377,7 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
             cell = np.flatnonzero(keep)
             kept[n:n + cell.size], fpos[n:n + cell.size] = cell + lo, at[cell]
             n += cell.size
-            ko, kp, kd = (a[chunk][cell] for a in (o, p, d))
-            reads["top"][yr, ko, kp] = reads["tpd"][yr, kp, kd] = reads["od"][ko, kd] = True
+            reads[yr, o[chunk][cell], d[chunk][cell]] = True
         dropped_omega.append(dropped)
         if not n:
             return None
@@ -390,7 +386,7 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
         with np.errstate(divide="ignore"):  # log 0 = -inf: a marginal no row reads
             np.log(tensor.x_op(t), out=log_x_op[yr])
             np.log(tensor.x_pd(t), out=log_x_pd[yr])
-        for c in np.flatnonzero(reads["top"][yr].any(axis=1) | reads["tpd"][yr].any(axis=0)):
+        for c in np.flatnonzero(reads[yr].any(axis=1) | reads[yr].any(axis=0)):
             code = countries[c]
             log_gdp[yr, c] = country_meta.gdp_per_capita(code, t)
             log_pop[yr, c] = country_meta.population(code, t)
@@ -422,14 +418,16 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
     np.log(log_x_opd, out=log_x_opd)
     (np.log if zeros == "drop" else np.log1p)(response, out=response)
 
+    reads = {"od": reads.any(axis=0), "to": reads.any(axis=2), "td": reads.any(axis=1)}
     hit = np.argwhere(reads["od"] & np.isnan(fields["distance"]))
     if hit.size:
         raise dyad_meta.missing(countries[hit[0, 0]], countries[hit[0, 1]])
     if not np.isfinite(log_x_opd).all():
         raise TradeDataError("non-finite values in column log_x_opd")
-    reads["to"], reads["td"] = reads["top"].any(axis=2), reads["tpd"].any(axis=1)
     for name, (axes, table) in tables.items():
-        if (reads[axes] & ~np.isfinite(table)).any():
+        # x_op and x_pd are at least a kept cell's own flow: only an overflow, +inf, is read
+        if (np.isposinf(table) if axes in ("top", "tpd")
+                else reads[axes] & ~np.isfinite(table)).any():
             raise TradeDataError(f"non-finite values in column {name}")
     return GravityDataset(response, columns, countries, products)
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import (ascending, code_index, codes, floats, lookup, quoted, read_table,
-                    repeated, repeats, vocabulary, write_rows)
+from .csvio import (ascending, codes, floats, lookup, quoted, read_table, repeated,
+                    repeats, vocabulary, write_rows)
 from .errors import CoverageError, ParseError, TradeDataError
 
 log = logging.getLogger(__name__)
@@ -125,10 +125,8 @@ class TradeTensor:
         self.products = tuple(products)
         self.years = tuple(sorted(years))
         self.country_index = {c: i for i, c in enumerate(self.countries)}
-        self.product_index = {p: i for i, p in enumerate(self.products)}
         self._flows = {}
         self._marginals = {}
-        self._cells = {}
         for year, (o, p, d, v) in flows.items():
             o = _locked(np.ascontiguousarray(o, dtype=np.int32))
             p = _locked(np.ascontiguousarray(p, dtype=np.int32))
@@ -141,27 +139,6 @@ class TradeTensor:
             if not ascending(cell_keys(o, p, d, self.n_countries, self.n_products)):
                 raise TradeDataError(f"year {year}: tensor cells not sorted or not unique")
             self._flows[int(year)] = (o, p, d, v)
-
-    @classmethod
-    def from_arrays(cls, countries, products, year, o, p, d, v):
-        """Build from parallel cell arrays in any order; o, p, d index the vocabularies.
-
-        Arrays that come in cell order are kept as they are, not copied."""
-        flows = by_year(year_cell_keys(year, o, p, d, len(countries), len(products)), year,
-                        o, p, d, v)
-        return cls(countries, products, sorted(flows), flows)
-
-    @classmethod
-    def from_cells(cls, countries, products, cells):
-        """Build from a mapping (year, origin, product, destination) -> value."""
-        countries, products = tuple(sorted(countries)), tuple(sorted(products))
-        keys = np.array(list(cells), dtype=object).reshape(-1, 4)
-        o, p, d = (code_index(vocab, keys[:, j].astype(str))
-                   for vocab, j in ((countries, 1), (products, 2), (countries, 3)))
-        if min(o.min(initial=0), p.min(initial=0), d.min(initial=0)) < 0:
-            raise TradeDataError("cell code missing from the vocabularies")
-        return cls.from_arrays(countries, products, keys[:, 0].astype(np.int64), o, p, d,
-                               np.array(list(cells.values()), dtype=np.float64))
 
     @property
     def n_countries(self):
@@ -188,17 +165,6 @@ class TradeTensor:
         o, p, d, _ = self.flows(year)
         return cell_keys(o, p, d, self.n_countries, self.n_products)
 
-    def value(self, year, origin, product, destination):
-        """Flow value for a single cell, 0.0 when absent."""
-        if not self.has_year(year):
-            return 0.0
-        if year not in self._cells:  # one dictionary per year, built on first use
-            o, p, d, v = (a.tolist() for a in self.flows(year))
-            self._cells[year] = dict(zip(zip(o, p, d), v))
-        cell = (self.country_index[origin], self.product_index[product],
-                self.country_index[destination])
-        return self._cells[year].get(cell, 0.0)
-
     def _marginal(self, year, which):
         """Dense totals of one year's flows over two coordinates, e.g. "od"; cached."""
         key = (int(year), which)
@@ -222,9 +188,6 @@ class TradeTensor:
     def x_pd(self, year):
         """Dense product-by-destination import totals for one year."""
         return self._marginal(year, "pd")
-
-    def total(self, year):
-        return float(self.flows(year)[3].sum())
 
     def country_trade_totals(self, year):
         """Exports plus imports per country for one year."""
@@ -308,7 +271,7 @@ def _add_rows(meta, table, columns):
     because the table holds only the rows above the first malformed one.
     """
     meta.source = table.path
-    for line_no, *row in zip(table.line.tolist(), *(table[name].tolist() for name in columns)):
+    for line_no, *row in zip(map(int, table.line), *(table[name].tolist() for name in columns)):
         try:
             meta.add(*row)
         except TradeDataError as exc:
@@ -338,10 +301,6 @@ class DyadMeta:
         self._records = {}
         self.source = None  # the file read into it, named by a coverage error
 
-    @staticmethod
-    def _key(a, b):
-        return (a, b) if a <= b else (b, a)
-
     @classmethod
     def from_csv(cls, path):
         table = read_table(path, DYAD_COLUMNS,
@@ -364,24 +323,15 @@ class DyadMeta:
                 raise TradeDataError(f"dyad ({a},{b}): {name} must be finite, got {val}")
         rec = DyadRecord(float(distance_km), int(border), int(colony),
                          int(language), float(lang_proximity))
-        key = self._key(a, b)
+        key = (a, b) if a <= b else (b, a)
         old = self._records.get(key)
         if old is not None and old != rec:
             raise TradeDataError(f"conflicting duplicate dyad ({a},{b})")
         self._records[key] = rec
 
-    def record(self, a, b):
-        try:
-            return self._records[self._key(a, b)]
-        except KeyError:
-            raise self.missing(a, b) from None
-
     def missing(self, a, b):
         """CoverageError for a pair with no record, naming the file."""
         return _uncovered(self, f"no dyad data for country pair ({a},{b})")
-
-    def distance(self, a, b):
-        return self.record(a, b).distance_km
 
     def distance_matrix(self, countries):
         """Dense symmetric distance matrix over the sample, zero diagonal.
@@ -485,7 +435,7 @@ def reconcile(batch, policy=ReconcilePolicy.IMPORTER):
     countries, (o, d) = vocabulary(batch.origin, batch.destination)
     products, (p,) = vocabulary(batch.product)
     key = year_cell_keys(batch.year, o, p, d, len(countries), len(products))
-    _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+    key, first, cell = np.unique(key, return_index=True, return_inverse=True)
     imp = batch.importer
     exp_val = np.bincount(cell[~imp], weights=batch.value[~imp], minlength=first.size)
     imp_val = np.bincount(cell[imp], weights=batch.value[imp], minlength=first.size)
@@ -500,9 +450,8 @@ def reconcile(batch, policy=ReconcilePolicy.IMPORTER):
               ReconcilePolicy.MAX: np.maximum(exp_val, imp_val),
               ReconcilePolicy.MEAN: 0.5 * (exp_val + imp_val)}[policy]
     value = np.where(both, chosen, np.where(has_exp, exp_val, imp_val))
-    tensor = TradeTensor.from_arrays(countries, products, batch.year[first], o[first],
-                                     p[first], d[first], value)
-    return tensor, audit
+    flows = by_year(key, batch.year[first], o[first], p[first], d[first], value)
+    return TradeTensor(countries, products, sorted(flows), flows), audit
 
 
 def cell_keys(o, p, d, n_countries, n_products):
@@ -594,13 +543,14 @@ def read_tensor_csv(path):
     origin, destination, product = table["origin"], table["destination"], table["product"]
     countries, (o, d) = vocabulary(origin, destination)
     products, (p,) = vocabulary(product)
+    key = year_cell_keys(year, o, p, d, len(countries), len(products))
     table.check(
         (~(value > 0), lambda i: f"non-positive value {float(value[i])}"),
         (~np.isfinite(value), lambda i: f"non-finite value {float(value[i])}"),
         (o == d, lambda i: f"origin equals destination {origin[i]}"),
-        (repeats(year_cell_keys(year, o, p, d, len(countries), len(products))),
-         lambda i: "duplicate cell "
-                   f"{(int(year[i]), str(origin[i]), str(product[i]), str(destination[i]))}"))
+        (repeats(key), lambda i: "duplicate cell "
+         f"{(int(year[i]), str(origin[i]), str(product[i]), str(destination[i]))}"))
     if not len(table):
         raise TradeDataError(f"{path}: no flows")
-    return TradeTensor.from_arrays(countries, products, year, o, p, d, value)
+    flows = by_year(key, year, o, p, d, value)
+    return TradeTensor(countries, products, sorted(flows), flows)

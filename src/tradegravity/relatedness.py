@@ -41,7 +41,7 @@ if _MALLOC_TRIM is not None:
 class DistanceWeights:
     """Row-stochastic inverse-distance weights over a country sample.
 
-    weight(c, c') = (1/D_cc') / sum_{c'' != c} (1/D_cc''), zero diagonal.
+    matrix[c, c'] = (1/D_cc') / sum_{c'' != c} (1/D_cc''), zero diagonal.
     """
 
     def __init__(self, countries, matrix):
@@ -60,11 +60,6 @@ class DistanceWeights:
         inv[off] = 1.0 / dist[off]
         rows = inv.sum(axis=1)
         return cls(countries, inv / rows[:, None])
-
-    def weight(self, c_from, c_to):
-        i = self.countries.index(c_from)
-        j = self.countries.index(c_to)
-        return float(self.matrix[i, j])
 
 
 @dataclass

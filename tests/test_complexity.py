@@ -3,6 +3,8 @@ import pytest
 
 import tradegravity as tg
 
+from referee import tensor_from_cells
+
 
 def rca_fixture():
     # A exports p1 only; B exports p1 and p2; C only imports
@@ -11,23 +13,22 @@ def rca_fixture():
         (2000, "BBB", "0101", "CCC"): 100.0,
         (2000, "BBB", "0102", "CCC"): 100.0,
     }
-    return tg.TradeTensor.from_cells(["AAA", "BBB", "CCC"], ["0101", "0102"], cells)
+    return tensor_from_cells(["AAA", "BBB", "CCC"], ["0101", "0102"], cells)
 
 
 def test_rca_hand_values():
-    rca = tg.compute_rca(rca_fixture(), (2000, 2000))
-    assert rca.value("AAA", "0101") == pytest.approx(1.5, rel=1e-12)
-    assert rca.value("BBB", "0101") == pytest.approx(0.75, rel=1e-12)
-    assert rca.value("BBB", "0102") == pytest.approx(1.5, rel=1e-12)
-    assert rca.value("AAA", "0102") == 0.0  # zero numerator, other trade present
-    assert np.isnan(rca.value("CCC", "0101"))  # no exports: absent row
+    rca = tg.compute_rca(rca_fixture(), (2000, 2000)).values  # AAA, BBB, CCC x 0101, 0102
+    assert rca[0, 0] == pytest.approx(1.5, rel=1e-12)
+    assert rca[1, 0] == pytest.approx(0.75, rel=1e-12)
+    assert rca[1, 1] == pytest.approx(1.5, rel=1e-12)
+    assert rca[0, 1] == 0.0  # zero numerator, other trade present
+    assert np.isnan(rca[2, 0])  # no exports: absent row
 
 
 def test_rca_single_exporter_single_product():
     cells = {(2000, "AAA", "0101", "BBB"): 7.0}
-    rca = tg.compute_rca(tg.TradeTensor.from_cells(["AAA", "BBB"], ["0101"], cells),
-                         (2000, 2000))
-    assert rca.value("AAA", "0101") == 1.0
+    rca = tg.compute_rca(tensor_from_cells(["AAA", "BBB"], ["0101"], cells), (2000, 2000))
+    assert rca.values[0, 0] == 1.0
 
 
 def test_rca_window_errors():
@@ -135,13 +136,13 @@ def test_rca_label_invariance():
                 {"AAA": "ZZB", "BBB": "ZZA", "CCC": "ZZC"}[d]): v
                for (y, o, p, d), v in cells.items()}
     rca_a = tg.compute_rca(
-        tg.TradeTensor.from_cells(["AAA", "BBB", "CCC"], ["0101", "0102"], cells),
+        tensor_from_cells(["AAA", "BBB", "CCC"], ["0101", "0102"], cells),
         (2000, 2000))
     rca_b = tg.compute_rca(
-        tg.TradeTensor.from_cells(["ZZA", "ZZB", "ZZC"], ["0101", "0102"], renamed),
+        tensor_from_cells(["ZZA", "ZZB", "ZZC"], ["0101", "0102"], renamed),
         (2000, 2000))
-    assert rca_a.value("AAA", "0101") == rca_b.value("ZZB", "0101")
-    assert rca_a.value("BBB", "0102") == rca_b.value("ZZA", "0102")
+    assert rca_a.values[0, 0] == rca_b.values[1, 0]  # (AAA, 0101) is (ZZB, 0101)
+    assert rca_a.values[1, 1] == rca_b.values[0, 1]  # (BBB, 0102) is (ZZA, 0102)
 
 
 def test_export_product_space(tmp_path):

@@ -12,6 +12,7 @@ from tradegravity.gravity import (BINARY_COLUMNS, LALL_CODES, LALL_RANK_ORDER,
                                   solve_normal_equations, trend_over_lall)
 
 from conftest import dataset_from_rows, make_dataset, write_lall_concordance
+from referee import brute_force_ols, cell_value
 
 
 # ---------------------------------------------------------------- standardize
@@ -101,7 +102,7 @@ def test_streaming_matches_bruteforce():
         acc = StreamingOLS(names)
         acc.add(x, y)
         ours = acc.result()
-        ref = tg.brute_force_ols(x, y, names)
+        ref = brute_force_ols(x, y, names)
         assert np.allclose(ours.beta, ref.beta, rtol=1e-8)
         assert np.allclose(ours.se, ref.se, rtol=1e-8)
         assert ours.adj_r2 == pytest.approx(ref.adj_r2, rel=1e-8)
@@ -138,7 +139,7 @@ def test_shuffled_rows_match_dense_oracle():
     x[:, 0] = 1.0
     y = x @ rng.normal(size=k) + rng.normal(size=n)
     names = tuple(f"c{i}" for i in range(k))
-    ref = tg.brute_force_ols(x, y, names)
+    ref = brute_force_ols(x, y, names)
     for _ in range(3):
         perm = rng.permutation(n)
         acc = StreamingOLS(names, block_rows=128)
@@ -365,9 +366,9 @@ def test_rows_require_positive_forward_flow():
         o = tensor.countries[ds.o[i]]
         p = tensor.products[ds.p[i]]
         d = tensor.countries[ds.d[i]]
-        assert tensor.value(2000, o, p, d) > 0
-        assert tensor.value(2002, o, p, d) > 0
-        assert ds.response[i] == pytest.approx(np.log(tensor.value(2002, o, p, d)))
+        assert cell_value(tensor, 2000, o, p, d) > 0
+        assert cell_value(tensor, 2002, o, p, d) > 0
+        assert ds.response[i] == pytest.approx(np.log(cell_value(tensor, 2002, o, p, d)))
     # and some active cells at t really are absent at t+2 under this sparsity
     keys_t = set(map(tuple, np.column_stack(tensor.flows(2000)[:3]).tolist()))
     keys_f = set(map(tuple, np.column_stack(tensor.flows(2002)[:3]).tolist()))
@@ -427,6 +428,19 @@ def test_non_finite_covariate_read_by_a_row_names_its_column():
     meta._gdp[(w.tensor.countries[0], 2000)] = np.inf  # add() rejects it
     with pytest.raises(tg.TradeDataError, match="non-finite values in column log_gdp_o"):
         tg.build_dataset(w.tensor, rel, meta, w.dyad_meta, (2000, 2002))
+
+
+def test_overflowed_marginal_read_by_a_row_names_its_column(small_pipeline):
+    w, prox, weights, _ = small_pipeline
+    o, p, d, v = (a.copy() for a in w.tensor.flows(2000))
+    assert (o[0], p[0]) == (o[1], p[1])  # two destinations of one (o, p) pair
+    v[:2] = 1e308  # both kept (persist world): their x_op entry overflows to inf
+    tensor = tg.TradeTensor(w.tensor.countries, w.tensor.products, w.tensor.years,
+                            {2000: (o, p, d, v), 2002: w.tensor.flows(2002)})
+    with np.errstate(over="ignore"):  # omega's denominator overflows too: omega is 0
+        rel = {2000: tg.compute_relatedness(tensor, prox, weights, 2000)}
+    with pytest.raises(tg.TradeDataError, match="non-finite values in column log_x_op"):
+        tg.build_dataset(tensor, rel, w.country_meta, w.dyad_meta, (2000, 2002))
 
 
 def test_missing_relatedness_year_rejected():
@@ -984,7 +998,7 @@ def test_fit_pvalues_equal_oracle_exactly(noise):
     ds = make_dataset({name: h[:, j] for j, name in enumerate(REGRESSOR_NAMES, start=1)},
                       response=y)
     ours = tg.fit_ols(ds)
-    ref = tg.brute_force_ols(ds.design_matrix(), y, ours.names)
+    ref = brute_force_ols(ds.design_matrix(), y, ours.names)
     assert np.array_equal(ours.tstat, ref.tstat)
     assert ours.tstat[7] == 0.0
     assert np.all(np.isinf(np.delete(ours.tstat, 7))) == (noise == 0.0)

@@ -1,7 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import tradegravity as tg
+
+import referee
+from referee import brute_force_ols, brute_force_relatedness, tensor_from_cells
 
 
 def test_same_seed_same_world():
@@ -12,8 +18,8 @@ def test_same_seed_same_world():
     for year in w1.tensor.years:
         for a, b in zip(w1.tensor.flows(year), w2.tensor.flows(year)):
             assert np.array_equal(a, b)
-    a, b = w1.tensor.countries[:2]
-    assert w1.dyad_meta.distance(a, b) == w2.dyad_meta.distance(a, b)
+    pair = w1.tensor.countries[:2]
+    assert w1.dyad_meta.distance_matrix(pair)[0, 1] == w2.dyad_meta.distance_matrix(pair)[0, 1]
 
 
 def test_full_sparsity_cell_count():
@@ -58,8 +64,7 @@ def test_ring_geometry_supported():
                                   sparsity=0.9, seed=1, geometry="ring")
     w = tg.generate_world(cfg)
     c = w.tensor.countries
-    d01 = w.dyad_meta.distance(c[0], c[1])
-    d12 = w.dyad_meta.distance(c[1], c[2])
+    d01, d12 = w.dyad_meta.distance_matrix(c)[[0, 1], [1, 2]]
     assert d01 == pytest.approx(d12, rel=1e-12)
 
 
@@ -68,29 +73,28 @@ def test_single_exporter_and_single_product_degenerate_cases():
     cells = {(2000, "AAA", "0101", "BBB"): 5.0,
              (2000, "AAA", "0101", "CCC"): 3.0,
              (2000, "AAA", "0102", "BBB"): 2.0}
-    tensor = tg.TradeTensor.from_cells(["AAA", "BBB", "CCC"], ["0101", "0102"], cells)
+    tensor = tensor_from_cells(["AAA", "BBB", "CCC"], ["0101", "0102"], cells)
     dyads = tg.DyadMeta()
     for a, b in [("AAA", "BBB"), ("AAA", "CCC"), ("BBB", "CCC")]:
         dyads.add(a, b, 1000.0, 0, 0, 0, 0.0)
     weights = tg.DistanceWeights.from_dyads(tensor.countries, dyads)
     phi = np.array([[0.0, 0.5], [0.5, 0.0]])
     prox = tg.ProximityMatrix(phi, tensor.products)
-    _, _, omega_o = tg.brute_force_relatedness(tensor, prox, weights, 2000)
+    _, _, omega_o = brute_force_relatedness(tensor, prox, weights, 2000)
     assert np.all(omega_o == 0.0)
 
     # one product: every product-relatedness value is zero
-    single = tg.TradeTensor.from_cells(["AAA", "BBB"], ["0101"],
-                                       {(2000, "AAA", "0101", "BBB"): 5.0})
+    single = tensor_from_cells(["AAA", "BBB"], ["0101"], {(2000, "AAA", "0101", "BBB"): 5.0})
     prox1 = tg.ProximityMatrix(np.zeros((1, 1)), single.products)
     w1 = tg.DistanceWeights(("AAA", "BBB"), np.array([[0.0, 1.0], [1.0, 0.0]]))
-    omega, _, _ = tg.brute_force_relatedness(single, prox1, w1, 2000)
+    omega, _, _ = brute_force_relatedness(single, prox1, w1, 2000)
     assert np.all(omega == 0.0)
 
 
 def test_brute_force_ols_constant_y():
     x = np.ones((20, 1))
     y = np.full(20, 3.7)
-    res = tg.brute_force_ols(x, y, ("const",))
+    res = brute_force_ols(x, y, ("const",))
     assert res.beta[0] == pytest.approx(3.7, rel=1e-12)
 
 
@@ -99,7 +103,7 @@ def test_brute_force_ols_duplicate_column_singular():
     base = rng.normal(size=(30, 2))
     x = np.column_stack([base, base[:, 1]])
     with pytest.raises(tg.SingularDesignError):
-        tg.brute_force_ols(x, rng.normal(size=30), ("a", "b", "c"))
+        brute_force_ols(x, rng.normal(size=30), ("a", "b", "c"))
 
 
 def test_brute_force_agrees_with_streaming_on_random_instances():
@@ -113,6 +117,19 @@ def test_brute_force_agrees_with_streaming_on_random_instances():
         names = tuple(f"c{i}" for i in range(k))
         acc = tg.StreamingOLS(names)
         acc.add(x, y)
-        ours, ref = acc.result(), tg.brute_force_ols(x, y, names)
+        ours, ref = acc.result(), brute_force_ols(x, y, names)
         assert np.allclose(ours.beta, ref.beta, rtol=1e-8)
         assert np.allclose(ours.se, ref.se, rtol=1e-8)
+
+
+def test_package_holds_no_test_code():
+    assert all(hasattr(tg, name) for name in tg.__all__)
+    moved = {name for name, f in vars(referee).items() if getattr(f, "__module__", 0) == "referee"}
+    assert {"brute_force_ols", "brute_force_relatedness", "dense_relatedness"} <= moved
+    assert not moved & set(tg.__all__)
+    for path in Path(tg.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            roots = {module.split(".")[0] for module in modules}
+            assert not roots & {"referee", "conftest", "tests"}, (path.name, node.lineno)

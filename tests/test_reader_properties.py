@@ -25,6 +25,8 @@ import tradegravity as tg
 from tradegravity import complexity, csvio, ingest, relatedness
 from tradegravity.cli import main
 
+from referee import tensor_from_arrays
+
 FUZZ = settings(max_examples=40, derandomize=True, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
 TOKENS = (b"\xff", b'"', b"\r", b",", b"\n", b" ")
@@ -125,7 +127,7 @@ def _outcome(fn, path, *args, **kwargs):
 def _table_rows(table):
     """A table's cells as text (NaN equals NaN), lines, pending row and raw lines."""
     return ({name: list(map(repr, column.tolist())) for name, column in table.columns.items()},
-            table.line.tolist(), table.pending, table.raw(range(len(table))))
+            list(table.line), table.pending, table.raw(range(len(table))))
 
 
 @pytest.mark.parametrize("name", ["trade", "tensor", "proximity", "relatedness", "country",
@@ -310,8 +312,7 @@ def _world(n):
     p, d = np.divmod(rest, nc - 1)
     d += d >= o
     year = np.where(np.arange(n) < n // 2, 2000, 2001)
-    tensor = tg.TradeTensor.from_arrays(COUNTRIES, PRODUCTS, year, o, p, d,
-                                        rng.uniform(1, 1e6, n))
+    tensor = tensor_from_arrays(COUNTRIES, PRODUCTS, year, o, p, d, rng.uniform(1, 1e6, n))
     rel = [relatedness.RelatednessValues(y, *tensor.flows(y)[:3],
                                          *rng.uniform(0, 1, (3, tensor.n_cells(y))),
                                          COUNTRIES, PRODUCTS) for y in tensor.years]

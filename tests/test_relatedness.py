@@ -7,6 +7,8 @@ import pytest
 
 import tradegravity as tg
 
+from referee import brute_force_relatedness, dense_relatedness, tensor_from_cells
+
 
 def three_country_dyads():
     dyads = tg.DyadMeta()
@@ -20,9 +22,9 @@ def test_distance_weights_rows():
     weights = tg.DistanceWeights.from_dyads(("AAA", "BBB", "CCC"), three_country_dyads())
     assert np.allclose(weights.matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(np.diag(weights.matrix) == 0.0)
-    assert weights.weight("AAA", "BBB") == pytest.approx(2.0 / 3.0, rel=1e-15)
-    assert weights.weight("AAA", "CCC") == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert weights.weight("BBB", "AAA") == pytest.approx(0.5, rel=1e-15)
+    assert weights.matrix[0, 1] == pytest.approx(2.0 / 3.0, rel=1e-15)  # AAA to BBB
+    assert weights.matrix[0, 2] == pytest.approx(1.0 / 3.0, rel=1e-15)  # AAA to CCC
+    assert weights.matrix[1, 0] == pytest.approx(0.5, rel=1e-15)  # BBB to AAA
 
 
 def test_distance_weights_missing_pair():
@@ -39,7 +41,7 @@ def omega_fixture():
         (2000, "AAA", "0102", "BBB"): 50.0,
         (2000, "AAA", "0103", "BBB"): 25.0,
     }
-    tensor = tg.TradeTensor.from_cells(["AAA", "BBB"], ["0101", "0102", "0103"], cells)
+    tensor = tensor_from_cells(["AAA", "BBB"], ["0101", "0102", "0103"], cells)
     phi = np.array([[0.0, 0.6, 0.4],
                     [0.6, 0.0, 0.0],
                     [0.4, 0.0, 0.0]])
@@ -60,7 +62,7 @@ def test_product_relatedness_sole_product_in_basket():
     # the only product o sends to d: no other products in the o->d basket
     cells = {(2000, "AAA", "0101", "BBB"): 9.0,
              (2000, "AAA", "0102", "CCC"): 4.0}
-    tensor = tg.TradeTensor.from_cells(["AAA", "BBB", "CCC"], ["0101", "0102"], cells)
+    tensor = tensor_from_cells(["AAA", "BBB", "CCC"], ["0101", "0102"], cells)
     phi = np.array([[0.0, 0.5], [0.5, 0.0]])
     omega = tg.product_relatedness(tensor, tg.ProximityMatrix(phi, tensor.products), 2000)
     assert omega[0] == 0.0
@@ -70,11 +72,11 @@ def test_product_relatedness_sole_product_in_basket():
 def test_product_relatedness_single_related_product_dense():
     # o ships only p' to d and p' carries all of p's proximity mass: omega = 1
     cells = {(2000, "AAA", "0102", "BBB"): 42.0}
-    tensor = tg.TradeTensor.from_cells(["AAA", "BBB"], ["0101", "0102"], cells)
+    tensor = tensor_from_cells(["AAA", "BBB"], ["0101", "0102"], cells)
     phi = np.array([[0.0, 0.7], [0.7, 0.0]])
     prox = tg.ProximityMatrix(phi, tensor.products)
     weights = tg.DistanceWeights(("AAA", "BBB"), np.array([[0.0, 1.0], [1.0, 0.0]]))
-    omega, _, _ = tg.dense_relatedness(tensor, prox, weights, 2000)
+    omega, _, _ = dense_relatedness(tensor, prox, weights, 2000)
     i = {c: k for k, c in enumerate(tensor.countries)}
     j = {p: k for k, p in enumerate(tensor.products)}
     assert omega[i["AAA"], j["0101"], i["BBB"]] == 1.0
@@ -83,7 +85,7 @@ def test_product_relatedness_single_related_product_dense():
 
 def test_single_product_world_omega_zero():
     cells = {(2000, "AAA", "0101", "BBB"): 3.0}
-    tensor = tg.TradeTensor.from_cells(["AAA", "BBB"], ["0101"], cells)
+    tensor = tensor_from_cells(["AAA", "BBB"], ["0101"], cells)
     prox = tg.ProximityMatrix(np.zeros((1, 1)), tensor.products)
     assert tg.product_relatedness(tensor, prox, 2000)[0] == 0.0
 
@@ -92,7 +94,7 @@ def test_isolated_product_skipped():
     cells = {(2000, "AAA", "0101", "BBB"): 3.0,
              (2000, "AAA", "0102", "BBB"): 5.0,
              (2000, "AAA", "0103", "BBB"): 7.0}
-    tensor = tg.TradeTensor.from_cells(["AAA", "BBB"], ["0101", "0102", "0103"], cells)
+    tensor = tensor_from_cells(["AAA", "BBB"], ["0101", "0102", "0103"], cells)
     phi = np.zeros((3, 3))
     phi[0, 1] = phi[1, 0] = 0.8  # product 0103 is isolated
     omega = tg.product_relatedness(tensor, tg.ProximityMatrix(phi, tensor.products), 2000)
@@ -106,7 +108,7 @@ def importer_fixture():
         (2000, "AAA", "0102", "BBB"): 10.0,
         (2000, "BBB", "0101", "CCC"): 30.0,
     }
-    tensor = tg.TradeTensor.from_cells(["AAA", "BBB", "CCC"], ["0101", "0102"], cells)
+    tensor = tensor_from_cells(["AAA", "BBB", "CCC"], ["0101", "0102"], cells)
     weights = tg.DistanceWeights.from_dyads(tensor.countries, three_country_dyads())
     return tensor, weights
 
@@ -122,21 +124,21 @@ def test_importer_relatedness_single_destination():
 def test_importer_relatedness_dense_neighbor_weight():
     tensor, weights = importer_fixture()
     prox = tg.ProximityMatrix(np.array([[0.0, 0.3], [0.3, 0.0]]), tensor.products)
-    _, omega_d, _ = tg.dense_relatedness(tensor, prox, weights, 2000)
+    _, omega_d, _ = dense_relatedness(tensor, prox, weights, 2000)
     i = {c: k for k, c in enumerate(tensor.countries)}
     j = {p: k for k, p in enumerate(tensor.products)}
     # evaluated at destination B: A ships p exclusively to C, so the value is w(B,C)
     assert omega_d[i["AAA"], j["0101"], i["BBB"]] == pytest.approx(
-        weights.weight("BBB", "CCC"), rel=1e-14)
+        weights.matrix[i["BBB"], i["CCC"]], rel=1e-14)
 
 
 def test_exporter_relatedness_values():
     tensor, weights = importer_fixture()
     values = tg.exporter_relatedness(tensor, weights, 2000)
     # (AAA,0101,CCC): the other exporter BBB supplies 30% of x_pd
-    assert values[0] == pytest.approx(weights.weight("AAA", "BBB") * 0.3, rel=1e-14)
+    assert values[0] == pytest.approx(weights.matrix[0, 1] * 0.3, rel=1e-14)  # w(AAA, BBB)
     # (BBB,0101,CCC): AAA supplies 70%
-    assert values[2] == pytest.approx(weights.weight("BBB", "AAA") * 0.7, rel=1e-14)
+    assert values[2] == pytest.approx(weights.matrix[1, 0] * 0.7, rel=1e-14)  # w(BBB, AAA)
     # (AAA,0102,BBB): sole exporter
     assert values[1] == 0.0
 
@@ -149,12 +151,12 @@ def test_exporter_relabel_symmetry():
     dyads.add("BBB", "CCC", 1000.0, 0, 0, 0, 0.0)
     cells = {(2000, "AAA", "0101", "CCC"): 60.0,
              (2000, "BBB", "0101", "CCC"): 40.0}
-    tensor = tg.TradeTensor.from_cells(["AAA", "BBB", "CCC"], ["0101"], cells)
+    tensor = tensor_from_cells(["AAA", "BBB", "CCC"], ["0101"], cells)
     weights = tg.DistanceWeights.from_dyads(tensor.countries, dyads)
     values = tg.exporter_relatedness(tensor, weights, 2000)
     swapped = {(2000, "BBB", "0101", "CCC"): 60.0,
                (2000, "AAA", "0101", "CCC"): 40.0}
-    tensor2 = tg.TradeTensor.from_cells(["AAA", "BBB", "CCC"], ["0101"], swapped)
+    tensor2 = tensor_from_cells(["AAA", "BBB", "CCC"], ["0101"], swapped)
     values2 = tg.exporter_relatedness(tensor2, weights, 2000)
     assert values[0] == values2[1] and values[1] == values2[0]
 
@@ -163,13 +165,9 @@ def test_scale_invariance(small_pipeline):
     w, prox, weights, rel = small_pipeline
     tensor = w.tensor
     year = tensor.years[0]
-    scaled_cells = {}
-    for yr in tensor.years:
-        o, p, d, v = tensor.flows(yr)
-        for i in range(o.size):
-            scaled_cells[(yr, tensor.countries[o[i]], tensor.products[p[i]],
-                          tensor.countries[d[i]])] = float(v[i]) * 137.5
-    scaled = tg.TradeTensor.from_cells(tensor.countries, tensor.products, scaled_cells)
+    scaled = tg.TradeTensor(tensor.countries, tensor.products, tensor.years,
+                            {yr: (*tensor.flows(yr)[:3], tensor.flows(yr)[3] * 137.5)
+                             for yr in tensor.years})
     rel_scaled = tg.compute_relatedness(scaled, prox, weights, year)
     base = rel[year]
     for a, b in [(base.omega, rel_scaled.omega), (base.omega_d, rel_scaled.omega_d),
@@ -190,7 +188,7 @@ def test_matches_bruteforce_on_random_worlds():
         weights = tg.DistanceWeights.from_dyads(w.tensor.countries, w.dyad_meta)
         for year in w.tensor.years:
             rel = tg.compute_relatedness(w.tensor, prox, weights, year)
-            bo, bd, bo2 = tg.brute_force_relatedness(w.tensor, prox, weights, year)
+            bo, bd, bo2 = brute_force_relatedness(w.tensor, prox, weights, year)
             m = np.isfinite(rel.omega)
             assert np.array_equal(m, np.isfinite(bo))
             assert np.allclose(rel.omega[m], bo[m], rtol=1e-12, atol=0)
