@@ -194,18 +194,12 @@ def cmd_relatedness(args, out):
     weights = relatedness.DistanceWeights.from_dyads(tensor.countries,
                                                      ingest.DyadMeta.from_csv(args.dyad_csv))
     years = range(args.years[0], args.years[1] + 1) if args.years else tensor.years
-    values = []
-    rows = 0
-    for year in years:
-        if not tensor.has_year(year):
-            continue
-        rel = relatedness.compute_relatedness(tensor, prox, weights, year,
-                                              threads=args.threads)
-        values.append(rel)
-        rows += rel.n
+    values = (relatedness.compute_relatedness(tensor, prox, weights, year, threads=args.threads)
+              for year in years if tensor.has_year(year))  # one year held at a time
     path = out / "relatedness.csv"
     dropped = relatedness.write_relatedness_csv(values, path)
-    return [path], {"cells": rows, "dropped_undefined": dropped}
+    return [path], {"cells": sum(tensor.n_cells(year) for year in years),
+                    "dropped_undefined": dropped}
 
 
 def _gravity_dataset(args):

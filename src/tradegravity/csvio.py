@@ -305,6 +305,7 @@ def write_rows(path, header, parts):
                 block = [c.text(c.values[lo:lo + _ROW_BLOCK]) if isinstance(c, Column)
                          else c[lo:lo + _ROW_BLOCK] for c in columns]
                 fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+            columns = block = None  # a generator's next part replaces this one, not joins it
 
 
 def float_text(values):

@@ -132,8 +132,8 @@ class TradeTensor:
             p = _locked(np.ascontiguousarray(p, dtype=np.int32))
             d = _locked(np.ascontiguousarray(d, dtype=np.int32))
             v = _locked(np.ascontiguousarray(v, dtype=np.float64))
-            if not (v > 0).all():
-                raise TradeDataError(f"year {year}: non-positive flow value stored in tensor")
+            if not ((v > 0) & (v < np.inf)).all():
+                raise TradeDataError(f"year {year}: non-positive or non-finite flow in tensor")
             if np.any(o == d):
                 raise TradeDataError(f"year {year}: origin equals destination in tensor cell")
             if not ascending(cell_keys(o, p, d, self.n_countries, self.n_products)):

@@ -104,19 +104,21 @@ def usable_cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
-def _weighted_share(lead, second, n_second, col, v, weights, denom, chunk_rows, threads, order=None):
+def _weighted_share(lead, second, n_second, col, v, weights, scale, chunk_rows, threads,
+                    order=None):
     """Each cell's weighted share of its group's flows, aligned with the input cells.
 
     A cell's group is (lead, second); ``order`` lists the cells sorted by lead
     (default: as given). For a cell c the value is the sum over the cells c'
-    of its group of v[c'] * weights[col[c'], col[c]], divided by denom[c]: the
-    entry (group, col[c]) of S @ weights, where S is the sparse matrix of the
-    group flows by column. The product runs over chunks of whole lead values,
-    about ``chunk_rows`` groups each and each one slice of ``order``, on
-    ``threads`` threads (None: ``usable_cpus()``). Weights over 1 MB are
-    multiplied 64 output columns at a time, each tile copied once, so the tile
-    stays in cache. Every entry sums its group's cells in column order whatever
-    the chunks and tiles, so neither changes a bit. A zero denominator gives NaN.
+    of its group of v[c'] * weights[col[c'], col[c]], divided by the group's
+    total flow times scale[col[c]] (None: 1): the entry (group, col[c]) of
+    S @ weights, where S is the sparse matrix of the group flows by column.
+    The product runs over chunks of whole lead values, about ``chunk_rows``
+    groups each and each one slice of ``order``, on ``threads`` threads
+    (None: ``usable_cpus()``). Every entry and every group total sums its
+    group's cells in column order whatever the chunks, so neither chunks nor
+    threads change a bit. A denominator that is not positive gives NaN; one
+    that overflows raises.
     """
     import scipy.sparse as sp  # here: CLI stages that never evaluate relatedness skip its import
 
@@ -124,34 +126,30 @@ def _weighted_share(lead, second, n_second, col, v, weights, denom, chunk_rows, 
     n_lead = int(lead.max()) + 1 if lead.size else 0
     starts = np.append(np.arange(0, n_lead, leads), n_lead).astype(lead.dtype)  # no int64 lead
     bounds = np.searchsorted(lead, starts, sorter=order)
-    width = weights.shape[1] if weights.nbytes <= 1 << 20 else 64
-    tiles = [np.ascontiguousarray(weights[:, j:j + width])
-             for j in range(0, weights.shape[1], width)]
-    numer = np.empty(lead.size)
+    weights = np.ascontiguousarray(weights)  # one copy, not one per chunk's product
+    share = np.empty(lead.size)
 
     def work(ci):
         lo, hi = bounds[ci], bounds[ci + 1]
         cells = slice(lo, hi) if order is None else order[lo:hi]
         rows = (lead[cells] - int(starts[ci])) * n_second + second[cells]  # int(): lead's dtype
-        c = col[cells]
-        s = sp.csr_matrix((v[cells], (rows, c)),
-                          shape=((starts[ci + 1] - starts[ci]) * n_second, weights.shape[0]))
-        if len(tiles) == 1:
-            numer[cells] = s.dot(tiles[0])[rows, c]
-            return
-        by_col = np.argsort(c, kind="stable")  # each tile's cells become one slice
-        ends = np.searchsorted(c, np.arange(width, weights.shape[1], width, dtype=c.dtype),
-                               sorter=by_col)
-        out = numer[cells] if order is None else np.empty(c.size)  # a view saves a copy
-        for j, (w, hit) in enumerate(zip(tiles, np.split(by_col, ends))):
-            out[hit] = s.dot(w)[rows[hit], c[hit] - j * width]
-        numer[cells] = out  # a no-op for the view
+        c, x = col[cells], v[cells]
+        groups = (starts[ci + 1] - starts[ci]) * n_second
+        s = sp.csr_matrix((x, (rows, c)), shape=(groups, weights.shape[0]))
+        total = np.bincount(rows, weights=x, minlength=groups)[rows]
+        if scale is not None:
+            with np.errstate(over="ignore"):  # not a warning: the check below raises
+                total *= scale[c]
+        if not np.isfinite(total).all():
+            raise TradeDataError("relatedness denominator overflows the float range")
+        share[cells] = np.divide(s.dot(weights)[rows, c], total,
+                                 out=np.full(c.size, np.nan), where=total > 0)
 
     with ThreadPoolExecutor(usable_cpus() if threads is None else threads) as pool:
         list(pool.map(work, range(starts.size - 1)))
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
-    return np.divide(numer, denom, out=np.full(lead.size, np.nan), where=denom > 0)
+    return share
 
 
 def product_relatedness(tensor, prox, year, chunk_rows=4096, threads=None):
@@ -163,30 +161,30 @@ def product_relatedness(tensor, prox, year, chunk_rows=4096, threads=None):
     o, p, d, v = tensor.flows(year)
     if tensor.n_products == 1:
         return np.zeros(o.size)  # the sum over other products is empty
-    phi_p = prox.marginals[p]
-    omega = _weighted_share(o, d, tensor.n_countries, p, v, prox.phi,
-                            phi_p * tensor.x_od(year)[o, d], chunk_rows, threads)
-    undefined = ~(phi_p > 0)
-    if undefined.any():
+    omega = _weighted_share(o, d, tensor.n_countries, p, v, prox.phi, prox.marginals,
+                            chunk_rows, threads)
+    isolated = ~(prox.marginals > 0)
+    skipped = p[isolated[p]] if isolated.any() else p[:0]
+    if skipped.size:
         log.warning("product_relatedness year %s: %d cells skipped, %d products "
-                    "have zero proximity marginal", year, int(undefined.sum()),
-                    np.unique(p[undefined]).size)
+                    "have zero proximity marginal", year, skipped.size,
+                    np.unique(skipped).size)
     return _check_bounds(omega, "product relatedness")
 
 
 def importer_relatedness(tensor, weights, year, chunk_rows=4096, threads=None):
     """Values for every active cell of the year, aligned with tensor.flows(year)."""
     o, p, d, v = tensor.flows(year)
-    values = _weighted_share(o, p, tensor.n_products, d, v, weights.matrix.T,
-                             tensor.x_op(year)[o, p], chunk_rows, threads)
+    values = _weighted_share(o, p, tensor.n_products, d, v, weights.matrix.T, None,
+                             chunk_rows, threads)
     return _check_bounds(values, "importer relatedness")
 
 
 def exporter_relatedness(tensor, weights, year, chunk_rows=4096, threads=None):
     """Values for every active cell of the year, aligned with tensor.flows(year)."""
     o, p, d, v = tensor.flows(year)
-    values = _weighted_share(p, d, tensor.n_countries, o, v, weights.matrix.T,
-                             tensor.x_pd(year)[p, d], chunk_rows, threads,
+    values = _weighted_share(p, d, tensor.n_countries, o, v, weights.matrix.T, None,
+                             chunk_rows, threads,
                              np.argsort(p, kind="stable"))  # the cells come sorted by o
     return _check_bounds(values, "exporter relatedness")
 
@@ -212,15 +210,16 @@ def compute_relatedness(tensor, prox, weights, year, threads=None):
 def write_relatedness_csv(values_by_year, path):
     """Write year,origin,product,destination,omega,omega_d,omega_o rows.
 
-    Values are printed at round-trip precision. Cells with undefined product
-    relatedness are dropped (and counted in the return value) rather than
-    written with holes.
+    Years are written in the order given, each dropped before the next is
+    taken. Values are printed at round-trip precision. Cells with undefined
+    product relatedness are dropped (and counted in the return value) rather
+    than written with holes.
     """
     dropped = 0
 
     def parts():
         nonlocal dropped
-        for rel in sorted(values_by_year, key=lambda r: r.year):
+        for rel in values_by_year:
             finite = np.isfinite(rel.omega.sum())  # every omega finite: no mask, no copies
             keep = slice(None) if finite else np.isfinite(rel.omega)
             n = rel.omega.size if finite else int(keep.sum())
@@ -229,6 +228,7 @@ def write_relatedness_csv(values_by_year, path):
                    codes(rel.products, rel.p[keep]), codes(rel.countries, rel.d[keep]),
                    floats(rel.omega[keep]), floats(rel.omega_d[keep]),
                    floats(rel.omega_o[keep])]
+            del rel, keep  # before the next year is computed
     write_rows(path, RELATEDNESS_COLUMNS, parts())
     if dropped:
         log.info("write_relatedness_csv: dropped %d cells with undefined omega", dropped)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -460,6 +461,31 @@ def six_year_pipeline(tmp_path_factory):
     assert run("relatedness", "-o", stage, "--trade", stage / "reconciled.csv",
                "--proximity", stage / "proximity.csv", "--dyad-csv", world / "dyad.csv") == 0
     return world, stage
+
+
+def test_relatedness_stage_holds_one_year(six_year_pipeline, tmp_path, monkeypatch):
+    world, stage = six_year_pipeline
+    compute = tg.relatedness.compute_relatedness
+    refs, alive = [], []  # weak references to each year's values and measures
+
+    def one_year(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        rel = compute(*args, **kwargs)
+        refs.extend(weakref.ref(a) for a in (rel, rel.omega, rel.omega_d, rel.omega_o))
+        return rel
+
+    monkeypatch.setattr(tg.relatedness, "compute_relatedness", one_year)
+    out = tmp_path / "out"
+    assert run("relatedness", "-o", out, "--trade", stage / "reconciled.csv",
+               "--proximity", stage / "proximity.csv", "--dyad-csv", world / "dyad.csv") == 0
+    assert alive == [0] * 6
+    tensor = tg.ingest.read_tensor_csv(stage / "reconciled.csv")
+    prox = tg.complexity.read_proximity_csv(stage / "proximity.csv", tensor.products)
+    weights = tg.DistanceWeights.from_dyads(tensor.countries,
+                                            tg.DyadMeta.from_csv(world / "dyad.csv"))
+    listed = [compute(tensor, prox, weights, year) for year in tensor.years]
+    tg.relatedness.write_relatedness_csv(listed, tmp_path / "listed.csv")
+    assert (out / "relatedness.csv").read_bytes() == (tmp_path / "listed.csv").read_bytes()
 
 
 def gravity_results(monkeypatch, out, world, stage, *flags):

@@ -223,6 +223,8 @@ def test_tensor_rejects_bad_cells():
         tensor_from_cells(["AAA", "BBB"], ["0101"], {(2000, "AAA", "0101", "BBB"): 0.0})
     with pytest.raises(tg.TradeDataError):
         tensor_from_cells(["AAA", "BBB"], ["0101"], {(2000, "AAA", "0101", "AAA"): 5.0})
+    with pytest.raises(tg.TradeDataError, match="year 2000: .*non-finite"):
+        tg.TradeTensor(["AAA", "BBB"], ["0101"], [2000], {2000: ([0], [0], [1], [np.inf])})
 
 
 def test_tensor_rejects_nan_flow():

@@ -219,44 +219,57 @@ def test_chunk_size_does_not_change_values(small_pipeline):
 
 
 def test_weighted_share_bits_match_one_whole_year_product():
-    # 400 x 400 weights are over 1 MB, so the kernel multiplies them in
-    # 64-column tiles; fewer chunk rows than n_second make one lead a chunk
+    # fewer chunk rows than n_second make one lead a chunk
     import scipy.sparse as sp
 
     rng = np.random.default_rng(17)
     n_lead, n_second, n_col = 6, 9, 400
     weights = rng.random((n_col, n_col))
+    scale = rng.random(n_col) + 0.5
     # cells sorted by (lead, col, second), as omega's (o, p, d)
     lead, col, second = np.nonzero(rng.random((n_lead, n_col, n_second)) < 0.3)
     v = rng.lognormal(size=lead.size)
-    # the reference: one product over every group in ascending key order
+    # the reference: one product and one group total over every group in ascending key order
     _, group = np.unique(lead * n_second + second, return_inverse=True)
     s = sp.csr_matrix((v, (group, col)), shape=(group.max() + 1, n_col))
-    want = (s @ weights)[group, col]
+    want = (s @ weights)[group, col] / (np.bincount(group, weights=v)[group] * scale[col])
     for chunk_rows, threads in ((n_second - 1, 1), (3 * n_second, 2)):
         got = tg.relatedness._weighted_share(lead, second, n_second, col, v, weights,
-                                             np.ones(v.size), chunk_rows, threads)
+                                             scale, chunk_rows, threads)
         assert np.array_equal(got, want), (chunk_rows, threads)
 
 
 def test_weighted_share_through_an_order_matches_sorted_cells():
     # cells sorted by column, as exporter relatedness's (o, p, d) with the lead
     # p; a stable order by lead lists each group's cells in column order, so
-    # the 64-column tiles and the chunks keep the bits of the lead-sorted run
+    # the chunks keep the bits of the lead-sorted run
     rng = np.random.default_rng(19)
     n_lead, n_second, n_col = 7, 5, 400
     weights = rng.random((n_col, n_col))
+    scale = rng.random(n_col) + 0.5
     col, lead, second = np.nonzero(rng.random((n_col, n_lead, n_second)) < 0.3)
     v = rng.lognormal(size=lead.size)
     order = np.argsort(lead, kind="stable")
     want = np.empty(v.size)
     want[order] = tg.relatedness._weighted_share(lead[order], second[order], n_second,
-                                                 col[order], v[order], weights,
-                                                 np.ones(v.size), 10 ** 6, 1)
+                                                 col[order], v[order], weights, scale,
+                                                 10 ** 6, 1)
     for chunk_rows, threads in ((n_second - 1, 1), (2 * n_second, 2)):
         got = tg.relatedness._weighted_share(lead, second, n_second, col, v, weights,
-                                             np.ones(v.size), chunk_rows, threads, order)
+                                             scale, chunk_rows, threads, order)
         assert np.array_equal(got, want), (chunk_rows, threads)
+
+
+def test_overflowing_denominator_is_refused(small_pipeline):
+    w, prox, weights, _ = small_pipeline
+    o, p, d, v = (a.copy() for a in w.tensor.flows(2000))
+    first = np.flatnonzero((o == o[0]) & (d == d[0]))
+    assert first.size >= 2  # two products of one (o, d) pair
+    v[first[:2]] = 1e308  # their x_od total overflows to inf
+    tensor = tg.TradeTensor(w.tensor.countries, w.tensor.products, (2000,),
+                            {2000: (o, p, d, v)})
+    with pytest.raises(tg.TradeDataError, match="denominator overflows"):
+        tg.compute_relatedness(tensor, prox, weights, 2000)
 
 
 def test_default_threads_are_the_usable_cpus(small_pipeline, monkeypatch):
@@ -283,15 +296,15 @@ def test_default_threads_are_the_usable_cpus(small_pipeline, monkeypatch):
 
 
 def test_exporter_relatedness_keeps_no_year_wide_copies():
-    # a year's cells take the p-order index, the denominator, the numerator and
-    # the quotient (8 bytes each) and small chunks; permuted year-wide copies of
+    # a year's cells take the p-order index and the shares (8 bytes each) and
+    # small chunks; permuted year-wide copies of
     # o, p, d and v and their scatter back took about 61 bytes a cell
     cfg = tg.SyntheticWorldConfig(n_countries=40, n_products=250, n_years=1, sparsity=0.5,
                                   seed=2)
     w = tg.generate_world(cfg)
     weights = tg.DistanceWeights.from_dyads(w.tensor.countries, w.dyad_meta)
     year = w.tensor.years[0]
-    tg.exporter_relatedness(w.tensor, weights, year)  # the marginal is cached
+    tg.exporter_relatedness(w.tensor, weights, year)  # scipy and the pool are loaded
     tracemalloc.start()
     try:
         tg.exporter_relatedness(w.tensor, weights, year, chunk_rows=1024, threads=2)
