@@ -342,7 +342,7 @@ def build_parser():
         p.add_argument("--country-csv", required=True)
         p.add_argument("--dyad-csv", required=True)
         p.add_argument("--period", type=_parse_period, default=None)
-        p.add_argument("--horizon", type=int, default=2)
+        p.add_argument("--horizon", type=int, default=gravity.HORIZON)
         p.add_argument("--zeros", default="drop", choices=["drop", "log1p"])
         p.add_argument("--standardize-response", action="store_true")
 

@@ -111,8 +111,7 @@ def read_table(path, fields, numeric=(), exact=True):
         first = first.removesuffix("\n").removesuffix("\r")
         plain = '"' not in first and "\r" not in first
         text = None if plain else _read_text(path)
-        header = ((first.split(",") if first else []) if plain
-                  else next(csv.reader(io.StringIO(text, newline=""))))
+        header = ((first.split(",") if first else []) if plain else next(_csv_records(path, text)))
         header = [h.strip() for h in header]
         if plain and ((exact and header != list(fields.values()))
                       or not set(fields.values()) <= set(header)):
@@ -125,8 +124,8 @@ def read_table(path, fields, numeric=(), exact=True):
         position = {name: header.index(column) for name, column in fields.items()}
         numbers = [(position[name], name, kind) for name, kind in dict(numeric).items()]
         parsed = plain and _read_array(fh, path, len(header), numbers, set(position.values()))
-    columns, line, pending, raw = (parsed or
-                                   _read_records(text or _read_text(path), len(header), numbers))
+    columns, line, pending, raw = parsed or _read_records(path, text or _read_text(path),
+                                                          len(header), numbers)
     return Table(path, {name: columns[i] for name, i in position.items()}, line, pending, raw)
 
 
@@ -206,9 +205,20 @@ def _read_lines(path, numbers):
     return [found[n] for n in numbers]
 
 
-def _read_records(text, width, numbers):
+def _csv_records(path, text):
+    """The csv module's records of text; one it refuses raises ParseError at its first line."""
+    reader, line = csv.reader(io.StringIO(text, newline="")), 1
+    try:
+        for record in reader:
+            yield record
+            line = reader.line_num + 1
+    except csv.Error as exc:  # a field over the csv module's size limit
+        raise ParseError(path, line, str(exc)) from None
+
+
+def _read_records(path, text, width, numbers):
     """csv module parse with Python's int and float."""
-    records = list(csv.reader(io.StringIO(text, newline="")))
+    records = list(_csv_records(path, text))
     keep = [i for i in range(1, len(records)) if records[i]]
     pending = None
     for n, i in enumerate(keep):

@@ -55,9 +55,11 @@ _MOMENT_NAMES = _DESIGN_NAMES + (RESPONSE_NAME,)  # the columns of [1 | x | y]
 _CONTINUOUS = np.array([False] + [name not in BINARY_COLUMNS for name in REGRESSOR_NAMES])
 
 DEFAULT_PERIODS = ((2000, 2006), (2007, 2012), (2012, 2015))
+HORIZON = 2  # years from a row's base year to the year of its response
 _MEASURES = REGRESSOR_NAMES[:3]  # the relatedness measures, read per cell
 # base-year cells the dataset build joins and writes per step
 _JOIN_CELLS = 1 << 16
+_BLOCK_ROWS = 1 << 12  # rows per block of every pass over a dataset; sets the fit's sum order
 
 
 class ExporterClass(str, enum.Enum):
@@ -92,9 +94,6 @@ class Columns(Mapping):
     is and builds any other column on its first read, then caches it.
     """
 
-    # rows gathered per step when a whole column is read: temporaries well under one
-    _BUILD_ROWS = 1 << 12
-
     def __init__(self, stored, cells, years, positions, tables=None, first_year=0):
         self._stored, self._tables, self._first_year = dict(stored), dict(tables or {}), first_year
         self._cells, self._years, self._pos = list(cells), list(years), list(positions)
@@ -123,8 +122,8 @@ class Columns(Mapping):
         (t, o, p or d), or an (axes, table) pair read by the rows' keys."""
         dtype = spec[1].dtype if isinstance(spec, tuple) else "i4" if len(spec) == 1 else "f8"
         out = np.empty(self._n, dtype=dtype)
-        for lo in range(0, self._n, step := self._BUILD_ROWS):
-            self._gather((spec,), slice(lo, lo + step), out[None, lo:lo + step])
+        for lo in range(0, self._n, _BLOCK_ROWS):
+            self._gather((spec,), slice(lo, lo + _BLOCK_ROWS), out[None, lo:lo + _BLOCK_ROWS])
         return _locked(out)
 
     def design_matrix(self, rows):
@@ -282,7 +281,7 @@ class TrendResult:
 
 
 def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
-                  horizon=2, zeros="drop"):
+                  horizon=HORIZON, zeros="drop"):
     """Assemble pooled regression rows for one period.
 
     Rows are cells with a positive flow at t and, under the default
@@ -352,9 +351,13 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
         cells = {"o": o, "p": p, "d": d, **{name: getattr(rel, name) for name in _MEASURES}}
         if not all(a is b or np.array_equal(a, b) for a, b in ((rel.o, o), (rel.p, p), (rel.d, d))):
             found, at = lookup(tensor.cell_keys(t), rel.cell_keys())
+            if not found.all():  # the file was computed from other flows
+                i = np.argmin(found)
+                cell = (countries[rel.o[i]], products[rel.p[i]], countries[rel.d[i]])
+                raise TradeDataError(f"relatedness cell {t},{','.join(cell)} has no trade flow")
             for name in _MEASURES:
                 cells[name] = np.full(o.size, np.nan)
-                cells[name][at[found]] = getattr(rel, name)[found]
+                cells[name][at] = getattr(rel, name)
 
         # chunks of cells, each joined to the forward cells in its key range: no year-sized key
         kept, fpos = np.empty(o.size, dtype=np.int32), np.empty(o.size, dtype=np.int32)
@@ -530,7 +533,7 @@ class StreamingOLS:
     single-stream result exactly. Memory is O(k^2 log n_blocks).
     """
 
-    def __init__(self, names, block_rows=4096):
+    def __init__(self, names, block_rows=_BLOCK_ROWS):
         self.names = tuple(names)
         self.k = len(self.names)
         self.block_rows = int(block_rows)
@@ -633,7 +636,7 @@ def solve_normal_equations(c, mean, n, names):
                             resid_se=float(np.sqrt(sigma2)), ortho_rel=ortho)
 
 
-def _accumulate(dataset, rows=None, block_rows=4096, threads=None):
+def _accumulate(dataset, rows=None, threads=None):
     """The moments of [1 | x | y] over ``rows`` (a range or an index array; None is
     every row, whose moments a dataset made by ``standardize`` carries), else streamed
     by blocks: worker j of ``threads`` (None: every usable CPU) reads blocks j,
@@ -646,11 +649,11 @@ def _accumulate(dataset, rows=None, block_rows=4096, threads=None):
     threads = usable_cpus() if threads is None else threads
 
     def stride(j):
-        # each worker gathers its blocks in place into one (17, block_rows) buffer:
+        # each worker gathers its blocks in place into one (17, _BLOCK_ROWS) buffer:
         # a fresh array per block made _Moments.of twice as slow
-        buf, out = np.empty((K_PARAMETERS + 1, block_rows)), []
-        for lo in range(j * block_rows, n, threads * block_rows):
-            block, sel = buf[:, :n - lo], rows[lo:lo + block_rows]
+        buf, out = np.empty((K_PARAMETERS + 1, _BLOCK_ROWS)), []
+        for lo in range(j * _BLOCK_ROWS, n, threads * _BLOCK_ROWS):
+            block, sel = buf[:, :n - lo], rows[lo:lo + _BLOCK_ROWS]
             sel = slice(sel.start, sel.stop) if isinstance(sel, range) else sel
             dataset.columns._block(sel, block)
             block[-1] = dataset.response[sel]
@@ -664,14 +667,14 @@ def _accumulate(dataset, rows=None, block_rows=4096, threads=None):
         for blocks in zip_longest(*pool.map(stride, range(threads))):
             for moments in blocks:
                 if moments is not None:
-                    _push(nodes, moments, block_rows)
+                    _push(nodes, moments, _BLOCK_ROWS)
     return _total(nodes)
 
 
-def fit_ols(dataset, block_rows=4096, threads=None):
+def fit_ols(dataset, threads=None):
     """Fit the full 16-parameter model from the moments ``standardize`` left on the
     dataset, else streamed by blocks; ``threads`` (None: every usable CPU) never changes it."""
-    return _accumulate(dataset, block_rows=block_rows, threads=threads).solve(_DESIGN_NAMES)
+    return _accumulate(dataset, threads=threads).solve(_DESIGN_NAMES)
 
 
 def _zscored(moments, standardize_response):
@@ -769,7 +772,7 @@ def lall_codes(dataset, concordance):
     return codes
 
 
-def run_split_regressions(dataset, split, periods=None, horizon=2, rca=None,
+def run_split_regressions(dataset, split, periods=None, horizon=HORIZON, rca=None,
                           concordance=None, new_threshold=0.2,
                           experienced_threshold=1.0, standardize_response=False,
                           threads=None):
@@ -835,10 +838,10 @@ def summary_stats(dataset):
     blocks of rows gathered into one reused buffer."""
     moments = _accumulate(dataset)
     std = moments.std()
-    buf = np.empty((K_PARAMETERS, 4096))
+    buf = np.empty((K_PARAMETERS, _BLOCK_ROWS))
     low, high = np.full(K_PARAMETERS, np.inf), np.full(K_PARAMETERS, -np.inf)
-    for lo in range(0, dataset.n, 4096):
-        block = dataset.columns._block(slice(lo, lo + 4096), buf[:, :dataset.n - lo])
+    for lo in range(0, dataset.n, _BLOCK_ROWS):
+        block = dataset.columns._block(slice(lo, lo + _BLOCK_ROWS), buf[:, :dataset.n - lo])
         np.minimum(low, block.min(axis=1), out=low)
         np.maximum(high, block.max(axis=1), out=high)
     rows = []

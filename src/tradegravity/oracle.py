@@ -19,7 +19,7 @@ import numpy as np
 
 from .complexity import binarize, compute_rca, compute_proximity
 from .errors import TradeDataError
-from .gravity import K_PARAMETERS, REGRESSOR_NAMES, BINARY_COLUMNS
+from .gravity import BINARY_COLUMNS, HORIZON, K_PARAMETERS, REGRESSOR_NAMES
 from .ingest import CountryMeta, DyadMeta, TradeTensor
 from .relatedness import DistanceWeights, compute_relatedness
 
@@ -34,12 +34,10 @@ class SyntheticWorldConfig:
     n_products: int
     n_years: int = 3
     start_year: int = 2000
-    geometry: str = "sphere"  # or "ring"
     planted_beta: np.ndarray | None = None  # 16 values, intercept first
     noise_sigma: float = 0.0
     sparsity: float = 0.5
     seed: int = 0
-    horizon: int = 2
     forward_mode: str = "planted"  # or "persist": copy base support, jitter values
 
     def __post_init__(self):
@@ -55,10 +53,8 @@ class SyntheticWorldConfig:
             self.planted_beta = np.asarray(self.planted_beta, dtype=np.float64)
             if self.planted_beta.shape != (K_PARAMETERS,):
                 raise TradeDataError(f"planted_beta must have {K_PARAMETERS} entries")
-            if self.n_years <= self.horizon:
-                raise TradeDataError("planted worlds need n_years > horizon")
-        if self.geometry not in ("sphere", "ring"):
-            raise TradeDataError(f"unknown geometry {self.geometry!r}")
+            if self.n_years <= HORIZON:
+                raise TradeDataError(f"planted worlds need n_years > {HORIZON}")
         if self.forward_mode not in ("planted", "persist"):
             raise TradeDataError(f"unknown forward_mode {self.forward_mode!r}")
 
@@ -100,15 +96,8 @@ def _sphere_distances(n, rng):
         off = dist[~np.eye(n, dtype=bool)]
         if off.min() > 1.0:
             return dist
-        log.info("degenerate geometry (coincident cities), resampling")
-    raise TradeDataError("could not sample non-degenerate geometry")
-
-
-def _ring_distances(n):
-    angles = 2.0 * math.pi * np.arange(n) / n
-    diff = np.abs(angles[:, None] - angles[None, :])
-    diff = np.minimum(diff, 2.0 * math.pi - diff)
-    return EARTH_RADIUS_KM * diff
+        log.info("coincident cities, resampling")
+    raise TradeDataError("could not sample cities at distinct positions")
 
 
 def _draw_flows(rng, n_countries, n_products, sparsity, mu=9.0, sigma=2.0):
@@ -132,7 +121,7 @@ def generate_world(config):
 
     Identical configs (same seed) produce identical worlds. In "planted"
     forward mode the last year's flows equal exp(model) evaluated on the true
-    regressors of the year `horizon` years earlier, over exactly the cells
+    regressors of the year ``HORIZON`` years earlier, over exactly the cells
     active there (minus cells whose product relatedness is undefined). In
     "persist" mode the last year reuses the base support with jittered
     values, which keeps every cell in the two-year sample.
@@ -142,11 +131,7 @@ def generate_world(config):
     countries = _country_codes(cfg.n_countries)
     products = _product_codes(cfg.n_products)
     nc = cfg.n_countries
-
-    if cfg.geometry == "sphere":
-        dist = _sphere_distances(nc, rng)
-    else:
-        dist = _ring_distances(nc)
+    dist = _sphere_distances(nc, rng)
 
     border = np.zeros((nc, nc), dtype=np.int64)
     colony = np.zeros((nc, nc), dtype=np.int64)
@@ -190,7 +175,7 @@ def generate_world(config):
         return SyntheticWorld(tensor, meta, dyads, cfg, prox_window)
 
     last_year = years[-1]
-    base_t = last_year - cfg.horizon
+    base_t = last_year - HORIZON
     if base_t not in flows:
         raise TradeDataError(f"base year {base_t} missing for forward generation")
     base_tensor = TradeTensor(countries, products, base_years, flows)

@@ -30,6 +30,7 @@ from .ingest import by_year, cell_keys, year_cell_keys
 log = logging.getLogger(__name__)
 
 _BOUND_SLACK = 1e-9
+_CHUNK_GROUPS = 4096  # about this many groups make one chunk of _weighted_share
 RELATEDNESS_COLUMNS = ("year", "origin", "product", "destination", "omega", "omega_d", "omega_o")
 # glibc's malloc_trim: worker threads free their chunks into their own malloc arenas,
 # which the main thread never reuses, so their free pages go back to the OS
@@ -104,8 +105,7 @@ def usable_cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
-def _weighted_share(lead, second, n_second, col, v, weights, scale, chunk_rows, threads,
-                    order=None):
+def _weighted_share(lead, second, n_second, col, v, weights, scale, threads, order=None):
     """Each cell's weighted share of its group's flows, aligned with the input cells.
 
     A cell's group is (lead, second); ``order`` lists the cells sorted by lead
@@ -113,7 +113,7 @@ def _weighted_share(lead, second, n_second, col, v, weights, scale, chunk_rows, 
     of its group of v[c'] * weights[col[c'], col[c]], divided by the group's
     total flow times scale[col[c]] (None: 1): the entry (group, col[c]) of
     S @ weights, where S is the sparse matrix of the group flows by column.
-    The product runs over chunks of whole lead values, about ``chunk_rows``
+    The product runs over chunks of whole lead values, about ``_CHUNK_GROUPS``
     groups each and each one slice of ``order``, on ``threads`` threads
     (None: ``usable_cpus()``). Every entry and every group total sums its
     group's cells in column order whatever the chunks, so neither chunks nor
@@ -122,7 +122,7 @@ def _weighted_share(lead, second, n_second, col, v, weights, scale, chunk_rows, 
     """
     import scipy.sparse as sp  # here: CLI stages that never evaluate relatedness skip its import
 
-    leads = max(chunk_rows // n_second, 1)
+    leads = max(_CHUNK_GROUPS // n_second, 1)
     n_lead = int(lead.max()) + 1 if lead.size else 0
     starts = np.append(np.arange(0, n_lead, leads), n_lead).astype(lead.dtype)  # no int64 lead
     bounds = np.searchsorted(lead, starts, sorter=order)
@@ -152,7 +152,7 @@ def _weighted_share(lead, second, n_second, col, v, weights, scale, chunk_rows, 
     return share
 
 
-def product_relatedness(tensor, prox, year, chunk_rows=4096, threads=None):
+def product_relatedness(tensor, prox, year, threads=None):
     """Values for every active cell of the year, aligned with tensor.flows(year).
 
     Cells whose product has a zero proximity marginal are returned as NaN and
@@ -161,8 +161,7 @@ def product_relatedness(tensor, prox, year, chunk_rows=4096, threads=None):
     o, p, d, v = tensor.flows(year)
     if tensor.n_products == 1:
         return np.zeros(o.size)  # the sum over other products is empty
-    omega = _weighted_share(o, d, tensor.n_countries, p, v, prox.phi, prox.marginals,
-                            chunk_rows, threads)
+    omega = _weighted_share(o, d, tensor.n_countries, p, v, prox.phi, prox.marginals, threads)
     isolated = ~(prox.marginals > 0)
     skipped = p[isolated[p]] if isolated.any() else p[:0]
     if skipped.size:
@@ -172,19 +171,17 @@ def product_relatedness(tensor, prox, year, chunk_rows=4096, threads=None):
     return _check_bounds(omega, "product relatedness")
 
 
-def importer_relatedness(tensor, weights, year, chunk_rows=4096, threads=None):
+def importer_relatedness(tensor, weights, year, threads=None):
     """Values for every active cell of the year, aligned with tensor.flows(year)."""
     o, p, d, v = tensor.flows(year)
-    values = _weighted_share(o, p, tensor.n_products, d, v, weights.matrix.T, None,
-                             chunk_rows, threads)
+    values = _weighted_share(o, p, tensor.n_products, d, v, weights.matrix.T, None, threads)
     return _check_bounds(values, "importer relatedness")
 
 
-def exporter_relatedness(tensor, weights, year, chunk_rows=4096, threads=None):
+def exporter_relatedness(tensor, weights, year, threads=None):
     """Values for every active cell of the year, aligned with tensor.flows(year)."""
     o, p, d, v = tensor.flows(year)
-    values = _weighted_share(p, d, tensor.n_countries, o, v, weights.matrix.T, None,
-                             chunk_rows, threads,
+    values = _weighted_share(p, d, tensor.n_countries, o, v, weights.matrix.T, None, threads,
                              np.argsort(p, kind="stable"))  # the cells come sorted by o
     return _check_bounds(values, "exporter relatedness")
 

@@ -372,6 +372,34 @@ def test_malformed_handoff_file_is_exit_one_with_line(pipeline, tmp_path, capsys
     assert f"{bad}:3: unparseable omega 'n/a'" in capsys.readouterr().err
 
 
+def test_oversized_csv_field_is_exit_one_with_line(pipeline, tmp_path, capsys):
+    _, world, _ = pipeline
+    lines = (world / "trade.csv").read_text().splitlines(keepends=True)
+    bad = tmp_path / "trade.csv"  # line 4 opens a quote that never closes
+    bad.write_text("".join(lines[:3]) + '"' + "".join(lines[3:] * 60))
+    assert bad.stat().st_size > 1 << 17
+    assert run("ingest", "-o", tmp_path / "out", "--trade", bad) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:4: field larger than field limit (131072)" in err
+    assert "Traceback" not in err
+
+
+def test_relatedness_of_other_flows_is_exit_one(pipeline, tmp_path, capsys):
+    # the same codes, but another seed's cells: most of them are not in the trade file
+    _, world, stage = pipeline
+    other = tmp_path / "other"
+    assert run("synth", "-o", other, "--countries", "8", "--products", "12",
+               "--years", "3", "--sparsity", "0.7", "--seed", "43",
+               "--forward-mode", "persist") == 0
+    assert run("ingest", "-o", other, "--trade", other / "trade.csv") == 0
+    assert run("relatedness", "-o", other, "--trade", other / "reconciled.csv",
+               "--proximity", stage / "proximity.csv", "--dyad-csv", other / "dyad.csv") == 0
+    assert run("gravity", "-o", tmp_path, "--trade", stage / "reconciled.csv",
+               "--relatedness", other / "relatedness.csv", "--country-csv",
+               world / "country.csv", "--dyad-csv", world / "dyad.csv") == 1
+    assert "has no trade flow" in capsys.readouterr().err
+
+
 def test_malformed_config_is_exit_one_with_line(pipeline, tmp_path, capsys):
     _, _, stage = pipeline
     cfg = tmp_path / "cfg.json"

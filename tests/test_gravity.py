@@ -1,5 +1,6 @@
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -161,7 +162,8 @@ def test_threaded_fit_is_bitwise(small_dataset):
         acc = StreamingOLS(names, block_rows=block_rows)
         acc.add(ds.design_matrix(), ds.response)
         want = acc.result()
-        got = tg.fit_ols(ds, block_rows=block_rows, threads=threads)
+        with mock.patch.object(tg.gravity, "_BLOCK_ROWS", block_rows):
+            got = tg.fit_ols(ds, threads=threads)
         assert np.array_equal(got.beta, want.beta), (block_rows, threads)
         assert np.array_equal(got.se, want.se), (block_rows, threads)
         assert got.adj_r2 == want.adj_r2 and got.resid_se == want.resid_se
@@ -447,6 +449,23 @@ def test_missing_relatedness_year_rejected():
     partial = {y: r for y, r in rel.items() if y != 2001}
     with pytest.raises(tg.TradeDataError, match="2001"):
         tg.build_dataset(w.tensor, partial, w.country_meta, w.dyad_meta, (2000, 2006))
+
+
+def test_relatedness_of_other_flows_rejected(small_pipeline):
+    # another seed's cells under the same codes: a cell the tensor lacks is refused, not dropped
+    w, prox, weights, _ = small_pipeline
+    other = tg.generate_world(tg.SyntheticWorldConfig(n_countries=6, n_products=9, n_years=3,
+                                                      sparsity=0.8, seed=4,
+                                                      forward_mode="persist"))
+    rel = tg.compute_relatedness(other.tensor, prox, weights, 2000)
+    cells = set(zip(*(a.tolist() for a in w.tensor.flows(2000)[:3])))
+    o, p, d = next(c for c in zip(rel.o.tolist(), rel.p.tolist(), rel.d.tolist())
+                   if c not in cells)
+    c, pr = w.tensor.countries, w.tensor.products
+    with pytest.raises(tg.TradeDataError) as err:
+        tg.build_dataset(w.tensor, {2000: rel}, w.country_meta, w.dyad_meta, (2000, 2002))
+    want = f"relatedness cell 2000,{c[o]},{pr[p]},{c[d]} has no trade flow"
+    assert str(err.value) == want
 
 
 def eager_columns(w, rel, ds, zeros):

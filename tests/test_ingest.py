@@ -345,6 +345,15 @@ def test_trade_reader_names_line_and_reason(tmp_path, bad, reason):
     assert (exc.value.line_no, str(exc.value)) == (3, f"{path}:3: {reason}")
 
 
+def test_field_over_the_csv_size_limit_names_its_line(tmp_path):
+    # line 4 opens a quote that never closes, so its field runs past the csv module's limit
+    path = write(tmp_path, "2003,KOR,CHL,6201,1,exporter\n" * 2 + '2003,"KOR\n'
+                 + "2003,KOR,CHL,6201,1,exporter\n" * 6000)
+    with pytest.raises(tg.ParseError) as exc:
+        load_trade_csv(path)
+    assert str(exc.value) == f"{path}:4: field larger than field limit ({csv.field_size_limit()})"
+
+
 def test_quoted_and_bare_files_parse_alike(tmp_path, small_world):
     # quotes and lone CR line ends take the csv-module parser; the result is the same
     bare = tmp_path / "bare.csv"

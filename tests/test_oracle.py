@@ -59,15 +59,6 @@ def test_config_validation():
                                 planted_beta=np.zeros(16))
 
 
-def test_ring_geometry_supported():
-    cfg = tg.SyntheticWorldConfig(n_countries=6, n_products=4, n_years=3,
-                                  sparsity=0.9, seed=1, geometry="ring")
-    w = tg.generate_world(cfg)
-    c = w.tensor.countries
-    d01, d12 = w.dyad_meta.distance_matrix(c)[[0, 1], [1, 2]]
-    assert d01 == pytest.approx(d12, rel=1e-12)
-
-
 def test_single_exporter_and_single_product_degenerate_cases():
     # one exporter: every exporter-relatedness value is zero
     cells = {(2000, "AAA", "0101", "BBB"): 5.0,

@@ -1,6 +1,7 @@
 import os
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -211,15 +212,16 @@ def test_chunk_size_does_not_change_values(small_pipeline):
     year = w.tensor.years[0]
     base = rel[year]
     # chunks of two groups split every measure into several chunks
-    for measure, small_chunks in [
-            (base.omega, tg.product_relatedness(w.tensor, prox, year, chunk_rows=2)),
-            (base.omega_d, tg.importer_relatedness(w.tensor, weights, year, chunk_rows=2)),
-            (base.omega_o, tg.exporter_relatedness(w.tensor, weights, year, chunk_rows=2))]:
+    with mock.patch.object(tg.relatedness, "_CHUNK_GROUPS", 2):
+        small = [(base.omega, tg.product_relatedness(w.tensor, prox, year)),
+                 (base.omega_d, tg.importer_relatedness(w.tensor, weights, year)),
+                 (base.omega_o, tg.exporter_relatedness(w.tensor, weights, year))]
+    for measure, small_chunks in small:
         assert np.array_equal(np.nan_to_num(measure, nan=-1), np.nan_to_num(small_chunks, nan=-1))
 
 
 def test_weighted_share_bits_match_one_whole_year_product():
-    # fewer chunk rows than n_second make one lead a chunk
+    # fewer chunk groups than n_second make one lead a chunk
     import scipy.sparse as sp
 
     rng = np.random.default_rng(17)
@@ -233,10 +235,11 @@ def test_weighted_share_bits_match_one_whole_year_product():
     _, group = np.unique(lead * n_second + second, return_inverse=True)
     s = sp.csr_matrix((v, (group, col)), shape=(group.max() + 1, n_col))
     want = (s @ weights)[group, col] / (np.bincount(group, weights=v)[group] * scale[col])
-    for chunk_rows, threads in ((n_second - 1, 1), (3 * n_second, 2)):
-        got = tg.relatedness._weighted_share(lead, second, n_second, col, v, weights,
-                                             scale, chunk_rows, threads)
-        assert np.array_equal(got, want), (chunk_rows, threads)
+    for groups, threads in ((n_second - 1, 1), (3 * n_second, 2)):
+        with mock.patch.object(tg.relatedness, "_CHUNK_GROUPS", groups):
+            got = tg.relatedness._weighted_share(lead, second, n_second, col, v, weights,
+                                                 scale, threads)
+        assert np.array_equal(got, want), (groups, threads)
 
 
 def test_weighted_share_through_an_order_matches_sorted_cells():
@@ -251,13 +254,14 @@ def test_weighted_share_through_an_order_matches_sorted_cells():
     v = rng.lognormal(size=lead.size)
     order = np.argsort(lead, kind="stable")
     want = np.empty(v.size)
-    want[order] = tg.relatedness._weighted_share(lead[order], second[order], n_second,
-                                                 col[order], v[order], weights, scale,
-                                                 10 ** 6, 1)
-    for chunk_rows, threads in ((n_second - 1, 1), (2 * n_second, 2)):
-        got = tg.relatedness._weighted_share(lead, second, n_second, col, v, weights,
-                                             scale, chunk_rows, threads, order)
-        assert np.array_equal(got, want), (chunk_rows, threads)
+    with mock.patch.object(tg.relatedness, "_CHUNK_GROUPS", 10 ** 6):
+        want[order] = tg.relatedness._weighted_share(lead[order], second[order], n_second,
+                                                     col[order], v[order], weights, scale, 1)
+    for groups, threads in ((n_second - 1, 1), (2 * n_second, 2)):
+        with mock.patch.object(tg.relatedness, "_CHUNK_GROUPS", groups):
+            got = tg.relatedness._weighted_share(lead, second, n_second, col, v, weights,
+                                                 scale, threads, order)
+        assert np.array_equal(got, want), (groups, threads)
 
 
 def test_overflowing_denominator_is_refused(small_pipeline):
@@ -287,10 +291,11 @@ def test_default_threads_are_the_usable_cpus(small_pipeline, monkeypatch):
     year = w.tensor.years[0]
     base = rel[year]  # threads=1
     # one lead value a chunk: six origins for omega and omega_d, nine products for omega_o
-    for measure, default in [
-            (base.omega, tg.product_relatedness(w.tensor, prox, year, chunk_rows=1)),
-            (base.omega_d, tg.importer_relatedness(w.tensor, weights, year, chunk_rows=1)),
-            (base.omega_o, tg.exporter_relatedness(w.tensor, weights, year, chunk_rows=1))]:
+    with mock.patch.object(tg.relatedness, "_CHUNK_GROUPS", 1):
+        defaults = [(base.omega, tg.product_relatedness(w.tensor, prox, year)),
+                    (base.omega_d, tg.importer_relatedness(w.tensor, weights, year)),
+                    (base.omega_o, tg.exporter_relatedness(w.tensor, weights, year))]
+    for measure, default in defaults:
         assert np.array_equal(measure, default, equal_nan=True)
     assert pools == [tg.relatedness.usable_cpus()] * 3
 
@@ -307,7 +312,8 @@ def test_exporter_relatedness_keeps_no_year_wide_copies():
     tg.exporter_relatedness(w.tensor, weights, year)  # scipy and the pool are loaded
     tracemalloc.start()
     try:
-        tg.exporter_relatedness(w.tensor, weights, year, chunk_rows=1024, threads=2)
+        with mock.patch.object(tg.relatedness, "_CHUNK_GROUPS", 1024):
+            tg.exporter_relatedness(w.tensor, weights, year, threads=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
