@@ -1,26 +1,27 @@
 """CSV reading and writing on column arrays, one block of lines at a time.
 
 ``read_table`` parses a file's data rows into typed columns, keeping the line
-and reason of its first malformed row. It reads the file in blocks of whole
-lines (``_READ_BLOCK`` bytes, cut at the last line feed) and hands each block
-to ``np.loadtxt``, so a read holds the columns it returns and about one
-block, never the file's text or a record array of all its rows; a file the
-array parser could read differently from the csv module is read whole by the
-csv module instead. ``write_rows`` writes rows in the csv module's default
-dialect (CRLF line ends, minimal quoting), byte-identical to a row-by-row
-``csv.writer`` loop, formatting ``_ROW_BLOCK`` rows at a time from typed
-columns. ``read_json`` reads the JSON inputs with the same line-numbered
-errors. ``vocabulary`` and ``code_index`` turn code columns into int32 indices
-through one int64 key per code, ``_ROW_BLOCK`` rows at a time.
+and reason of its first malformed row. It hands blocks of whole lines
+(``_READ_BLOCK`` bytes, cut at the last line feed) to ``np.loadtxt``, or
+streams a file the array parser could read differently through the csv
+module (``_records``), so a read holds the columns it returns and about one
+block, never the file's text or a list of its records. ``write_rows`` writes
+rows in the csv module's default dialect (CRLF line ends, minimal quoting),
+byte-identical to a row-by-row ``csv.writer`` loop, formatting ``_ROW_BLOCK``
+rows at a time from typed columns. ``read_json`` reads the JSON inputs with
+the same line-numbered errors. ``vocabulary`` and ``code_index`` turn code
+columns into int32 indices through one int64 key per code, ``_ROW_BLOCK``
+rows at a time.
 """
 from __future__ import annotations
 
-import bisect
 import csv
 import io
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -31,25 +32,24 @@ _TEXT_WIDTH = 16  # longest text field the array parser takes
 _SPACES = " \t\x0b\x0c\x1c\x1d\x1e\x1f"  # ASCII whitespace str.strip drops, line ends aside
 _READ_BLOCK = 1 << 18  # bytes of whole lines parsed at a time
 _ROW_BLOCK = 1 << 14  # rows formatted and written, or keyed, at a time
+_RECORD_BLOCK = 1 << 8  # csv records typed at a time; at 1 << 14 GC passes doubled the read
 
 
 @dataclass
 class Table:
     """Typed columns of a CSV file's data rows, cut before the first malformed row.
 
-    ``line`` holds each row's line number (the header is line 1), a range when
-    the rows are lines 2 onward. A row with the wrong field count or an
+    ``line`` holds the line each row starts on (the header is line 1), a range
+    when the rows are lines 2 onward. A row with the wrong field count or an
     unparseable number is held back as ``pending`` (line, reason), so that
     ``check`` can still report an earlier row that fails one of the caller's
-    own tests. ``raw_lines(ns)`` gives each line n of ns as the csv module
-    reads it: its fields joined by commas.
+    own tests.
     """
 
     path: str
     columns: dict
     line: object
     pending: tuple | None
-    raw_lines: object
 
     def __getitem__(self, name):
         return self.columns[name]
@@ -74,8 +74,14 @@ class Table:
             raise ParseError(self.path, *self.pending)
 
     def raw(self, rows):
-        """Text of the given rows as the csv module reads them."""
-        return self.raw_lines([int(self.line[i]) for i in rows])
+        """Text of the given rows as the csv module reads them, their fields joined by
+        commas; the file's records are read again up to the last of these rows."""
+        wanted = set(rows := [int(i) for i in rows])
+        with open(self.path, "rb") as fh:  # the header, then row i as data record i
+            records = filter(itemgetter(1), _records(fh, self.path))  # blank lines aside
+            records = itertools.islice(records, max(rows, default=-2) + 2)
+            text = {i: ",".join(f) for i, (_, f) in enumerate(records, -1) if i in wanted}
+        return [text[i] for i in rows]
 
 
 def read_table(path, fields, numeric=(), exact=True):
@@ -94,39 +100,37 @@ def read_table(path, fields, numeric=(), exact=True):
     block at a time; it accepts a strict subset of what Python's int and
     float accept, gives the same values, and refuses a CR anywhere but at
     the end of a line. Each block keeps only the Table's columns, text
-    columns stripped and cut to their longest field, so a read holds the
-    columns it returns, one block of lines and its parse. A file with a
-    quote, a blank line before its last row or a text field of 16 characters
-    or more goes whole to the csv module and Python's int and float instead,
-    as does any file with a block ``np.loadtxt`` refuses; they find the exact
-    line and reason of a malformed row. ``Table.raw`` of a block-read file
-    reads the lines it is asked for again.
+    columns stripped and cut to their longest field. A file with a quote, a
+    blank line before its last row or a text field of 16 characters or more
+    streams through the csv module and Python's int and float instead, as
+    does any file with a block ``np.loadtxt`` refuses, after a pass that only
+    decodes it; a row's line is then the one its record starts on. Either way
+    a read holds the columns it returns and about one block.
     """
     path = str(path)
     fields = fields if isinstance(fields, dict) else dict(zip(fields, fields))
     with open(path, "rb") as fh:
-        first = _decode(fh.readline(), path, 1, "utf-8-sig")
+        first = _decode(fh.readline(), path, 1)
         if not first:
             raise ParseError(path, 1, "empty file, header required")
         first = first.removesuffix("\n").removesuffix("\r")
         plain = '"' not in first and "\r" not in first
-        text = None if plain else _read_text(path)
-        header = ((first.split(",") if first else []) if plain else next(_csv_records(path, text)))
-        header = [h.strip() for h in header]
-        if plain and ((exact and header != list(fields.values()))
-                      or not set(fields.values()) <= set(header)):
-            _read_text(path)  # a byte that is not UTF-8 is reported before the header
+        records = None if plain else _records(fh, path)
+        header = [h.strip() for h in (first.split(",") if plain else next(records)[1])]
+        faults = [f"missing column '{column}' for field '{name}'"
+                  for name, column in fields.items() if column not in header]
         if exact and header != list(fields.values()):
-            raise ParseError(path, 1, f"expected header {','.join(fields.values())}")
-        for name, column in fields.items():
-            if column not in header:
-                raise ParseError(path, 1, f"missing column '{column}' for field '{name}'")
+            faults = [f"expected header {','.join(fields.values())}"]
+        if faults:
+            next(_records(fh, path))  # a byte that is not UTF-8 is reported before the header
+            raise ParseError(path, 1, faults[0])
         position = {name: header.index(column) for name, column in fields.items()}
         numbers = [(position[name], name, kind) for name, kind in dict(numeric).items()]
-        parsed = plain and _read_array(fh, path, len(header), numbers, set(position.values()))
-    columns, line, pending, raw = parsed or _read_records(path, text or _read_text(path),
-                                                          len(header), numbers)
-    return Table(path, {name: columns[i] for name, i in position.items()}, line, pending, raw)
+        keep = set(position.values())
+        columns, line, pending = (plain and _read_array(fh, path, len(header), numbers, keep)) or \
+            _read_records(records or itertools.islice(_records(fh, path), 1, None), len(header),
+                          numbers, keep)
+    return Table(path, {name: columns[i] for name, i in position.items()}, line, pending)
 
 
 def _read_array(fh, path, width, numbers, keep):
@@ -135,8 +139,8 @@ def _read_array(fh, path, width, numbers, keep):
     kinds = {j: kind for j, _, kind in numbers}
     dtype = [(f"c{j}", _DTYPE[kinds[j]] if j in kinds else f"U{_TEXT_WIDTH}")
              for j in range(width)]
-    parts, n = {j: [] for j in keep}, 0
-    for _, text in _blocks(fh, path, 2):
+    parts, n = {j: [np.empty(0, _DTYPE[kinds[j]] if j in kinds else "U1")] for j in keep}, 0
+    for text in _blocks(fh, path, 2):
         if '"' in text:
             return None
         lines = text.split("\n")
@@ -165,107 +169,100 @@ def _read_array(fh, path, width, numbers, keep):
                     longest = int(np.strings.str_len(column).max())
                 column = column.astype(f"U{max(longest, 1)}")
             parts[j].append(np.ascontiguousarray(column))
-    columns = {}
-    for j in keep:
-        empty = np.empty(0, dtype=_DTYPE[kinds[j]] if j in kinds else "U1")
-        columns[j] = np.concatenate(parts.pop(j) or [empty])
-    return columns, range(2, n + 2), None, lambda numbers: _read_lines(path, numbers)
+    return {j: np.concatenate(parts.pop(j)) for j in keep}, range(2, n + 2), None
+
+
+def _read_records(records, width, numbers, keep):
+    """The csv module's data records, blank lines aside, typed ``_RECORD_BLOCK`` at a time
+    by Python's int and float and cut before the first with the wrong field count or an
+    unparseable number: the columns in ``keep``, and the line each row starts on."""
+    kinds = {j: kind for j, _, kind in numbers}
+    parts = {j: [np.empty(0, _DTYPE[kinds[j]] if j in kinds else "U1")] for j in keep}
+    lines, pending, rows = [np.empty(0, np.int64)], None, filter(itemgetter(1), records)
+    for batch in iter(lambda: list(itertools.islice(rows, _RECORD_BLOCK)), []):
+        if pending:
+            continue  # a later record the csv module refuses is still reported
+        line, batch = zip(*batch)
+        n = len(list(itertools.takewhile(width.__eq__, map(len, batch))))
+        if n < len(batch):
+            pending = (line[n], f"expected {width} fields, got {len(batch[n])}")
+        fields = {j: list(map(str.strip, map(itemgetter(j), batch[:n]))) for j in keep}
+        for j, name, kind in numbers:
+            fields[j] = _numbers(fields[j][:n], kind)
+            if fields[j].size < n:
+                n = fields[j].size
+                pending = (line[n], f"unparseable {name} '{batch[n][j].strip()}'")
+        for j in keep:
+            parts[j].append(fields[j][:n] if j in kinds else np.array(fields[j][:n], dtype=str))
+        lines.append(np.array(line[:n], dtype=np.int64))
+    return {j: np.concatenate(parts.pop(j)) for j in keep}, np.concatenate(lines), pending
+
+
+def _numbers(fields, kind):
+    """Python's kind of each field as one array, cut before the first field that kind
+    refuses or whose value does not fit in 64 bits."""
+    for n in range(len(fields), -1, -1):  # all of them, else the longest head that converts
+        try:
+            return np.array(list(map(kind, fields[:n])), dtype=_DTYPE[kind])
+        except (ValueError, OverflowError):
+            pass
+
+
+def _records(fh, path):
+    """(line, fields) of each record the csv module reads from a binary file, line being
+    the one it starts on; a blank line has no fields. A pass that only decodes the file
+    comes first, so a byte that is not UTF-8 is reported before any record fault."""
+    fh.seek(0)
+    for _ in _blocks(fh, path, 1):
+        pass
+    fh.seek(0)
+    line, at = 1, [1]  # at[0]: the line of the next piece of text the csv module takes
+
+    def pieces():  # the text cut where the csv module's own file reading cuts it
+        for text in _blocks(fh, path, 1):
+            for piece in io.StringIO(text, newline=""):
+                at[0] += piece[-1] == "\n"
+                yield piece
+    try:
+        for fields in csv.reader(pieces()):
+            yield line, fields
+            line = at[0]
+    except csv.Error as exc:  # a field over the csv module's size limit, at its record's line
+        raise ParseError(path, line, str(exc)) from None
 
 
 def _blocks(fh, path, line_no):
-    """(first line number, text) of each block of whole lines left in a binary file,
-    line_no being the number of its next line. Blocks are cut at the last line feed
-    of each _READ_BLOCK bytes; a longer line makes one block."""
+    """The text of each block of whole lines left in a binary file, line_no being the
+    number of its next line. Blocks are cut at the last line feed of each _READ_BLOCK
+    bytes; a longer line makes one block."""
     rest = []
     while chunk := fh.read(_READ_BLOCK):
         cut = chunk.rfind(b"\n") + 1
         if cut:
             block = b"".join(rest + [chunk[:cut]])
             rest = []
-            yield line_no, _decode(block, path, line_no)
+            yield _decode(block, path, line_no)
             line_no += block.count(b"\n")
         rest.append(chunk[cut:])
     block = b"".join(rest)
     if block:
-        yield line_no, _decode(block, path, line_no)
-
-
-def _read_lines(path, numbers):
-    """Line n of a file, without its line end, for each n in numbers (2 or more)."""
-    wanted, found = sorted(set(numbers)), {}
-    with open(path, "rb") as fh:
-        fh.readline()
-        for line_no, text in _blocks(fh, path, 2):
-            if len(found) == len(wanted):
-                break
-            lines = text.split("\n")
-            end = line_no + len(lines) - (not lines[-1])
-            for n in wanted[len(found):bisect.bisect_left(wanted, end)]:
-                found[n] = lines[n - line_no].removesuffix("\r")
-    return [found[n] for n in numbers]
-
-
-def _csv_records(path, text):
-    """The csv module's records of text; one it refuses raises ParseError at its first line."""
-    reader, line = csv.reader(io.StringIO(text, newline="")), 1
-    try:
-        for record in reader:
-            yield record
-            line = reader.line_num + 1
-    except csv.Error as exc:  # a field over the csv module's size limit
-        raise ParseError(path, line, str(exc)) from None
-
-
-def _read_records(path, text, width, numbers):
-    """csv module parse with Python's int and float."""
-    records = list(_csv_records(path, text))
-    keep = [i for i in range(1, len(records)) if records[i]]
-    pending = None
-    for n, i in enumerate(keep):
-        if len(records[i]) != width:
-            pending = (i + 1, f"expected {width} fields, got {len(records[i])}")
-            del keep[n:]
-            break
-    fields = list(zip(*(records[i] for i in keep))) or [()] * width
-    values = {}
-    for j, name, kind in numbers:
-        values[j] = []
-        try:
-            for field in fields[j][:len(keep)]:
-                values[j].append(kind(field))
-        except ValueError:
-            n = len(values[j])
-            pending = (keep[n] + 1, f"unparseable {name} '{fields[j][n].strip()}'")
-            del keep[n:]
-    n = len(keep)
-    kinds = {j: kind for j, _, kind in numbers}
-    columns = [np.array(values[j][:n], dtype=_DTYPE[kinds[j]]) if j in kinds
-               else np.array([f.strip() for f in fields[j][:n]], dtype=str)
-               for j in range(width)]
-    return columns, np.array(keep, dtype=np.int64) + 1, pending, \
-        lambda numbers: [",".join(records[n - 1]) for n in numbers]
+        yield _decode(block, path, line_no)
 
 
 def read_json(path):
     """Parse a JSON file; malformed JSON raises ParseError at its line."""
     try:
-        return json.loads(_read_text(path))
+        with open(path, "rb") as fh:
+            return json.loads(_decode(fh.read(), path, 1))
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, exc.msg) from None
 
 
-def _read_text(path):
-    """A file's UTF-8 text, a leading byte-order mark dropped; any other
-    byte that is not UTF-8 raises ParseError at its line."""
-    with open(path, "rb") as fh:
-        return _decode(fh.read(), path, 1, "utf-8-sig")
-
-
-def _decode(data, path, line_no, encoding="utf-8"):
-    """The text of bytes that start at line line_no of a file; a byte that is not
-    UTF-8 raises ParseError at its line."""
+def _decode(data, path, line_no):
+    """The text of bytes that start at line line_no of a file, a byte-order mark dropped
+    at line 1; a byte that is not UTF-8 raises ParseError at its line."""
     try:
-        return data.decode(encoding)
+        return data.decode("utf-8-sig" if line_no == 1 else "utf-8")
     except UnicodeDecodeError as exc:  # exc.object is the bytes after any mark
         raise ParseError(path, line_no + exc.object.count(b"\n", 0, exc.start),
                          "not UTF-8 text") from None

@@ -33,8 +33,8 @@ from itertools import accumulate, zip_longest
 import numpy as np
 
 from .csvio import read_json, read_table, write_rows
-from .errors import CoverageError, SingularDesignError, TradeDataError
-from .ingest import _locked, cell_keys, lookup
+from .errors import SingularDesignError, TradeDataError
+from .ingest import _locked, _uncovered, cell_keys, lookup
 from .relatedness import usable_cpus
 
 log = logging.getLogger(__name__)
@@ -730,6 +730,7 @@ class LallConcordance:
 
     def __init__(self, mapping):
         self._mapping = dict(mapping)
+        self.source = None  # the file read into it, named by a coverage error
 
     @classmethod
     def from_csv(cls, path):
@@ -737,21 +738,21 @@ class LallConcordance:
         products = table["hs4"].tolist()
         codes = [code.upper() for code in table["category"].tolist()]
         categories = [LALL_CODES.get(code) for code in codes]
-        first = {}
-        for product, category in zip(products, categories):
-            first.setdefault(product, category)
+        first = dict(zip(products[::-1], categories[::-1]))  # each product's first category
         table.check(
             (np.array([c is None for c in categories], dtype=bool),
              lambda i: f"unknown category code {codes[i]!r}"),
             (np.array([first[p] is not c for p, c in zip(products, categories)], dtype=bool),
              lambda i: f"conflicting category for {products[i]}"))
-        return cls(zip(products, categories))
+        concordance = cls(zip(products, categories))
+        concordance.source = table.path
+        return concordance
 
     def category(self, product):
         try:
             return self._mapping[product]
         except KeyError:
-            raise CoverageError(f"product {product} missing from the concordance") from None
+            raise _uncovered(self, f"product {product} missing from the concordance") from None
 
     def coverage_report(self, products):
         """Products with no concordance entry."""
@@ -767,8 +768,8 @@ def lall_codes(dataset, concordance):
     codes = dataset.columns.read(("p", table))
     if codes.max(initial=0) == 255:  # 255 marks a product the concordance lacks
         missing = sorted({dataset.products[i] for i in dataset.p[codes == 255].tolist()})
-        raise CoverageError(
-            f"{len(missing)} products missing from the concordance: {missing[:10]}")
+        raise _uncovered(concordance, f"{len(missing)} products missing from the "
+                                      f"concordance: {missing[:10]}")
     return codes
 
 
@@ -935,6 +936,8 @@ def read_results_json(path):
                 names=tuple(c["name"] for c in coefs), beta=beta, se=se, tstat=tstat,
                 pvalue=pvalue, n=entry["n"], r2=float("nan"), adj_r2=entry["adj_r2"],
                 resid_se=entry["resid_se"], ortho_rel=float("nan"))
+        if len({r.names for r in results.values()}) > 1:
+            raise ValueError("its fits name different coefficients")
     except (KeyError, TypeError, ValueError) as exc:
         raise TradeDataError(f"{path}: not a gravity results file: "
                              f"{type(exc).__name__} {exc}") from None

@@ -1,14 +1,18 @@
 """Brute-force references the tests hold the pipeline to, and tensor builders.
 
 The brute-force functions are deliberately naive transcriptions that share
-nothing with the production code paths beyond numpy primitives.
+nothing with the production code paths beyond numpy primitives. ``csv_table``
+is the CSV readers' referee: the csv module over a file's whole text, one row
+at a time.
 """
+import csv
+import io
 import itertools
 
 import numpy as np
 from scipy import stats
 
-from tradegravity.errors import SingularDesignError, TradeDataError
+from tradegravity.errors import ParseError, SingularDesignError, TradeDataError
 from tradegravity.gravity import RegressionResult
 from tradegravity.ingest import TradeTensor, by_year, year_cell_keys
 
@@ -181,3 +185,62 @@ def brute_force_ols(x, y, names):
                             pvalue=pvalue, n=int(n), r2=float(r2),
                             adj_r2=float(1.0 - (1.0 - r2) * (n - 1) / (n - k)),
                             resid_se=float(np.sqrt(sigma2)), ortho_rel=ortho)
+
+
+def csv_table(path, fields, numeric=(), exact=True):
+    """What ``csvio.read_table`` reads from a CSV file, by a whole-text parse of the csv
+    module and Python's int and float: each column's cells as their repr, each row's
+    line, the pending (line, reason) and each row's fields joined by commas. A record is
+    numbered by the line it starts on. A fault ``read_table`` raises for raises the same
+    ParseError."""
+    fields = fields if isinstance(fields, dict) else dict(zip(fields, fields))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is the bytes after any mark
+        raise ParseError(path, 1 + exc.object.count(b"\n", 0, exc.start), "not UTF-8 text")
+    if not text:
+        raise ParseError(path, 1, "empty file, header required")
+    pieces = list(io.StringIO(text, newline=""))  # where csv's own file reading cuts the text
+    piece_line = list(itertools.accumulate((p.endswith("\n") for p in pieces), initial=1))
+    reader, records = csv.reader(pieces), []
+    while True:
+        line = piece_line[reader.line_num]
+        try:
+            records.append((line, next(reader)))
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            raise ParseError(path, line, str(exc)) from None
+    header = [h.strip() for h in records[0][1]]
+    if exact and header != list(fields.values()):
+        raise ParseError(path, 1, f"expected header {','.join(fields.values())}")
+    for name, column in fields.items():
+        if column not in header:
+            raise ParseError(path, 1, f"missing column '{column}' for field '{name}'")
+    kinds = dict(numeric)
+    columns, lines, raw, pending = {name: [] for name in fields}, [], [], None
+    for line, record in records[1:]:
+        if not record:
+            continue  # a blank line
+        if len(record) != len(header):
+            pending = (line, f"expected {len(header)} fields, got {len(record)}")
+            break
+        row = {name: record[header.index(column)] for name, column in fields.items()}
+        for name, kind in kinds.items():
+            try:
+                value = kind(row[name])
+            except ValueError:
+                value = None
+            if value is None or (kind is int and not -2 ** 63 <= value < 2 ** 63):
+                pending = (line, f"unparseable {name} '{row[name].strip()}'")
+                break
+            row[name] = value
+        if pending:
+            break
+        for name in fields:
+            columns[name].append(repr(row[name] if name in kinds else row[name].strip()))
+        lines.append(line)
+        raw.append(",".join(record))
+    return columns, lines, pending, raw

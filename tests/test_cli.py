@@ -584,6 +584,29 @@ def test_malformed_concordance_is_exit_one_with_line(pipeline, tmp_path, capsys)
         assert f"{conc}:{reason}" in capsys.readouterr().err
 
 
+def test_concordance_missing_products_is_exit_one_naming_it(pipeline, tmp_path, capsys):
+    _, world, stage = pipeline
+    conc = lall_concordance(tmp_path / "lall.csv", stage)
+    conc.write_text("".join(conc.read_text().splitlines(keepends=True)[:-2]))
+    assert run("gravity", "-o", tmp_path, "--trade", stage / "reconciled.csv",
+               "--relatedness", stage / "relatedness.csv",
+               "--country-csv", world / "country.csv", "--dyad-csv", world / "dyad.csv",
+               "--split", "lall", "--concordance", conc) == 1
+    assert f"{conc}: 2 products missing from the concordance: [" in capsys.readouterr().err
+
+
+def test_trend_input_with_mixed_coefficients_is_exit_one(tmp_path, capsys):
+    fits = [{"split_key": key, "n": 20, "adj_r2": 0.5, "resid_se": 1.0,
+             "coefficients": [{"name": name, "beta": 1.0, "se": 0.1, "t": 10.0, "p": 0.0}
+                              for name in ("const", "omega", "omega_d")[:2 + (i < 4)]]}
+            for i, key in enumerate(("primary", "resource_based", "low_tech", "medium_tech",
+                                     "high_tech"))]
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(fits))
+    assert run("trend", "-o", tmp_path, "--input", mixed) == 1
+    assert f"{mixed}: not a gravity results file: " in capsys.readouterr().err
+
+
 def test_malformed_trend_input_is_exit_one(tmp_path, capsys):
     truncated = tmp_path / "truncated.json"
     truncated.write_text('[\n  {"split_key": "primary",\n')

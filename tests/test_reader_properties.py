@@ -2,14 +2,15 @@
 
 A seeded fuzz mutates a small valid file of every CSV input and runs the CLI
 stage that reads it: each case exits 0, or 1 with a message naming the file,
-and the array parser gives the csv-module parser's table and reason. A file
-that its reader accepts may still leave the stage too little data to
-standardize; that refusal names the column, not the file. The same fuzz,
-with the read block cut to a line or a few, checks that the block reader
-gives the csv module's table or reason wherever a block edge falls. The
-vocabulary tests check the integer-key code indices and the skipped sorts
-against plain Python, and the memory tests check that the large readers and
-writers hold their columns and about one block, not the file's text.
+the streamed csv-module parser gives the table and reason of a whole-text
+csv-module parse (``referee.csv_table``), and the array parser gives the
+streamed parser's. A file that its reader accepts may still leave the stage
+too little data to standardize; that refusal names the column, not the file.
+The same fuzz, with the read block cut to a line or a few, checks both
+parsers against the referee wherever a block edge falls. The vocabulary
+tests check the integer-key code indices and the skipped sorts against plain
+Python, and the memory tests check that the large readers and writers hold
+their columns and about one block, not the file's text, quoted or not.
 """
 import contextlib
 import io
@@ -22,10 +23,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tradegravity as tg
-from tradegravity import complexity, csvio, ingest, relatedness
+from tradegravity import complexity, csvio, gravity, ingest, relatedness
 from tradegravity.cli import main
 
-from referee import tensor_from_arrays
+from conftest import write_lall_concordance
+from referee import csv_table, tensor_from_arrays
 
 FUZZ = settings(max_examples=40, derandomize=True, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -47,7 +49,11 @@ def world(tmp_path_factory):
     assert main(["relatedness", "-o", str(files), "--trade", str(files / "reconciled.csv"),
                  "--proximity", str(files / "proximity.csv"),
                  "--dyad-csv", str(files / "dyad.csv"), "--threads", "1"]) == 0
-    return root, files, ingest.read_tensor_csv(files / "reconciled.csv")
+    tensor = ingest.read_tensor_csv(files / "reconciled.csv")
+    write_lall_concordance(files / "lall.csv", tensor.products,
+                           [("PP", "RB", "LT", "MT", "HT", "SP")[i % 6]
+                            for i in range(len(tensor.products))])
+    return root, files, tensor
 
 
 def _inputs(files, tensor):
@@ -85,17 +91,22 @@ def _inputs(files, tensor):
                  ingest.DyadMeta.from_csv,
                  ["relatedness", "--trade", f["reconciled.csv"], "--proximity",
                   f["proximity.csv"], "--dyad-csv", "{}", "--threads", "1"]),
+        "concordance": ("lall.csv", (("hs4", "sitc3", "category"), {}),
+                        gravity.LallConcordance.from_csv,
+                        ["gravity", "--trade", f["reconciled.csv"], "--relatedness",
+                         f["relatedness.csv"], *meta, "--split", "lall", "--concordance", "{}"]),
     }
 
 
 @st.composite
 def mutated(draw, data):
     """A file's bytes after one mutation: a cut, an inserted byte (a line feed or a space
-    too: blank lines and padded fields), a non-finite number, a duplicated line or a
-    dropped field."""
+    too: blank lines and padded fields), a non-finite number, a duplicated line, a
+    dropped field or a quoted field that holds a line feed."""
     lines = data.split(b"\n")
     body = range(1, max(len(lines) - 1, 2))  # data lines; the last element is empty
-    kind = draw(st.sampled_from(("truncate", "insert", "nonfinite", "duplicate", "drop")))
+    kind = draw(st.sampled_from(("truncate", "insert", "nonfinite", "duplicate", "drop",
+                                 "multiline")))
     if kind == "truncate":
         return data[:draw(st.integers(0, len(data)))]
     if kind == "insert":
@@ -109,6 +120,10 @@ def mutated(draw, data):
     j = draw(st.integers(0, len(fields) - 1))
     if kind == "drop":
         del fields[j]
+    elif kind == "multiline":  # every later record starts a line further down
+        text = fields[j].removesuffix(b"\r")
+        at = draw(st.integers(0, len(text)))
+        fields[j] = b'"' + text[:at] + b"\n" + text[at:] + b'"' + fields[j][len(text):]
     else:
         end = b"\r" if fields[j].endswith(b"\r") else b""
         fields[j] = draw(st.sampled_from(NON_FINITE)) + end
@@ -130,8 +145,14 @@ def _table_rows(table):
             list(table.line), table.pending, table.raw(range(len(table))))
 
 
+def _assert_refereed(outcome, referee):
+    """A read_table outcome is the referee's: the same table rows, or the same error."""
+    assert outcome[0] == referee[0]
+    assert (_table_rows(outcome[1]) if outcome[0] == "ok" else outcome[1]) == referee[1]
+
+
 @pytest.mark.parametrize("name", ["trade", "tensor", "proximity", "relatedness", "country",
-                                  "dyad"])
+                                  "dyad", "concordance"])
 @FUZZ
 @given(data=st.data())
 def test_mutated_inputs_exit_cleanly_and_parse_alike(world, name, data):
@@ -146,6 +167,7 @@ def test_mutated_inputs_exit_cleanly_and_parse_alike(world, name, data):
     with mock.patch.object(csvio, "_read_array", return_value=None):
         slow = _outcome(csvio.read_table, path, fields, numeric, *exact)
         slow_read = _outcome(reader, path)
+    _assert_refereed(slow, _outcome(csv_table, path, fields, numeric, *exact))
     assert fast[0] == slow[0]
     if fast[0] == "ok":
         assert _table_rows(fast[1]) == _table_rows(slow[1])
@@ -174,7 +196,7 @@ BLOCKS = (7, 100)
 
 
 @pytest.mark.parametrize("name", ["trade", "tensor", "proximity", "relatedness", "country",
-                                  "dyad"])
+                                  "dyad", "concordance"])
 @FUZZ
 @given(data=st.data())
 def test_block_edges_read_like_the_csv_module(world, name, data):
@@ -183,6 +205,7 @@ def test_block_edges_read_like_the_csv_module(world, name, data):
     path = root / f"blocks_{file_name}"
     head = (files / file_name).read_bytes().split(b"\n")[:41]  # the header and 40 rows
     path.write_bytes(data.draw(mutated(b"\n".join(head) + b"\n")))
+    referee = _outcome(csv_table, path, fields, numeric, *exact)
     with mock.patch.object(csvio, "_read_array", return_value=None):
         slow = _outcome(csvio.read_table, path, fields, numeric, *exact)
         slow_read = _outcome(reader, path)
@@ -194,6 +217,11 @@ def test_block_edges_read_like_the_csv_module(world, name, data):
                 assert _table_rows(fast[1]) == _table_rows(slow[1])
             else:
                 assert fast == slow
+            # the streamed records, a few at a time, across block edges
+            with mock.patch.object(csvio, "_read_array", return_value=None), \
+                    mock.patch.object(csvio, "_RECORD_BLOCK", 3):
+                _assert_refereed(_outcome(csvio.read_table, path, fields, numeric, *exact),
+                                 referee)
     # the reader's code indices, a few rows at a time
     with mock.patch.object(csvio, "_READ_BLOCK", BLOCKS[-1]), \
             mock.patch.object(csvio, "_ROW_BLOCK", 3):
@@ -220,6 +248,36 @@ def test_late_block_names_its_line(world, tmp_path):
                 with pytest.raises(tg.ParseError) as exc:
                     csvio.read_table(path, fields, numeric)
                 assert str(exc.value) == f"{path}:{k + 1}: not UTF-8 text"
+
+
+TRADE_HEAD = "year,origin,destination,product,value,reporter\n"
+
+
+def test_integer_past_int64_is_unparseable(tmp_path, capsys):
+    big = "99999999999999999999"
+    trade = tmp_path / "trade.csv"
+    trade.write_text(TRADE_HEAD + f"2000,KOR,USA,0101,5,exporter\n{big},KOR,USA,0101,5,exporter\n")
+    assert main(["ingest", "-o", str(tmp_path / "out"), "--trade", str(trade)]) == 1
+    assert f"{trade}:3: unparseable year '{big}'" in capsys.readouterr().err
+    country = tmp_path / "country.csv"
+    country.write_text(f"code,year,population,gdp_per_capita\nKOR,{big},5,5\n")
+    with pytest.raises(tg.ParseError) as exc:
+        ingest.CountryMeta.from_csv(country)
+    assert str(exc.value) == f"{country}:2: unparseable year '{big}'"
+
+
+def test_rows_after_a_field_that_spans_lines_name_their_own_line(tmp_path):
+    path = tmp_path / "ml.csv"
+    path.write_text(TRADE_HEAD + '2000,"KO\nR",USA,0101,5,exporter\n'
+                    "2000,KOR,USA,0101,x,exporter\n")
+    with pytest.raises(tg.ParseError) as exc:
+        ingest.load_trade_csv(path)
+    assert str(exc.value) == f"{path}:4: unparseable value 'x'"
+    path.write_text(TRADE_HEAD + '2000,"KO\nR",USA,0101,5,exporter\n2000,KOR,USA,0101,0,exporter\n'
+                    "2000,KOR,USA,0101,7,exporter\n")
+    _, rejects = ingest.load_trade_csv(path)
+    assert [(r.line_no, r.raw) for r in rejects] == [(2, "2000,KO\nR,USA,0101,5,exporter"),
+                                                     (4, "2000,KOR,USA,0101,0,exporter")]
 
 
 CODE_CHARS = st.characters(exclude_categories=("Cs",), exclude_characters="\x00")
@@ -332,6 +390,17 @@ def _peak(fn):
 BLOCK_BYTES = 1 << 19  # what one small block of reading or writing may hold, at any row count
 
 
+def _quoted_copy(path, numeric):
+    """A copy of a CSV file beside it whose every field outside ``numeric`` is quoted."""
+    lines = path.read_bytes().split(b"\r\n")
+    text = [name.decode() not in numeric for name in lines[0].split(b",")]
+    copy = path.with_name(f"quoted_{path.name}")
+    copy.write_bytes(b"\r\n".join(
+        [lines[0]] + [b",".join(b'"%s"' % f if q else f for f, q in zip(line.split(b","), text))
+                      if line else line for line in lines[1:]]))
+    return copy
+
+
 @pytest.mark.parametrize("n", [5_000, 30_000])
 def test_large_reads_and_writes_hold_their_columns_and_one_block(tmp_path, n):
     # reading a file's text whole held 400-530 bytes a row besides what the read kept
@@ -344,14 +413,21 @@ def test_large_reads_and_writes_hold_their_columns_and_one_block(tmp_path, n):
         assert _peak(lambda: relatedness.write_relatedness_csv(rel, rel_path)) < BLOCK_BYTES
         for path, fields, numeric, read in (
                 (tensor_path, ingest.TENSOR_COLUMNS, {"year": int, "value": float},
-                 lambda: ingest.read_tensor_csv(tensor_path)),
+                 ingest.read_tensor_csv),
                 (rel_path, relatedness.RELATEDNESS_COLUMNS,
                  {"year": int, "omega": float, "omega_d": float, "omega_o": float},
-                 lambda: relatedness.read_relatedness_csv(rel_path, COUNTRIES, PRODUCTS))):
-            columns = csvio.read_table(path, fields, numeric).columns
-            assert len(next(iter(columns.values()))) == n
-            # a read holds its table's typed columns and their codes, and one block
-            assert _peak(read) < 2 * sum(c.nbytes for c in columns.values()) + BLOCK_BYTES
+                 lambda p: relatedness.read_relatedness_csv(p, COUNTRIES, PRODUCTS))):
+            # a copy that quotes every text field, as R's write.csv does, streams through
+            # the csv module
+            for path in (path, _quoted_copy(path, numeric)):
+                columns = csvio.read_table(path, fields, numeric).columns
+                assert len(next(iter(columns.values()))) == n
+                # a text column is as wide as its longest field
+                assert all(c.dtype.itemsize == 4 * max(map(len, c.tolist()))
+                           for c in columns.values() if c.dtype.kind == "U")
+                # a read holds its table's typed columns and their codes, and one block
+                assert _peak(lambda: read(path)) < \
+                    2 * sum(c.nbytes for c in columns.values()) + BLOCK_BYTES
     # the undefined omega of a cell drops its row
     rel[0].omega[[0, 5]] = np.nan
     assert relatedness.write_relatedness_csv(rel, rel_path) == 2
