@@ -191,7 +191,7 @@ def csv_table(path, fields, numeric=(), exact=True):
     """What ``csvio.read_table`` reads from a CSV file, by a whole-text parse of the csv
     module and Python's int and float: each column's cells as their repr, each row's
     line, the pending (line, reason) and each row's fields joined by commas. A record is
-    numbered by the line it starts on. A fault ``read_table`` raises for raises the same
+    numbered by the line it starts on. Where ``read_table`` raises, this raises the same
     ParseError."""
     fields = fields if isinstance(fields, dict) else dict(zip(fields, fields))
     with open(path, "rb") as fh:
