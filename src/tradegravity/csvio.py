@@ -75,13 +75,26 @@ class Table:
 
     def raw(self, rows):
         """Text of the given rows as the csv module reads them, their fields joined by
-        commas; the file's records are read again up to the last of these rows."""
-        wanted = set(rows := [int(i) for i in rows])
-        with open(self.path, "rb") as fh:  # the header, then row i as data record i
-            records = filter(itemgetter(1), _records(fh, self.path))  # blank lines aside
-            records = itertools.islice(records, max(rows, default=-2) + 2)
-            text = {i: ",".join(f) for i, (_, f) in enumerate(records, -1) if i in wanted}
-        return [text[i] for i in rows]
+        commas. Where every CR ends a line, every record starts a line: a row's record is
+        then the first of the text from its line to the next record's line, and only those
+        lines are read again. Otherwise the file's records are read again up to the last
+        row asked for."""
+        wanted = sorted(set(rows := [int(i) for i in rows]))
+        with open(self.path, "rb") as fh:  # a block-read file has a CR only at a line's end
+            if isinstance(self.line, range) or all(
+                    t.count("\r") == t.count("\r\n") for t in _blocks(fh, self.path, 1)):
+                data, at, line = [], fh.seek(0) + 1, self.line  # at: the line fh reads next
+                for i in wanted:
+                    end = line[i + 1] if i + 1 < len(line) else (self.pending or (None,))[0]
+                    data += itertools.islice(fh, int(line[i]) - at, end and int(end) - at)
+                    at = end
+                records = csv.reader(io.StringIO(b"".join(data).decode(), newline=""))
+            else:  # the header, then row i as data record i
+                fh.seek(0)
+                records = map(itemgetter(1), _records(fh, self.path))
+                wanted = range(-1, max(wanted, default=-2) + 1)
+            text = dict(zip(wanted, filter(None, records)))
+        return [",".join(text[i]) for i in rows]
 
 
 def read_table(path, fields, numeric=(), exact=True):
@@ -115,21 +128,22 @@ def read_table(path, fields, numeric=(), exact=True):
             raise ParseError(path, 1, "empty file, header required")
         first = first.removesuffix("\n").removesuffix("\r")
         plain = '"' not in first and "\r" not in first
-        records = None if plain else _records(fh, path)
+        records = None if plain else _records(_decoded(fh, path), path)
         header = [h.strip() for h in (first.split(",") if plain else next(records)[1])]
         faults = [f"missing column '{column}' for field '{name}'"
                   for name, column in fields.items() if column not in header]
         if exact and header != list(fields.values()):
             faults = [f"expected header {','.join(fields.values())}"]
         if faults:
-            next(_records(fh, path))  # a byte that is not UTF-8 is reported before the header
+            if plain:  # a byte that is not UTF-8 is reported before the header
+                _decoded(fh, path)
             raise ParseError(path, 1, faults[0])
         position = {name: header.index(column) for name, column in fields.items()}
         numbers = [(position[name], name, kind) for name, kind in dict(numeric).items()]
         keep = set(position.values())
         columns, line, pending = (plain and _read_array(fh, path, len(header), numbers, keep)) or \
-            _read_records(records or itertools.islice(_records(fh, path), 1, None), len(header),
-                          numbers, keep)
+            _read_records(records or itertools.islice(_records(_decoded(fh, path), path), 1, None),
+                          len(header), numbers, keep)
     return Table(path, {name: columns[i] for name, i in position.items()}, line, pending)
 
 
@@ -208,14 +222,19 @@ def _numbers(fields, kind):
             pass
 
 
-def _records(fh, path):
-    """(line, fields) of each record the csv module reads from a binary file, line being
-    the one it starts on; a blank line has no fields. A pass that only decodes the file
-    comes first, so a byte that is not UTF-8 is reported before any record fault."""
+def _decoded(fh, path):
+    """fh at its start after a pass that only decodes it, so that a byte that is not
+    UTF-8 is reported before any other fault of the file."""
     fh.seek(0)
     for _ in _blocks(fh, path, 1):
         pass
     fh.seek(0)
+    return fh
+
+
+def _records(fh, path):
+    """(line, fields) of each record the csv module reads from a binary file at its
+    start, line being the one the record starts on; a blank line has no fields."""
     line, at = 1, [1]  # at[0]: the line of the next piece of text the csv module takes
 
     def pieces():  # the text cut where the csv module's own file reading cuts it

@@ -738,7 +738,9 @@ class LallConcordance:
         products = table["hs4"].tolist()
         codes = [code.upper() for code in table["category"].tolist()]
         categories = [LALL_CODES.get(code) for code in codes]
-        first = dict(zip(products[::-1], categories[::-1]))  # each product's first category
+        first = {}
+        for product, category in zip(products, categories):
+            first.setdefault(product, category)
         table.check(
             (np.array([c is None for c in categories], dtype=bool),
              lambda i: f"unknown category code {codes[i]!r}"),

@@ -280,6 +280,32 @@ def test_rows_after_a_field_that_spans_lines_name_their_own_line(tmp_path):
                                                      (4, "2000,KOR,USA,0101,0,exporter")]
 
 
+# (a,b) files whose rows do not all start a line, or whose records run past one
+RAW_FILES = (
+    b'a,b\n"x\ny",2\r"x\ny",4\nbad\n',  # a record ends after a lone CR, mid-line
+    b"a,b\n x,1\ry,2\r\rz,3\n",  # three rows on one line
+    b"\xef\xbb\xbfa,b\rx,1\n y,2\n",  # a row on the header's line
+    b"a,b\nx,1\rbad\n",  # the pending row on the last row's line
+    b'a,b\n"x\ny",1\n\n\n"p\r\nq",2\nz,3',  # fields over lines, blank lines, no last line end
+    b'a,b\nx,1\n"open\n,2',  # a quote left open
+    b"a,b\r\nx,1\r\n\xef\xbb\xbfy,2\r\nz,3\r",  # a mark at a later line's start
+    b"a,b\nx,1\n y ,2\nz,3\n",  # read by the array parser
+)
+
+
+@pytest.mark.parametrize("data", RAW_FILES)
+def test_raw_of_some_rows_reads_like_the_referee(tmp_path, data):
+    path = tmp_path / "raw.csv"
+    path.write_bytes(data)
+    raw = csv_table(path, ("a", "b"), {"b": int})[3]
+    for block in BLOCKS:
+        with mock.patch.object(csvio, "_READ_BLOCK", block):
+            table = csvio.read_table(path, ("a", "b"), {"b": int})
+        n = len(table)
+        for rows in (range(n), range(n - 1, -1, -2), [n - 1, 0, n - 1], []):
+            assert table.raw(rows) == [raw[i] for i in rows]
+
+
 CODE_CHARS = st.characters(exclude_categories=("Cs",), exclude_characters="\x00")
 
 
