@@ -120,7 +120,7 @@ def _apply_config(parser, args, argv):
                               if a.option_strings and a.dest == key.replace("-", "_")
                               and a.default is not argparse.SUPPRESS), (None, None))
         if action is None:
-            raise TradeDataError(f"unknown config key {key!r}")
+            raise TradeDataError(f"{args.config}: unknown config key {key!r}")
         value = raw
         try:
             if action.nargs == 0 and not isinstance(raw, bool):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import Column, code_index, codes, floats, read_table, repeats, write_rows
+from .csvio import Column, codes, floats, positions, read_table, repeats, write_rows
 from .errors import TradeDataError
 
 log = logging.getLogger(__name__)
@@ -158,14 +158,15 @@ def read_proximity_csv(path, products):
     """Rebuild a ProximityMatrix from an edge-list CSV over a known vocabulary."""
     products = tuple(products)
     table = read_table(path, ("product_i", "product_j", "phi"), numeric={"phi": float})
-    first, second, value = table["product_i"], table["product_j"], table["phi"]
-    i, j = code_index(products, first), code_index(products, second)
+    value, (names, first, second) = table["phi"], table.codes("product_i", "product_j")
+    at = positions(names, products)
+    i, j = at[first], at[second]
     table.check(
-        (i < 0, lambda r: f"unknown product '{first[r]}'"),
-        (j < 0, lambda r: f"unknown product '{second[r]}'"),
+        (i < 0, lambda r: f"unknown product '{names[first[r]]}'"),
+        (j < 0, lambda r: f"unknown product '{names[second[r]]}'"),
         (~((value >= 0) & (value <= 1)), lambda r: f"phi {float(value[r])} outside [0, 1]"),
         (repeats(np.minimum(i, j).astype(np.int64) * len(products) + np.maximum(i, j)),
-         lambda r: f"duplicate edge {first[r]},{second[r]}"))
+         lambda r: f"duplicate edge {names[first[r]]},{names[second[r]]}"))
     phi = np.zeros((len(products), len(products)))
     phi[i, j] = value
     phi[j, i] = value

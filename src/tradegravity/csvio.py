@@ -4,14 +4,14 @@
 and reason of its first malformed row. It hands blocks of whole lines
 (``_READ_BLOCK`` bytes, cut at the last line feed) to ``np.loadtxt``, or
 streams a file the array parser could read differently through the csv
-module (``_records``), so a read holds the columns it returns and about one
-block, never the file's text or a list of its records. ``write_rows`` writes
-rows in the csv module's default dialect (CRLF line ends, minimal quoting),
-byte-identical to a row-by-row ``csv.writer`` loop, formatting ``_ROW_BLOCK``
-rows at a time from typed columns. ``read_json`` reads the JSON inputs with
-the same line-numbered errors. ``vocabulary`` and ``code_index`` turn code
-columns into int32 indices through one int64 key per code, ``_ROW_BLOCK``
-rows at a time.
+module (``_records``). A block's codes become int32 ids as it is parsed, by one
+int64 key a code (``_index``), and integers take their narrowest type, so a
+read holds its columns and about one block, never the file's text, a whole
+text column or a list of its records. ``write_rows`` writes rows in the csv
+module's default dialect (CRLF line ends, minimal quoting), byte-identical to
+a row-by-row ``csv.writer`` loop, formatting ``_ROW_BLOCK`` rows at a time
+from typed columns. ``read_json`` reads the JSON inputs with the same
+line-numbered errors.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ _DTYPE = {int: "i8", float: "f8"}
 _TEXT_WIDTH = 16  # longest text field the array parser takes
 _SPACES = " \t\x0b\x0c\x1c\x1d\x1e\x1f"  # ASCII whitespace str.strip drops, line ends aside
 _READ_BLOCK = 1 << 18  # bytes of whole lines parsed at a time
-_ROW_BLOCK = 1 << 14  # rows formatted and written, or keyed, at a time
+_ROW_BLOCK = 1 << 14  # rows formatted and written at a time
 _RECORD_BLOCK = 1 << 8  # csv records typed at a time; at 1 << 14 GC passes doubled the read
 
 
@@ -39,11 +39,12 @@ _RECORD_BLOCK = 1 << 8  # csv records typed at a time; at 1 << 14 GC passes doub
 class Table:
     """Typed columns of a CSV file's data rows, cut before the first malformed row.
 
-    ``line`` holds the line each row starts on (the header is line 1), a range
-    when the rows are lines 2 onward. A row with the wrong field count or an
-    unparseable number is held back as ``pending`` (line, reason), so that
-    ``check`` can still report an earlier row that fails one of the caller's
-    own tests.
+    A text column is its distinct codes, as a list, and each row's int32
+    position in them; ``codes`` gives them sorted. ``line`` holds the line
+    each row starts on (the header is line 1), a range when the rows are
+    lines 2 onward. A row with the wrong field count or an unparseable number
+    is held back as ``pending`` (line, reason), so that ``check`` can still
+    report an earlier row that fails one of the caller's own tests.
     """
 
     path: str
@@ -56,6 +57,16 @@ class Table:
 
     def __len__(self):
         return len(self.line)
+
+    def codes(self, *names):
+        """One sorted vocabulary for the named text columns, and each column's int32
+        index into it; the columns take that vocabulary, their indices rewritten in place."""
+        vocab = sorted(set().union(*(self.columns[name][0] for name in names)))
+        for name in names:  # a column named twice is remapped by its own codes, then vocab
+            codes, index = self.columns[name]
+            index[:] = positions(codes, vocab)[index]
+            codes[:] = vocab
+        return (tuple(vocab), *(self.columns[name][1] for name in names))
 
     def check(self, *tests):
         """Raise ParseError at the first row failing a test, else at the pending row.
@@ -104,21 +115,22 @@ def read_table(path, fields, numeric=(), exact=True):
     of names maps each to itself). With ``exact`` the stripped header must
     equal those names in order; otherwise it must contain them and may hold
     others. ``numeric`` maps Table names to ``int`` or ``float``, in the
-    order their parse failures take precedence within a row; other columns
-    are text with surrounding whitespace stripped. Blank lines are skipped
-    but counted. A byte that is not UTF-8 is reported at its line before any
-    other fault of the file.
+    order their parse failures take precedence within a row, an int column
+    in the narrowest type that holds it; other columns are codes, stripped
+    of surrounding whitespace and read through ``Table.codes``. Blank lines
+    are skipped but counted. A byte that is not UTF-8 is reported at its line
+    before any other fault of the file.
 
     The header is the first line. The data lines go to ``np.loadtxt`` one
     block at a time; it accepts a strict subset of what Python's int and
     float accept, gives the same values, and refuses a CR anywhere but at
-    the end of a line. Each block keeps only the Table's columns, text
-    columns stripped and cut to their longest field. A file with a quote, a
-    blank line before its last row or a text field of 16 characters or more
-    streams through the csv module and Python's int and float instead, as
-    does any file with a block ``np.loadtxt`` refuses, after a pass that only
-    decodes it; a row's line is then the one its record starts on. Either way
-    a read holds the columns it returns and about one block.
+    the end of a line. Each block keeps only the Table's columns, its codes
+    stripped and keyed. A file with a quote, a blank line before its last
+    row or a text field of 16 characters or more streams through the csv
+    module and Python's int and float instead, as does any file with a block
+    ``np.loadtxt`` refuses, after a pass that only decodes it; a row's line is
+    then the one its record starts on. Either way a read holds the columns it
+    returns and about one block.
     """
     path = str(path)
     fields = fields if isinstance(fields, dict) else dict(zip(fields, fields))
@@ -140,20 +152,19 @@ def read_table(path, fields, numeric=(), exact=True):
             raise ParseError(path, 1, faults[0])
         position = {name: header.index(column) for name, column in fields.items()}
         numbers = [(position[name], name, kind) for name, kind in dict(numeric).items()]
-        keep = set(position.values())
-        columns, line, pending = (plain and _read_array(fh, path, len(header), numbers, keep)) or \
+        keep, kinds = set(position.values()), {j: kind for j, _, kind in numbers}
+        columns, line, pending = (plain and _read_array(fh, path, len(header), kinds, keep)) or \
             _read_records(records or itertools.islice(_records(_decoded(fh, path), path), 1, None),
-                          len(header), numbers, keep)
+                          len(header), numbers, kinds, keep)
     return Table(path, {name: columns[i] for name, i in position.items()}, line, pending)
 
 
-def _read_array(fh, path, width, numbers, keep):
+def _read_array(fh, path, width, kinds, keep):
     """np.loadtxt parse of the data lines left in fh, one block at a time, or None where
-    it could differ from the csv module. Only the columns in ``keep`` are returned."""
-    kinds = {j: kind for j, _, kind in numbers}
+    it could differ from the csv module: the columns in ``keep``, typed by ``kinds``."""
     dtype = [(f"c{j}", _DTYPE[kinds[j]] if j in kinds else f"U{_TEXT_WIDTH}")
              for j in range(width)]
-    parts, n = {j: [np.empty(0, _DTYPE[kinds[j]] if j in kinds else "U1")] for j in keep}, 0
+    parts, ids, n = {j: [] for j in keep}, {j: {} for j in keep if j not in kinds}, 0
     for text in _blocks(fh, path, 2):
         if '"' in text:
             return None
@@ -174,25 +185,27 @@ def _read_array(fh, path, width, numbers, keep):
         del text, lines
         for j in keep:
             column = parsed[f"c{j}"]
-            if j not in kinds:
+            if kinds.get(j) is int:
+                column = _narrow(column)
+            elif j not in kinds:
                 longest = int(np.strings.str_len(column).max())
                 if longest >= _TEXT_WIDTH:
                     return None  # possibly cut at the field width
                 if spaced:
                     column = np.strings.strip(column)
                     longest = int(np.strings.str_len(column).max())
-                column = column.astype(f"U{max(longest, 1)}")
+                column = _index(ids[j], column.astype(f"U{max(longest, 1)}"))
             parts[j].append(np.ascontiguousarray(column))
-    return {j: np.concatenate(parts.pop(j)) for j in keep}, range(2, n + 2), None
+        del parsed, column  # before the next block is parsed
+    return _joined(parts, ids, kinds), range(2, n + 2), None
 
 
-def _read_records(records, width, numbers, keep):
+def _read_records(records, width, numbers, kinds, keep):
     """The csv module's data records, blank lines aside, typed ``_RECORD_BLOCK`` at a time
     by Python's int and float and cut before the first with the wrong field count or an
     unparseable number: the columns in ``keep``, and the line each row starts on."""
-    kinds = {j: kind for j, _, kind in numbers}
-    parts = {j: [np.empty(0, _DTYPE[kinds[j]] if j in kinds else "U1")] for j in keep}
-    lines, pending, rows = [np.empty(0, np.int64)], None, filter(itemgetter(1), records)
+    parts, ids = {j: [] for j in keep}, {j: {} for j in keep if j not in kinds}
+    lines, pending, rows = [np.empty(0, np.int8)], None, filter(itemgetter(1), records)
     for batch in iter(lambda: list(itertools.islice(rows, _RECORD_BLOCK)), []):
         if pending:
             continue  # a later record the csv module refuses is still reported
@@ -203,13 +216,53 @@ def _read_records(records, width, numbers, keep):
         fields = {j: list(map(str.strip, map(itemgetter(j), batch[:n]))) for j in keep}
         for j, name, kind in numbers:
             fields[j] = _numbers(fields[j][:n], kind)
+            if kind is int:
+                fields[j] = _narrow(fields[j])
             if fields[j].size < n:
                 n = fields[j].size
                 pending = (line[n], f"unparseable {name} '{batch[n][j].strip()}'")
         for j in keep:
-            parts[j].append(fields[j][:n] if j in kinds else np.array(fields[j][:n], dtype=str))
-        lines.append(np.array(line[:n], dtype=np.int64))
-    return {j: np.concatenate(parts.pop(j)) for j in keep}, np.concatenate(lines), pending
+            parts[j].append(fields[j][:n] if j in kinds else _ids(ids[j], fields[j][:n]))
+        lines.append(_narrow(np.array(line[:n], dtype=np.int64)))
+    return _joined(parts, ids, kinds), np.concatenate(lines), pending
+
+
+def _narrow(column):
+    """Integers in the narrowest signed type that holds them."""
+    top = max(-int(column.min(initial=0)) - 1, int(column.max(initial=0)))
+    return column.astype(np.min_scalar_type(-top - 1))
+
+
+def _index(ids, column):
+    """Each code of a text array as its int32 id in ids (``_ids``), made distinct by one int64
+    key a code (its characters packed big-end first: a third of the text's sort time)."""
+    width = column.dtype.itemsize // 4
+    chars = np.ascontiguousarray(column).view(np.uint32).reshape(column.size, width)
+    bits, key = int(chars.max(initial=0)).bit_length(), column
+    if bits * width <= 63:
+        key = np.zeros(column.size, dtype=np.int64)
+        for j in range(width):
+            key <<= bits
+            key |= chars[:, j]
+    key, at = np.unique(key, return_inverse=True)
+    row = np.empty(key.size, dtype=np.intp)
+    row[at] = np.arange(at.size)  # a row of each distinct code
+    return _ids(ids, column[row].tolist())[at]
+
+
+def _ids(ids, codes):
+    """Each code's int32 id in ids, a dict a new code joins; trailing NULs drop, as in numpy."""
+    return np.array([ids.setdefault(c.rstrip("\x00"), len(ids)) for c in codes], np.int32)
+
+
+def _joined(parts, ids, kinds):
+    """Each column's blocks joined in place, one column at a time, after an empty array of
+    its narrowest type; a text column is (its codes in id order, each row's id)."""
+    lead = {int: np.int8, float: np.float64}
+    for j, blocks in parts.items():
+        column = np.concatenate([np.empty(0, lead.get(kinds.get(j), np.int32))] + blocks)
+        parts[j] = (list(ids[j]), column) if j in ids else column
+    return parts
 
 
 def _numbers(fields, kind):
@@ -257,12 +310,11 @@ def _blocks(fh, path, line_no):
     rest = []
     while chunk := fh.read(_READ_BLOCK):
         cut = chunk.rfind(b"\n") + 1
-        if cut:
-            block = b"".join(rest + [chunk[:cut]])
-            rest = []
-            yield _decode(block, path, line_no)
-            line_no += block.count(b"\n")
-        rest.append(chunk[cut:])
+        if cut:  # only the text is held while it is parsed
+            text = _decode(b"".join(rest + [chunk[:cut]]), path, line_no)
+            chunk, line_no, rest = chunk[cut:], line_no + text.count("\n"), []
+            yield text
+        rest.append(chunk)
     block = b"".join(rest)
     if block:
         yield _decode(block, path, line_no)
@@ -345,73 +397,10 @@ def quoted(texts):
             for t in texts]
 
 
-def vocabulary(*columns):
-    """Sorted distinct codes over text columns, and each column's int32 indices.
-
-    Each block of ``_ROW_BLOCK`` rows is keyed and made distinct on its own,
-    and the blocks' distinct keys merge into the vocabulary, so the work holds
-    the indices and about one block's keys.
-    """
-    columns = [np.asarray(c, dtype=str) for c in columns]
-    form = _key_form(*columns)
-    blocks = []  # (column, first row, the block's distinct keys, each row's place in them)
-    for j, c in enumerate(columns):
-        for lo in range(0, c.size, _ROW_BLOCK):
-            key, at = np.unique(_keys(c[lo:lo + _ROW_BLOCK], *form), return_inverse=True)
-            blocks.append((j, lo, key, at.astype(np.int32)))
-    keys = np.unique(np.concatenate([_keys(c[:0], *form) for c in columns]
-                                    + [key for _, _, key, _ in blocks]))
-    index = [np.empty(c.size, dtype=np.int32) for c in columns]
-    for j, lo, key, at in blocks:
-        index[j][lo:lo + at.size] = np.searchsorted(keys, key)[at]
-    return tuple(_codes_of(keys, *form)), index
-
-
-def code_index(vocab, codes):
-    """Index of each code in a vocabulary (in any order), -1 for unknown codes."""
-    codes, vocab = np.asarray(codes, dtype=str), np.array(vocab, dtype=str)
-    form = _key_form(codes, vocab)
-    keys = _keys(vocab, *form)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    index = np.full(codes.size, -1, dtype=np.int32)
-    for lo in range(0, codes.size, _ROW_BLOCK):
-        found, at = lookup(keys, _keys(codes[lo:lo + _ROW_BLOCK], *form))
-        index[lo:lo + _ROW_BLOCK][found] = order[at[found]]
-    return index
-
-
-def _key_form(*columns):
-    """(width, bits) that pack every code of the text columns into one int64 key,
-    ``bits`` a character, or bits 0 where a code does not fit in 63 bits."""
-    width = max(c.dtype.itemsize // 4 for c in columns)
-    bits = max(int(np.ascontiguousarray(c).view(np.uint32).max(initial=0)).bit_length()
-               for c in columns)
-    return width, bits if bits * width <= 63 else 0
-
-
-def _keys(codes, width, bits):
-    """Keys that sort like the codes: their characters packed big-end first into
-    one int64, about three times as fast to sort as the text, or the text itself
-    where ``bits`` is 0."""
-    codes = codes.astype(f"U{width}", copy=False)
-    if not bits:
-        return codes
-    chars = np.ascontiguousarray(codes).view(np.uint32).reshape(codes.size, width)
-    key = np.zeros(codes.size, dtype=np.int64)
-    for j in range(width):
-        key <<= bits
-        key |= chars[:, j]
-    return key
-
-
-def _codes_of(keys, width, bits):
-    """The codes that ``_keys`` packed, as a list."""
-    if not bits:
-        return keys.tolist()
-    shifts = bits * np.arange(width - 1, -1, -1)
-    chars = ((keys[:, None] >> shifts) & ((1 << bits) - 1)).astype(np.uint32)
-    return chars.view(f"U{width}").ravel().tolist()
+def positions(codes, known):
+    """Each code's int32 position in the sequence known, -1 where known lacks it."""
+    at = {code: i for i, code in enumerate(known)}
+    return np.array([at.get(code, -1) for code in codes], dtype=np.int32)
 
 
 def lookup(sorted_keys, keys):

@@ -735,18 +735,15 @@ class LallConcordance:
     @classmethod
     def from_csv(cls, path):
         table = read_table(path, ("hs4", "sitc3", "category"))
-        products = table["hs4"].tolist()
-        codes = [code.upper() for code in table["category"].tolist()]
-        categories = [LALL_CODES.get(code) for code in codes]
-        first = {}
-        for product, category in zip(products, categories):
-            first.setdefault(product, category)
+        products, product = table.codes("hs4")
+        codes, at = table.codes("category")
+        category = np.array([LALL_CODES.get(c.upper()) for c in codes], dtype=object)[at]
+        first = category[np.unique(product, return_index=True)[1]]  # each product's first row
         table.check(
-            (np.array([c is None for c in categories], dtype=bool),
-             lambda i: f"unknown category code {codes[i]!r}"),
-            (np.array([first[p] is not c for p, c in zip(products, categories)], dtype=bool),
-             lambda i: f"conflicting category for {products[i]}"))
-        concordance = cls(zip(products, categories))
+            (np.equal(category, None), lambda i: f"unknown category code {codes[at[i]].upper()!r}"),
+            (category != first[product],
+             lambda i: f"conflicting category for {products[product[i]]}"))
+        concordance = cls(zip(products, first))
         concordance.source = table.path
         return concordance
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import (ascending, codes, floats, lookup, quoted, read_table, repeated,
-                    repeats, vocabulary, write_rows)
+                    repeats, write_rows)
 from .errors import CoverageError, ParseError, TradeDataError
 
 log = logging.getLogger(__name__)
@@ -52,20 +52,26 @@ class ReconcilePolicy(str, enum.Enum):
 class TradeBatch:
     """Accepted raw trade rows as parallel columns, in file order.
 
-    ``importer`` is True where the importer reported the row. Codes are text
-    arrays; ``value`` is float64 and ``year`` int64.
+    ``o``, ``p`` and ``d`` are int32 positions in ``countries`` and
+    ``products``, which are sorted and hold only the codes these rows use.
+    ``importer`` is True where the importer reported the row; ``value`` is
+    float64 and ``year`` int64.
     """
 
+    countries: tuple
+    products: tuple
     year: np.ndarray
-    origin: np.ndarray
-    destination: np.ndarray
-    product: np.ndarray
+    o: np.ndarray
+    p: np.ndarray
+    d: np.ndarray
     value: np.ndarray
     importer: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("year", np.int64), ("origin", str), ("destination", str),
-                            ("product", str), ("value", np.float64), ("importer", bool)):
+        object.__setattr__(self, "countries", tuple(self.countries))
+        object.__setattr__(self, "products", tuple(self.products))
+        for name, dtype in (("year", np.int64), ("o", np.int32), ("p", np.int32),
+                            ("d", np.int32), ("value", np.float64), ("importer", bool)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
 
     def __len__(self):
@@ -229,7 +235,7 @@ class CountryMeta:
     def from_csv(cls, path):
         table = read_table(path, COUNTRY_COLUMNS,
                            numeric={"year": int, "population": float, "gdp_per_capita": float})
-        return _add_rows(cls(), table, COUNTRY_COLUMNS)
+        return _add_rows(cls(), table, COUNTRY_COLUMNS, 1)
 
     def add(self, code, year, population, gdp_per_capita):
         for name, value in (("population", population), ("gdp_per_capita", gdp_per_capita)):
@@ -264,14 +270,18 @@ class CountryMeta:
                      floats([self._gdp[k] for k in keys])]])
 
 
-def _add_rows(meta, table, columns):
+def _add_rows(meta, table, columns, n_codes):
     """Add each row of a table to a metadata object, then raise for a malformed row.
 
-    An add that fails raises ParseError at its row's line; it comes first
-    because the table holds only the rows above the first malformed one.
+    The first ``n_codes`` columns are codes of one vocabulary. An add that
+    fails raises ParseError at its row's line; it comes first because the
+    table holds only the rows above the first malformed one.
     """
     meta.source = table.path
-    for line_no, *row in zip(map(int, table.line), *(table[name].tolist() for name in columns)):
+    vocab, *index = table.codes(*columns[:n_codes])
+    rows = [[vocab[k] for k in i.tolist()] for i in index] + \
+        [table[name].tolist() for name in columns[n_codes:]]
+    for line_no, *row in zip(map(int, table.line), *rows):
         try:
             meta.add(*row)
         except TradeDataError as exc:
@@ -306,7 +316,7 @@ class DyadMeta:
         table = read_table(path, DYAD_COLUMNS,
                            numeric={"distance_km": float, "border": int, "colony": int,
                                     "language": int, "lang_proximity": float})
-        return _add_rows(cls(), table, DYAD_COLUMNS)
+        return _add_rows(cls(), table, DYAD_COLUMNS, 2)
 
     def add(self, a, b, distance_km, border, colony, language, lang_proximity):
         if a == b:
@@ -386,33 +396,35 @@ def load_trade_csv(path, schema=None):
     schema = dict(schema or {})
     table = read_table(path, {name: schema.get(name, name) for name in TRADE_COLUMNS},
                        numeric={"year": int, "value": float}, exact=False)
-    value, reporter = table["value"], table["reporter"]
+    value, (reporters, reporter) = table["value"], table.codes("reporter")
     sides = {r.value: int(r is Reporter.IMPORTER) for r in Reporter}
-    side = _per_code(reporter, lambda c: sides.get(c.lower(), -1), dtype=np.int8)
+    side = np.array([sides.get(c.lower(), -1) for c in reporters], dtype=np.int8)[reporter]
     table.check((value < 0, lambda i: f"negative trade value {float(value[i])}"),
                 (~np.isfinite(value), lambda i: f"non-finite value {float(value[i])}"),
-                (side < 0, lambda i: f"unknown reporter '{reporter[i]}'"))
-    origin, destination, product = table["origin"], table["destination"], table["product"]
-    reason = np.select([~_per_code(origin, COUNTRY_RE.match),
-                        ~_per_code(destination, COUNTRY_RE.match),
-                        origin == destination,
-                        ~_per_code(product, PRODUCT_RE.match),
+                (side < 0, lambda i: f"unknown reporter '{reporters[reporter[i]]}'"))
+    countries, o, d = table.codes("origin", "destination")
+    products, p = table.codes("product")
+    country = np.array([bool(COUNTRY_RE.match(c)) for c in countries], dtype=bool)
+    reason = np.select([~country[o], ~country[d], o == d,
+                        ~np.array([bool(PRODUCT_RE.match(c)) for c in products], dtype=bool)[p],
                         value == 0], list(range(1, len(REJECT_REASONS) + 1)), 0)
     bad = np.flatnonzero(reason)
     rejects = [RejectedRow(int(table.line[i]), REJECT_REASONS[reason[i] - 1], raw)
                for i, raw in zip(bad, table.raw(bad))]
     ok = reason == 0
-    batch = TradeBatch(table["year"][ok], origin[ok], destination[ok], product[ok],
-                       value[ok], side[ok] == 1)
+    (countries, o, d), (products, p) = _used(countries, o[ok], d[ok]), _used(products, p[ok])
+    batch = TradeBatch(countries, products, table["year"][ok], o, p, d, value[ok], side[ok] == 1)
     if rejects:
         log.info("load_trade_csv: %d records parsed, %d rows rejected", len(batch), len(rejects))
     return batch, rejects
 
 
-def _per_code(codes, test, dtype=bool):
-    """test(code) for each row, evaluated once per distinct code."""
-    found, (index,) = vocabulary(codes)
-    return np.array([test(c) for c in found], dtype=dtype)[index]
+def _used(vocab, *indices):
+    """The codes of a vocabulary that the indices use, and the indices into them."""
+    used = np.zeros(len(vocab), dtype=bool)
+    used[np.concatenate(indices)] = True
+    rank = np.cumsum(used, dtype=np.int32) - 1
+    return (tuple(c for c, u in zip(vocab, used) if u), *(rank[index] for index in indices))
 
 
 def write_rejects_report(rejects, path):
@@ -432,8 +444,7 @@ def reconcile(batch, policy=ReconcilePolicy.IMPORTER):
     policy = ReconcilePolicy(policy)
     if not len(batch):
         raise TradeDataError("no records to reconcile")
-    countries, (o, d) = vocabulary(batch.origin, batch.destination)
-    products, (p,) = vocabulary(batch.product)
+    countries, products, o, p, d = batch.countries, batch.products, batch.o, batch.p, batch.d
     key = year_cell_keys(batch.year, o, p, d, len(countries), len(products))
     key, first, cell = np.unique(key, return_index=True, return_inverse=True)
     imp = batch.importer
@@ -540,16 +551,15 @@ def read_tensor_csv(path):
     """Load a tensor previously written by write_tensor_csv."""
     table = read_table(path, TENSOR_COLUMNS, numeric={"year": int, "value": float})
     year, value = table["year"], table["value"]
-    origin, destination, product = table["origin"], table["destination"], table["product"]
-    countries, (o, d) = vocabulary(origin, destination)
-    products, (p,) = vocabulary(product)
+    countries, o, d = table.codes("origin", "destination")
+    products, p = table.codes("product")
     key = year_cell_keys(year, o, p, d, len(countries), len(products))
     table.check(
         (~(value > 0), lambda i: f"non-positive value {float(value[i])}"),
         (~np.isfinite(value), lambda i: f"non-finite value {float(value[i])}"),
-        (o == d, lambda i: f"origin equals destination {origin[i]}"),
+        (o == d, lambda i: f"origin equals destination {countries[o[i]]}"),
         (repeats(key), lambda i: "duplicate cell "
-         f"{(int(year[i]), str(origin[i]), str(product[i]), str(destination[i]))}"))
+         f"{(int(year[i]), countries[o[i]], products[p[i]], countries[d[i]])}"))
     if not len(table):
         raise TradeDataError(f"{path}: no flows")
     flows = by_year(key, year, o, p, d, value)

@@ -57,6 +57,9 @@ class SyntheticWorldConfig:
                 raise TradeDataError(f"planted worlds need n_years > {HORIZON}")
         if self.forward_mode not in ("planted", "persist"):
             raise TradeDataError(f"unknown forward_mode {self.forward_mode!r}")
+        if self.planted_beta is None and self.forward_mode == "persist" and \
+                self.n_years != HORIZON + 1:  # one base year, then its forward year
+            raise TradeDataError(f"persist worlds need n_years = {HORIZON + 1}, got {self.n_years}")
 
 
 @dataclass
@@ -176,8 +179,6 @@ def generate_world(config):
 
     last_year = years[-1]
     base_t = last_year - HORIZON
-    if base_t not in flows:
-        raise TradeDataError(f"base year {base_t} missing for forward generation")
     base_tensor = TradeTensor(countries, products, base_years, flows)
     o, p, d, v = base_tensor.flows(base_t)
 

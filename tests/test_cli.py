@@ -437,12 +437,20 @@ def test_config_key_naming_no_option_is_exit_one(pipeline, tmp_path, capsys):
         cfg.write_text(json.dumps({key: "rca"}))
         assert run("ingest", "-o", tmp_path, "--trade", world / "trade.csv",
                    "--config", cfg) == 1
-        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert f"error: {cfg}: unknown config key {key!r}" in capsys.readouterr().err
     # proximity has no cutoff: its edge list always holds every product pair
     cfg.write_text(json.dumps({"cutoff": 0.5}))
     assert run("proximity", "-o", tmp_path, "--trade", stage / "reconciled.csv",
                "--config", cfg) == 1
-    assert "unknown config key 'cutoff'" in capsys.readouterr().err
+    assert f"error: {cfg}: unknown config key 'cutoff'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("years", [2, 4])
+def test_persist_world_of_other_than_three_years_is_refused(tmp_path, capsys, years):
+    # a persist world draws one base year and its forward year two years on
+    assert run("synth", "-o", tmp_path / "out", "--countries", "4", "--products", "3",
+               "--years", years, "--forward-mode", "persist") == 1
+    assert f"error: persist worlds need n_years = 3, got {years}" in capsys.readouterr().err
 
 
 def test_threads_below_one_is_rejected(pipeline, tmp_path):

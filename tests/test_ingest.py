@@ -22,9 +22,29 @@ def test_load_basic_row(tmp_path):
     batch, rejects = load_trade_csv(path)
     assert rejects == []
     assert len(batch) == 1
-    assert (batch.year.tolist(), batch.origin.tolist(), batch.destination.tolist(),
-            batch.product.tolist(), batch.value.tolist(), batch.importer.tolist()) == \
-        ([2003], ["KOR"], ["CHL"], ["6201"], [152000.0], [False])
+    assert (batch.countries, batch.products) == (("CHL", "KOR"), ("6201",))
+    assert batch.o.dtype == batch.p.dtype == batch.d.dtype == np.int32
+    assert _rows(batch) == [(2003, "KOR", "CHL", "6201", 152000.0, False)]
+
+
+def test_codes_only_rejected_rows_use_stay_out_of_the_vocabulary(tmp_path):
+    # ZZZ trades only at value 0, and 0999 only on a row whose origin is not a code
+    path = write(tmp_path, "2003,KOR,CHL,6201,5,exporter\n2003,ZZZ,CHL,6201,0,exporter\n"
+                           "2003,KO,CHL,0999,5,exporter\n2003,CHL,KOR,6202,7,importer\n")
+    batch, rejects = load_trade_csv(path)
+    assert [r.reason for r in rejects] == ["zero_value", "bad_origin_code"]
+    assert (batch.countries, batch.products) == (("CHL", "KOR"), ("6201", "6202"))
+    assert _rows(batch) == [(2003, "KOR", "CHL", "6201", 5.0, False),
+                            (2003, "CHL", "KOR", "6202", 7.0, True)]
+    tensor, _ = tg.reconcile(batch)
+    assert (tensor.countries, tensor.products) == (("CHL", "KOR"), ("6201", "6202"))
+
+
+def _rows(batch):
+    """A TradeBatch as (year, origin, destination, product, value, importer) rows."""
+    return [(y, batch.countries[o], batch.countries[d], batch.products[p], v, i)
+            for y, o, d, p, v, i in zip(*(getattr(batch, name).tolist() for name in
+                                           ("year", "o", "d", "p", "value", "importer")))]
 
 
 def test_load_negative_value_raises_with_line(tmp_path):
@@ -94,7 +114,11 @@ def test_rejects_report_keeps_commas_and_quotes(tmp_path):
 
 def _batch(rows):
     """TradeBatch from (year, origin, destination, product, value, importer) rows."""
-    return tg.TradeBatch(*(list(col) for col in zip(*rows)))
+    year, origin, destination, product, value, importer = zip(*rows)
+    countries, products = sorted(set(origin + destination)), sorted(set(product))
+    return tg.TradeBatch(countries, products, year,
+                         [countries.index(c) for c in origin], [products.index(c) for c in product],
+                         [countries.index(c) for c in destination], value, importer)
 
 
 THREE_ROWS = [
@@ -370,6 +394,6 @@ def test_quoted_and_bare_files_parse_alike(tmp_path, small_world):
     raw = tmp_path / "raw.csv"
     raw.write_text(HEADER + '2003,"KOR",CHL,6201,1,exporter\n\n2003,KOR,CHL,62,1,importer\n')
     batch, rejects = load_trade_csv(raw)
-    assert batch.origin.tolist() == ["KOR"]
+    assert [row[1] for row in _rows(batch)] == ["KOR"]
     assert [(r.line_no, r.reason, r.raw) for r in rejects] == [
         (4, "bad_product_code", "2003,KOR,CHL,62,1,importer")]

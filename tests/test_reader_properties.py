@@ -6,14 +6,17 @@ the streamed csv-module parser gives the table and reason of a whole-text
 csv-module parse (``referee.csv_table``), and the array parser gives the
 streamed parser's. A file that its reader accepts may still leave the stage
 too little data to standardize; that refusal names the column, not the file.
-The same fuzz, with the read block cut to a line or a few, checks both
-parsers against the referee wherever a block edge falls. The vocabulary
-tests check the integer-key code indices and the skipped sorts against plain
-Python, and the memory tests check that the large readers and writers hold
-their columns and about one block, not the file's text, quoted or not.
+The same mutations of the results JSON that ``trend`` reads and of a stage's
+``--config`` file exit 0, or 1 naming the file. The fuzz, with the read block
+cut to a line or a few, checks both parsers against the referee wherever a
+block edge falls. The vocabulary tests check the keyed code columns and the
+skipped sorts against plain Python, and the memory tests check that a large
+read holds twice the arrays it returns and about one block, and a large write
+one block, not the file's text, quoted or not.
 """
 import contextlib
 import io
+import json
 import tracemalloc
 from unittest import mock
 
@@ -53,6 +56,13 @@ def world(tmp_path_factory):
     write_lall_concordance(files / "lall.csv", tensor.products,
                            [("PP", "RB", "LT", "MT", "HT", "SP")[i % 6]
                             for i in range(len(tensor.products))])
+    assert main(["gravity", "-o", str(files), "--trade", str(files / "reconciled.csv"),
+                 "--relatedness", str(files / "relatedness.csv"),
+                 "--country-csv", str(files / "country.csv"), "--dyad-csv", str(files / "dyad.csv"),
+                 "--split", "lall", "--concordance", str(files / "lall.csv")]) == 0
+    (files / "proximity.json").write_text(json.dumps(
+        {"window": "2000-2000", "rca-threshold": 1.0, "bins": 20, "log-level": "ERROR"},
+        indent=2))
     return root, files, tensor
 
 
@@ -140,8 +150,10 @@ def _outcome(fn, path, *args, **kwargs):
 
 
 def _table_rows(table):
-    """A table's cells as text (NaN equals NaN), lines, pending row and raw lines."""
-    return ({name: list(map(repr, column.tolist())) for name, column in table.columns.items()},
+    """A table's cells as text (NaN equals NaN; a code as the text it keys), lines,
+    pending row and raw lines."""
+    return ({name: [repr(column[0][k]) for k in column[1].tolist()] if isinstance(column, tuple)
+             else list(map(repr, column.tolist())) for name, column in table.columns.items()},
             list(table.line), table.pending, table.raw(range(len(table))))
 
 
@@ -190,6 +202,24 @@ def test_mutated_inputs_exit_cleanly_and_parse_alike(world, name, data):
         assert str(path) in message or "standardize" in message, message
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("gravity_lall.json", ["trend", "--input", "{}"]),
+    ("proximity.json", ["proximity", "--trade", "reconciled.csv", "--config", "{}"]),
+])
+@FUZZ
+@given(data=st.data())
+def test_mutated_json_inputs_exit_cleanly(world, name, argv, data):
+    # the results file trend reads, and a stage's --config: exit 0, or 1 naming the file
+    root, files, _ = world
+    path = root / f"mutated_{name}"
+    path.write_bytes(data.draw(mutated((files / name).read_bytes())))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main([str(path) if a == "{}" else str(files / a) if a.endswith(".csv") else a
+                     for a in argv] + ["-o", str(root / "out_json")])
+    assert code == 0 or (code == 1 and str(path) in stderr.getvalue()), stderr.getvalue()
+
+
 # read blocks (bytes) that cut every line into its own block, or a few lines into one,
 # so that a mutation lands before, on and after a block edge
 BLOCKS = (7, 100)
@@ -222,9 +252,8 @@ def test_block_edges_read_like_the_csv_module(world, name, data):
                     mock.patch.object(csvio, "_RECORD_BLOCK", 3):
                 _assert_refereed(_outcome(csvio.read_table, path, fields, numeric, *exact),
                                  referee)
-    # the reader's code indices, a few rows at a time
-    with mock.patch.object(csvio, "_READ_BLOCK", BLOCKS[-1]), \
-            mock.patch.object(csvio, "_ROW_BLOCK", 3):
+    # the reader's codes, keyed a few lines at a time
+    with mock.patch.object(csvio, "_READ_BLOCK", BLOCKS[-1]):
         fast_read = _outcome(reader, path)
     assert fast_read[0] == slow_read[0]
     if fast_read[0] == "error":
@@ -306,25 +335,30 @@ def test_raw_of_some_rows_reads_like_the_referee(tmp_path, data):
             assert table.raw(rows) == [raw[i] for i in rows]
 
 
+# numpy text drops trailing NULs only, which CODE_CHARS leaves out; a read strips a code
 CODE_CHARS = st.characters(exclude_categories=("Cs",), exclude_characters="\x00")
+CODE = st.text(CODE_CHARS, min_size=1, max_size=20).filter(lambda c: c == c.strip())
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(codes=st.lists(st.text(CODE_CHARS, min_size=1, max_size=15), min_size=0, max_size=40),
-       more=st.lists(st.text(CODE_CHARS, min_size=1, max_size=15), max_size=10),
-       ascending=st.booleans())
-def test_vocabulary_matches_sorted_set(codes, more, ascending):
-    # numpy text drops trailing NULs only, which CODE_CHARS leaves out
-    codes = sorted(codes) if ascending else codes
-    vocab, (index, other) = csvio.vocabulary(np.array(codes, dtype=str),
-                                             np.array(more, dtype=str))
-    assert vocab == tuple(sorted(set(codes + more)))
-    assert [vocab[i] for i in index] == codes and [vocab[i] for i in other] == more
-    assert index.dtype == np.int32
+@given(rows=st.lists(st.tuples(CODE, CODE), max_size=40), ascending=st.booleans())
+def test_vocabulary_matches_sorted_set(tmp_path_factory, rows, ascending):
+    # codes of 16 characters or more, or that csv.writer quotes, take the csv module
+    rows = sorted(rows) if ascending else rows
+    first, second = [r[0] for r in rows], [r[1] for r in rows]
+    path = tmp_path_factory.mktemp("codes") / "codes.csv"
+    csvio.write_rows(path, ("a", "b"), [[csvio.quoted(first), csvio.quoted(second)]])
+    for array in (csvio._read_array, lambda *args: None):
+        with mock.patch.object(csvio, "_read_array", array), \
+                mock.patch.object(csvio, "_READ_BLOCK", 64), \
+                mock.patch.object(csvio, "_RECORD_BLOCK", 3):
+            vocab, index, other = csvio.read_table(path, ("a", "b")).codes("a", "b")
+        assert vocab == tuple(sorted(set(first + second)))
+        assert [vocab[i] for i in index] == first and [vocab[i] for i in other] == second
+        assert index.dtype == other.dtype == np.int32
     known = vocab[::2]
     position = {c: i for i, c in enumerate(known)}
-    assert csvio.code_index(known, np.array(codes, dtype=str)).tolist() == \
-        [position.get(c, -1) for c in codes]
+    assert csvio.positions(vocab, known).tolist() == [position.get(c, -1) for c in vocab]
 
 
 BASE_CODE = st.text(st.characters(exclude_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),
@@ -404,16 +438,25 @@ def _world(n):
 
 
 def _peak(fn):
-    """Peak bytes that fn allocates while it runs, what it returns included."""
+    """Peak bytes that fn allocates while it runs, what it returns included, and what it
+    returns."""
     tracemalloc.start()
     try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
     finally:
         tracemalloc.stop()
 
 
 BLOCK_BYTES = 1 << 19  # what one small block of reading or writing may hold, at any row count
+
+
+def _returned(read):
+    """Bytes of the arrays a tensor or relatedness read returns."""
+    if isinstance(read, dict):
+        return sum(a.nbytes for r in read.values()
+                   for a in (r.o, r.p, r.d, r.omega, r.omega_d, r.omega_o))
+    return sum(a.nbytes for year in read.years for a in read.flows(year))
 
 
 def _quoted_copy(path, numeric):
@@ -435,8 +478,8 @@ def test_large_reads_and_writes_hold_their_columns_and_one_block(tmp_path, n):
     with mock.patch.object(csvio, "_READ_BLOCK", 1 << 14), \
             mock.patch.object(csvio, "_ROW_BLOCK", 1 << 8):
         # a write holds one block of text above the arrays it is given
-        assert _peak(lambda: ingest.write_tensor_csv(tensor, tensor_path)) < BLOCK_BYTES
-        assert _peak(lambda: relatedness.write_relatedness_csv(rel, rel_path)) < BLOCK_BYTES
+        assert _peak(lambda: ingest.write_tensor_csv(tensor, tensor_path))[0] < BLOCK_BYTES
+        assert _peak(lambda: relatedness.write_relatedness_csv(rel, rel_path))[0] < BLOCK_BYTES
         for path, fields, numeric, read in (
                 (tensor_path, ingest.TENSOR_COLUMNS, {"year": int, "value": float},
                  ingest.read_tensor_csv),
@@ -446,14 +489,10 @@ def test_large_reads_and_writes_hold_their_columns_and_one_block(tmp_path, n):
             # a copy that quotes every text field, as R's write.csv does, streams through
             # the csv module
             for path in (path, _quoted_copy(path, numeric)):
-                columns = csvio.read_table(path, fields, numeric).columns
-                assert len(next(iter(columns.values()))) == n
-                # a text column is as wide as its longest field
-                assert all(c.dtype.itemsize == 4 * max(map(len, c.tolist()))
-                           for c in columns.values() if c.dtype.kind == "U")
-                # a read holds its table's typed columns and their codes, and one block
-                assert _peak(lambda: read(path)) < \
-                    2 * sum(c.nbytes for c in columns.values()) + BLOCK_BYTES
+                assert len(csvio.read_table(path, fields, numeric)) == n
+                # a read holds twice the arrays it returns, and one block
+                peak, returned = _peak(lambda: read(path))
+                assert peak < 2 * _returned(returned) + BLOCK_BYTES
     # the undefined omega of a cell drops its row
     rel[0].omega[[0, 5]] = np.nan
     assert relatedness.write_relatedness_csv(rel, rel_path) == 2
