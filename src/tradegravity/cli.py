@@ -399,9 +399,13 @@ def main(argv=None):
             gravity.check_exporter_thresholds(args.rca_new, args.rca_experienced)
         started = time.perf_counter()  # inputs hashed first: a missing one stops the stage
         inputs = {str(v): _sha256(v) for k, v in vars(args).items() if k in INPUT_KEYS and v}
-        out = Path(args.output_dir)
+        made = not (out := Path(args.output_dir)).exists()
         out.mkdir(parents=True, exist_ok=True)
-        _write_manifest(out, args, inputs, *args.func(args, out), started)
+        try:
+            _write_manifest(out, args, inputs, *args.func(args, out), started)
+        finally:  # a failed stage leaves no empty directory it made; one that ran has a manifest
+            if made and not any(out.iterdir()):
+                out.rmdir()
         return 0
     except OSError as exc:  # a missing path, or a directory where a file belongs
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",

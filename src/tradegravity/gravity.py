@@ -27,7 +27,6 @@ from bisect import bisect_right
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cache
 from itertools import accumulate, zip_longest
 
 import numpy as np
@@ -88,17 +87,26 @@ class Columns(Mapping):
     Span k holds the rows of base year ``years[k]``: ``positions[k]`` are their
     int32 positions in the cell arrays ``cells[k]`` (o, p, d and any columns). A
     column is a stored row array, read from the cells through the positions, or
-    gathered by the rows' keys from ``tables``: name -> (axes, table), the axes
-    letters among t (counted from ``first_year``), o, p and d. ``design_matrix``
-    gathers a block of rows at a time; ``columns[name]`` returns a stored array as
-    is and builds any other column on its first read, then caches it.
+    gathered by the rows' keys from a stack in ``tables``: (names, axes, table), with
+    ``table[j]`` the values of ``names[j]`` over the axes, letters among t (counted
+    from ``first_year``), o, p and d. ``design_matrix`` gathers a block of rows at a
+    time, each stack in one read; ``columns[name]`` returns a stored array as is and
+    builds any other column on its first read (of its row of a stack), then caches it.
     """
 
-    def __init__(self, stored, cells, years, positions, tables=None, first_year=0):
-        self._stored, self._tables, self._first_year = dict(stored), dict(tables or {}), first_year
+    def __init__(self, stored, cells, years, positions, tables=(), first_year=0):
+        self._stored, self._first_year = dict(stored), first_year
         self._cells, self._years, self._pos = list(cells), list(years), list(positions)
         self._ends = list(accumulate(pos.size for pos in self._pos))
         self._starts, self._n, self._cache = [0] + self._ends[:-1], self._ends[-1], {}
+        self._tables = {name: (axes, table[j:j + 1]) for names, axes, table in tables
+                        for j, name in enumerate(names)}
+        self._plan = [(name, j) for j, name in enumerate(_DESIGN_NAMES[1:], 1)
+                      if name not in self._tables]
+        for names, axes, table in tables:
+            first, last = map(_DESIGN_NAMES.index, (names[0], names[-1]))
+            step = (last - first) // (len(names) - 1 or 1) or 1  # the names' rows are evenly spaced
+            self._plan.append(((axes, table), slice(first, last + 1, step)))
         self._names = tuple(name for name in REGRESSOR_NAMES
                             if name in self._stored | cells[0] | self._tables)
 
@@ -121,9 +129,11 @@ class Columns(Mapping):
         """``spec`` at every row as a read-only array, unscaled: a column, a row key
         (t, o, p or d), or an (axes, table) pair read by the rows' keys."""
         dtype = spec[1].dtype if isinstance(spec, tuple) else "i4" if len(spec) == 1 else "f8"
+        spec = (spec[0], spec[1][None]) if isinstance(spec, tuple) else self._tables.get(spec, spec)
+        plan = [(spec, slice(0, 1) if isinstance(spec, tuple) else 0)]
         out = np.empty(self._n, dtype=dtype)
         for lo in range(0, self._n, _BLOCK_ROWS):
-            self._gather((spec,), slice(lo, lo + _BLOCK_ROWS), out[None, lo:lo + _BLOCK_ROWS])
+            self._gather(plan, slice(lo, lo + _BLOCK_ROWS), out[None, lo:lo + _BLOCK_ROWS])
         return _locked(out)
 
     def design_matrix(self, rows):
@@ -140,12 +150,11 @@ class Columns(Mapping):
         # one contiguous row per design-matrix column, so the gathers and the
         # z-scoring run along rows; only the first 16 rows of ``out`` are written
         out[0] = 1.0
-        self._gather(REGRESSOR_NAMES, rows, out[1:K_PARAMETERS])
-        return out
+        return self._gather(self._plan, rows, out)
 
-    def _gather(self, specs, rows, out):
-        """Write each spec (as ``read`` takes it) at ``rows`` into its row of ``out``,
-        a year at a time; positions ascend, so a run of them reads as a slice."""
+    def _gather(self, plan, rows, out):
+        """Write each (source, dest) of ``plan`` at ``rows`` into ``out[dest]``, a year at a time:
+        one np.take a column or stack and a row key, two ufuncs a flat key; ~20 calls a block."""
         if not out.shape[1]:
             return out
         if isinstance(rows, slice) and rows.step in (None, 1):  # cut at the span edges
@@ -155,34 +164,40 @@ class Columns(Mapping):
                      for a, b in [(max(lo, self._starts[j]), min(hi, self._ends[j]))]]
         else:
             rows = np.arange(self._n)[rows] if isinstance(rows, slice) else rows
-            span = np.searchsorted(self._ends, rows, side="right")
-            k, years = span[0], np.flatnonzero(np.bincount(span))
-            parts = [(span == j, rows[span == j]) for j in years] if years.size > 1 else ()
+            k, last = (bisect_right(self._ends, i) for i in (rows.min(), rows.max()))
+            span = np.searchsorted(self._ends, rows, side="right") if last > k else None
+            parts = [(span == j, rows[span == j]) for j in range(k, last + 1) if last > k]
         if len(parts) > 1:
             for part, sel in parts:
-                out[:, part] = self._gather(specs, sel, np.array(out[:, part]))
+                out[:, part] = self._gather(plan, sel, np.array(out[:, part]))
             return out
-        start = self._starts[k]
-        pos = (self._pos[k][lo - start:hi - start] if isinstance(rows, slice)
-               else self._pos[k].take(rows - start))
-        pos = (slice(pos[0], pos[-1] + 1) if pos[-1] - pos[0] == pos.size - 1
-               else pos.astype(np.intp))  # intp: numpy's fastest gather
-        flat = {}
-        key = cache(lambda axis: self._years[k] - self._first_year if axis == "t"
-                    else self._cells[k][axis][pos])  # the block's t (from first_year), o, p or d
-        for spec, dest in zip(specs, out):
-            if isinstance(spec, tuple) or spec in self._tables:
-                axes, table = spec if isinstance(spec, tuple) else self._tables[spec]
-                if (axes, table.shape) not in flat:  # each table index once per call
-                    index = np.intp(0)  # so an index of int32 keys is intp
-                    for axis, size in zip(axes, table.shape):
-                        index = index * size + key(axis)
-                    flat[axes, table.shape] = index
-                dest[:] = table.take(flat[axes, table.shape])
-            elif spec in self._stored:
-                dest[:] = self._stored[spec][rows]
-            else:  # the base year, or an array of the cells
-                dest[:] = self._years[k] if spec == "t" else key(spec)
+        start, cells, keys, run = self._starts[k], self._cells[k], {}, isinstance(rows, slice)
+        pos = self._pos[k][lo - start:hi - start] if run else self._pos[k].take(rows - start)
+        pos = (slice(pos[0], pos[-1] + 1) if run and pos[-1] - pos[0] == pos.size - 1  # a run
+               else pos.astype(np.intp))  # of a slice's ascending positions; intp: fastest take
+        def key(axes, sizes):  # the rows' o, p or d, or their flat index over a table's axes
+            if axes not in keys:
+                keys[axes] = (key(axes[:-1], sizes[:-1]) * np.intp(sizes[-1]) + key(axes[-1], ())
+                              if len(axes) > 1 else cells[axes][pos] if isinstance(pos, slice)
+                              else cells[axes].take(pos))
+            return keys[axes]
+        for source, dest in plan:
+            if isinstance(source, tuple):
+                axes, table = source
+                if axes[0] == "t":
+                    axes, table = axes[1:], table[:, self._years[k] - self._first_year]
+                np.take(table.reshape(len(table), -1), key(axes, table.shape[1:]), axis=1,
+                        out=out[dest], mode="clip")  # "clip": no copy of out; every key is valid
+            elif source == "t":
+                out[dest] = self._years[k]
+            else:  # a row array at the rows, or a cell array at their positions
+                array, at = (self._stored[source], rows) if source in self._stored \
+                    else (cells[source], pos)
+                if isinstance(at, slice):
+                    out[dest] = array[at]
+                else:
+                    np.take(array, at, out=out[dest], mode="clip")
+        del key  # it refers to itself: break the cycle, so the block's keys are freed now
         return out
 
 
@@ -213,8 +228,8 @@ class GravityDataset:
     """Regression rows, stored year by year, and their response.
 
     ``columns`` reads their 15 regressors; ``t``, ``o``, ``p`` and ``d`` are gathered on
-    each read into read-only int32 arrays. ``standardize`` sets ``moments``, those of
-    the z-scored [1 | x | y], which the fit and the summaries read instead of the rows.
+    each read into read-only int32 arrays. ``moments``, those of its own [1 | x | y], are
+    left by its first pass over every row, or by ``standardize`` (z-scored) on its result.
     """
 
     response: np.ndarray
@@ -309,25 +324,21 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
     nc, np_ = len(countries), len(products)
     years = range(start, end - horizon + 1)
     fields = dyad_meta.field_matrices(countries)
-    log_x_op = np.full((len(years), nc, np_), np.nan)
-    log_x_pd = np.full((len(years), np_, nc), np.nan)
-    log_gdp = np.full((len(years), nc), np.nan)
-    log_pop = np.full((len(years), nc), np.nan)
+    log_x_op = np.full((1, len(years), nc, np_), np.nan)
+    log_x_pd = np.full((1, len(years), np_, nc), np.nan)
+    log_gdp_pop = np.full((2, len(years), nc), np.nan)  # per capita GDP, population
     with np.errstate(divide="ignore"):  # the zero diagonal, which no row reads
         log_distance = np.log(fields["distance"])
-    tables = {
-        "log_x_op": ("top", log_x_op),
-        "log_x_pd": ("tpd", log_x_pd),
-        "log_distance": ("od", log_distance),
-        "log_gdp_o": ("to", log_gdp),
-        "log_gdp_d": ("td", log_gdp),
-        "log_pop_o": ("to", log_pop),
-        "log_pop_d": ("td", log_pop),
-        "border": ("od", fields["border"]),
-        "colony": ("od", fields["colony"]),
-        "language": ("od", fields["language"]),
-        "log_lang_proximity": ("od", np.log1p(fields["lang_proximity"])),
-    }
+    tables = (  # the tables that share their axes stacked: a block reads each stack once
+        (("log_x_op",), "top", log_x_op),
+        (("log_x_pd",), "tpd", log_x_pd),
+        (("log_distance",), "od", log_distance[None]),
+        (("log_gdp_o", "log_pop_o"), "to", log_gdp_pop),
+        (("log_gdp_d", "log_pop_d"), "td", log_gdp_pop),
+        (("border", "colony", "language", "log_lang_proximity"), "od",
+         np.stack([fields["border"], fields["colony"], fields["language"],
+                   np.log1p(fields["lang_proximity"])])),
+    )
     # the (year, origin, destination) entries some row reads
     reads = np.zeros((len(years), nc, nc), dtype=bool)
     dropped_omega = []  # per year
@@ -387,14 +398,14 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
         for a in (kept, fpos):
             a.resize(n, refcheck=False)
         with np.errstate(divide="ignore"):  # log 0 = -inf: a marginal no row reads
-            np.log(tensor.x_op(t), out=log_x_op[yr])
-            np.log(tensor.x_pd(t), out=log_x_pd[yr])
+            np.log(tensor.x_op(t), out=log_x_op[0, yr])
+            np.log(tensor.x_pd(t), out=log_x_pd[0, yr])
         for c in np.flatnonzero(reads[yr].any(axis=1) | reads[yr].any(axis=0)):
             code = countries[c]
-            log_gdp[yr, c] = country_meta.gdp_per_capita(code, t)
-            log_pop[yr, c] = country_meta.population(code, t)
-        np.log(log_gdp[yr], out=log_gdp[yr])
-        np.log(log_pop[yr], out=log_pop[yr])
+            log_gdp_pop[:, yr, c] = (country_meta.gdp_per_capita(code, t),
+                                     country_meta.population(code, t))
+        for row in log_gdp_pop[:, yr]:
+            np.log(row, out=row)
         return cells, t, kept, fpos
 
     plans = list(filter(None, map(plan, years)))  # the years' temporaries are gone
@@ -427,7 +438,7 @@ def build_dataset(tensor, relatedness_by_year, country_meta, dyad_meta, period,
         raise dyad_meta.missing(countries[hit[0, 0]], countries[hit[0, 1]])
     if not np.isfinite(log_x_opd).all():
         raise TradeDataError("non-finite values in column log_x_opd")
-    for name, (axes, table) in tables.items():
+    for name, (axes, table) in columns._tables.items():
         # x_op and x_pd are at least a kept cell's own flow: only an overflow, +inf, is read
         if (np.isposinf(table) if axes in ("top", "tpd")
                 else reads[axes] & ~np.isfinite(table)).any():
@@ -474,7 +485,7 @@ class _Moments:
         # so its C entries stay zero. np.dot(dev, dev.T) runs as a BLAS syrk whose bits do
         # not depend on the BLAS thread count (a subprocess test guards this). It is
         # dev @ dev.T's syrk, bit for bit, but releases the GIL, which numpy's @ holds,
-        # so the workers of _accumulate overlap
+        # so the workers' syrks overlap; their gathers, many small calls, take turns on it
         dev = np.subtract(block, block[:, :1], order="C")
         offset = dev.mean(axis=1)
         dev -= offset[:, None]
@@ -638,13 +649,14 @@ def solve_normal_equations(c, mean, n, names):
 
 def _accumulate(dataset, rows=None, threads=None):
     """The moments of [1 | x | y] over ``rows`` (a range or an index array; None is
-    every row, whose moments a dataset made by ``standardize`` carries), else streamed
+    every row, whose moments the first such pass leaves on the dataset), streamed
     by blocks: worker j of ``threads`` (None: every usable CPU) reads blocks j,
     j + threads, ..., and their moments join in block order, so ``threads`` never
     changes the bits."""
-    if rows is None and dataset.moments is not None:
+    if rows is None:
+        if dataset.moments is None:
+            dataset.moments = _accumulate(dataset, range(dataset.n), threads)
         return dataset.moments
-    rows = range(dataset.n) if rows is None else rows
     n = len(rows)
     threads = usable_cpus() if threads is None else threads
 

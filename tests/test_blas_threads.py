@@ -8,8 +8,10 @@ from pathlib import Path
 import tradegravity as tg
 
 # Hashes the three relatedness measures on the small test world, and beta and
-# SE of its pooled fit, of its period split at threads 1 and 2, and of a fit
-# over three whole 4096-row blocks and a partial one.
+# SE of its pooled fit, of its period and exporter splits at threads 1 and 2
+# (the exporter cells read index rows), of a pooled fit read twice (the "none"
+# split's pass, whose moments standardize then reuses), and of a fit over three
+# whole 4096-row blocks and a partial one.
 SCRIPT = """
 import hashlib
 import numpy as np
@@ -23,9 +25,14 @@ weights = tg.DistanceWeights.from_dyads(w.tensor.countries, w.dyad_meta)
 rel = {y: tg.compute_relatedness(w.tensor, prox, weights, y) for y in w.tensor.years}
 ds = tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2002))
 fits = [tg.fit_ols(tg.standardize(ds)[0])]
+rca = tg.compute_rca(w.tensor, (2000, 2000))
 for threads in (1, 2):
     fits += tg.run_split_regressions(ds, "period", periods=((2000, 2002),),
                                      threads=threads).values()
+    fits += tg.run_split_regressions(ds, "exporter", rca=rca, threads=threads).values()
+again = tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2002))
+fits += tg.run_split_regressions(again, "none").values()
+fits.append(tg.fit_ols(tg.standardize(again)[0]))
 rng = np.random.default_rng(5)
 x = rng.normal(size=(3 * 4096 + 100, 16))
 acc = tg.StreamingOLS([f"c{j}" for j in range(16)])
@@ -48,6 +55,8 @@ def test_blas_thread_count_does_not_change_bits():
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=blas_threads)
         out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, check=True,
                              capture_output=True, text=True).stdout.split()
-        assert out[0] == "4", out  # the pooled fit, two period fits and the block fit
+        # the pooled fit, two period and six exporter fits, the pooled fit read twice
+        # and the block fit
+        assert out[0] == "12", out
         digests.add(out[1])
     assert len(digests) == 1, digests

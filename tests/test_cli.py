@@ -448,9 +448,13 @@ def test_config_key_naming_no_option_is_exit_one(pipeline, tmp_path, capsys):
 @pytest.mark.parametrize("years", [2, 4])
 def test_persist_world_of_other_than_three_years_is_refused(tmp_path, capsys, years):
     # a persist world draws one base year and its forward year two years on
-    assert run("synth", "-o", tmp_path / "out", "--countries", "4", "--products", "3",
-               "--years", years, "--forward-mode", "persist") == 1
+    args = ("--countries", "4", "--products", "3", "--years", years, "--forward-mode", "persist")
+    assert run("synth", "-o", tmp_path / "out", *args) == 1
     assert f"error: persist worlds need n_years = 3, got {years}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # the refused stage removes the directory it made
+    (tmp_path / "kept").mkdir()  # one that was there before the run stays
+    assert run("synth", "-o", tmp_path / "kept", *args) == 1
+    assert (tmp_path / "kept").is_dir()
 
 
 def test_threads_below_one_is_rejected(pipeline, tmp_path):

@@ -1,5 +1,6 @@
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -153,7 +154,8 @@ def test_shuffled_rows_match_dense_oracle():
 
 
 def test_threaded_fit_is_bitwise(small_dataset):
-    # a raw dataset: a standardized one carries its moments and is not streamed
+    # a fresh view of the raw rows for each fit: a dataset keeps the moments of its
+    # first full pass, and a standardized one carries its own, so neither is streamed
     ds = small_dataset
     names = ("const",) + REGRESSOR_NAMES
     assert ds.n % 16 != 0 and ds.n % 128 != 0  # the last block is partial
@@ -163,7 +165,7 @@ def test_threaded_fit_is_bitwise(small_dataset):
         acc.add(ds.design_matrix(), ds.response)
         want = acc.result()
         with mock.patch.object(tg.gravity, "_BLOCK_ROWS", block_rows):
-            got = tg.fit_ols(ds, threads=threads)
+            got = tg.fit_ols(replace(ds), threads=threads)
         assert np.array_equal(got.beta, want.beta), (block_rows, threads)
         assert np.array_equal(got.se, want.se), (block_rows, threads)
         assert got.adj_r2 == want.adj_r2 and got.resid_se == want.resid_se
@@ -226,13 +228,13 @@ def test_default_threads_are_the_usable_cpus(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(tg.gravity, "ThreadPoolExecutor", Recording)
-    ds = random_dataset(5 * 4096 + 100, seed=9,  # raw: every pass is streamed
+    ds = random_dataset(5 * 4096 + 100, seed=9,  # raw, and read through fresh views below
                         t=np.repeat(np.arange(2000, 2004, dtype=np.int32), (5 * 4096 + 100) // 4))
     periods = ((2000, 2003), (2001, 2005))
     serial = (tg.fit_ols(ds, threads=1), _zscored(_accumulate(ds, threads=1), False)[0],
               tg.run_split_regressions(ds, "period", periods=periods, threads=1))
     pools.clear()
-    default = (tg.fit_ols(ds), tg.standardize(ds)[0].moments,
+    default = (tg.fit_ols(replace(ds)), tg.standardize(replace(ds))[0].moments,
                tg.run_split_regressions(ds, "period", periods=periods))
     assert pools == [tg.relatedness.usable_cpus()] * 4  # the fit, standardize, two cells
     fits = [(serial[0], default[0])] + [(serial[2][k], default[2][k]) for k in serial[2]]
@@ -622,8 +624,9 @@ def test_positional_dataset_is_bitwise_its_stored_columns(tmp_path, exits_pool):
                               for i, p in enumerate(w.tensor.products))
     splits = (("none", {}), ("period", {"periods": ((2000, 2003), (2001, 2005))}),
               ("exporter", {"rca": rca}), ("lall", {"concordance": conc}))
-    for source in (rel, back):
-        ds = tg.build_dataset(w.tensor, source, w.country_meta, w.dyad_meta, (2000, 2005))
+    for source, zeros in ((rel, "drop"), (back, "drop"), (rel, "log1p")):
+        ds = tg.build_dataset(w.tensor, source, w.country_meta, w.dyad_meta, (2000, 2005),
+                              zeros=zeros)
         ref = stored_copy(ds)
         for name in ("t", "o", "p", "d"):
             a, b = getattr(ds, name), getattr(ref, name)
@@ -636,6 +639,10 @@ def test_positional_dataset_is_bitwise_its_stored_columns(tmp_path, exits_pool):
         blocks += [slice(e - 700, e + 300) for e in edges]  # straddle a year boundary
         blocks += [np.arange(edges[0] - 50, edges[2] + 50, 7),  # ascending, three years
                    rng.permutation(ds.n)[:5000]]  # any order, every year
+        blocks += [slice(7, 8), np.array([edges[1]]), np.array([], dtype=np.intp)]  # 1 row, 0
+        blocks += [slice(edges[2] + 9, ds.n - 3), np.arange(ds.n - 1, edges[2], -5)]  # last year
+        pos = ds.columns._pos[0]  # four rows whose cell positions are one run, out of order
+        blocks.append(np.flatnonzero(pos[3:] - pos[:-3] == 3)[0] + np.array([0, 2, 1, 3]))
         for rows in blocks:
             assert ds.design_matrix(rows).tobytes() == ref.design_matrix(rows).tobytes(), rows
         for split, kwargs in splits:
@@ -649,6 +656,38 @@ def test_positional_dataset_is_bitwise_its_stored_columns(tmp_path, exits_pool):
                     assert g.beta.tobytes() == r.beta.tobytes(), (split, threads, key)
                     assert g.se.tobytes() == r.se.tobytes(), (split, threads, key)
                     assert (g.adj_r2, g.resid_se) == (r.adj_r2, r.resid_se), (split, key)
+
+
+def test_a_full_row_pass_leaves_the_datasets_own_moments(exits_pool):
+    w, rel = exits_pool
+
+    def build():
+        return tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2005))
+
+    want, (z_want, spec_want) = _accumulate(build()), tg.standardize(build())
+    rca = tg.compute_rca(w.tensor, (2000, 2000))
+    for threads in (1, 2):
+        ds = build()
+        # cells of a subset of the rows, one of them every row, are not the dataset's own
+        tg.run_split_regressions(ds, "period", periods=((2000, 2005), (2001, 2004)),
+                                 threads=threads)
+        tg.run_split_regressions(ds, "exporter", rca=rca, threads=threads)
+        assert ds.moments is None, threads
+        tg.run_split_regressions(ds, "none", threads=threads)
+        got = ds.moments
+        assert got.n == want.n == ds.n
+        assert got.mean.tobytes() == want.mean.tobytes(), threads
+        assert got.c.tobytes() == want.c.tobytes(), threads
+        # standardize z-scores the moments the split left: no pass of its own
+        with mock.patch.object(tg.gravity, "ThreadPoolExecutor", side_effect=AssertionError):
+            z, spec = tg.standardize(ds)
+        assert spec == spec_want
+        assert z.moments.mean.tobytes() == z_want.moments.mean.tobytes(), threads
+        assert z.moments.c.tobytes() == z_want.moments.c.tobytes(), threads
+        # the standardized view carries the z-scored moments, never the raw ones
+        assert ds.moments is got and z.moments is not got
+        assert z.moments.c.tobytes() != got.c.tobytes()
+        assert tg.fit_ols(z).beta.tobytes() == tg.fit_ols(tg.standardize(build())[0]).beta.tobytes()
 
 
 @pytest.mark.parametrize("zeros", ["drop", "log1p"])
