@@ -64,7 +64,7 @@ class Table:
         vocab = sorted(set().union(*(self.columns[name][0] for name in names)))
         for name in names:  # a column named twice is remapped by its own codes, then vocab
             codes, index = self.columns[name]
-            index[:] = positions(codes, vocab)[index]
+            remap(index, positions(codes, vocab))
             codes[:] = vocab
         return (tuple(vocab), *(self.columns[name][1] for name in names))
 
@@ -398,9 +398,16 @@ def quoted(texts):
 
 
 def positions(codes, known):
-    """Each code's int32 position in the sequence known, -1 where known lacks it."""
+    """Each code's int32 position in the sequence known; code j that known lacks gets ~j < 0."""
     at = {code: i for i, code in enumerate(known)}
-    return np.array([at.get(code, -1) for code in codes], dtype=np.int32)
+    return np.array([at.get(code, ~j) for j, code in enumerate(codes)], dtype=np.int32)
+
+
+def remap(index, table):
+    """``index`` with each entry i replaced by ``table[i]`` in place, a block at a time."""
+    for part in np.split(index, range(_ROW_BLOCK, index.size, _ROW_BLOCK)):  # views
+        part[:] = table[part]
+    return index
 
 
 def lookup(sorted_keys, keys):

@@ -27,7 +27,7 @@ from bisect import bisect_right
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, zip_longest
+from itertools import accumulate, chain, zip_longest
 
 import numpy as np
 
@@ -59,6 +59,7 @@ _MEASURES = REGRESSOR_NAMES[:3]  # the relatedness measures, read per cell
 # base-year cells the dataset build joins and writes per step
 _JOIN_CELLS = 1 << 16
 _BLOCK_ROWS = 1 << 12  # rows per block of every pass over a dataset; sets the fit's sum order
+_SPAN_BLOCKS = 2  # blocks a pass's worker gathers in one read
 
 
 class ExporterClass(str, enum.Enum):
@@ -153,25 +154,26 @@ class Columns(Mapping):
         return self._gather(self._plan, rows, out)
 
     def _gather(self, plan, rows, out):
-        """Write each (source, dest) of ``plan`` at ``rows`` into ``out[dest]``, a year at a time:
-        one np.take a column or stack and a row key, two ufuncs a flat key; ~20 calls a block."""
+        """Write each (source, dest) of ``plan`` at ``rows`` into ``out[dest]``, a run of one
+        base year at a time: one np.take a column or stack and a row key, two ufuncs a flat key."""
         if not out.shape[1]:
             return out
-        if isinstance(rows, slice) and rows.step in (None, 1):  # cut at the span edges
+        run = isinstance(rows, slice) and rows.step in (None, 1)
+        if run:  # cut at the span edges
             lo, hi, _ = rows.indices(self._n)
             k, last = bisect_right(self._ends, lo), bisect_right(self._ends, hi - 1)
-            parts = [(slice(a - lo, b - lo), slice(a, b)) for j in range(k, last + 1)
-                     for a, b in [(max(lo, self._starts[j]), min(hi, self._ends[j]))]]
-        else:
+            cuts = [lo, *self._ends[k:last], hi]
+        else:  # in any order: a run ends where the next row's base year differs
             rows = np.arange(self._n)[rows] if isinstance(rows, slice) else rows
             k, last = (bisect_right(self._ends, i) for i in (rows.min(), rows.max()))
-            span = np.searchsorted(self._ends, rows, side="right") if last > k else None
-            parts = [(span == j, rows[span == j]) for j in range(k, last + 1) if last > k]
-        if len(parts) > 1:
-            for part, sel in parts:
-                out[:, part] = self._gather(plan, sel, np.array(out[:, part]))
+            cuts = [0, *(np.flatnonzero(np.diff(np.searchsorted(self._ends, rows, side="right")))
+                         + 1).tolist(), rows.size] if last > k else ()
+        if last > k:
+            for a, b in zip(cuts, cuts[1:]):  # each run straight into its columns of out
+                part = slice(a - cuts[0], b - cuts[0])
+                self._gather(plan, slice(a, b) if run else rows[a:b], out[:, part])
             return out
-        start, cells, keys, run = self._starts[k], self._cells[k], {}, isinstance(rows, slice)
+        start, cells, keys = self._starts[k], self._cells[k], {}
         pos = self._pos[k][lo - start:hi - start] if run else self._pos[k].take(rows - start)
         pos = (slice(pos[0], pos[-1] + 1) if run and pos[-1] - pos[0] == pos.size - 1  # a run
                else pos.astype(np.intp))  # of a slice's ascending positions; intp: fastest take
@@ -469,34 +471,38 @@ def standardize(dataset, standardize_response=False):
 
 
 class _Moments:
-    """Payload of one reduction-tree node: the row count, the column means and
-    the centered co-moment matrix C of [x | y]."""
+    """Payload of one reduction-tree node: the row count, the column means, the
+    centered co-moment matrix C of [x | y] and each column's min and max."""
 
-    __slots__ = ("n", "mean", "c")
+    __slots__ = ("n", "mean", "c", "lo", "hi")
 
-    def __init__(self, n, mean, c):
-        self.n, self.mean, self.c = n, mean, c
+    def __init__(self, n, mean, c, lo, hi):
+        self.n, self.mean, self.c, self.lo, self.hi = n, mean, c, lo, hi
 
     @classmethod
     def of(cls, block):
-        """The moments of a block with one row per column, in any memory layout."""
-        # dev is C-ordered for any block layout, so its row means and products sum in one
-        # order; deviations from the first entry are exactly zero in a constant column,
-        # so its C entries stay zero. np.dot(dev, dev.T) runs as a BLAS syrk whose bits do
-        # not depend on the BLAS thread count (a subprocess test guards this). It is
-        # dev @ dev.T's syrk, bit for bit, but releases the GIL, which numpy's @ holds,
-        # so the workers' syrks overlap; their gathers, many small calls, take turns on it
+        """The moments of a block with one row per column, in any memory layout, and
+        each column's min and max; a non-finite entry is an error."""
+        lo, hi = block.min(axis=1), block.max(axis=1)
+        if not np.isfinite([lo, hi]).all():  # min and max propagate a NaN: every entry is seen
+            raise TradeDataError("non-finite entries in regression chunk")
+        # dev is C-ordered for any block layout (a span's strided block too), so its row
+        # means and products sum in one order; deviations from the first entry are exactly
+        # zero in a constant column, so its C entries stay zero. np.dot(dev, dev.T) is
+        # dev @ dev.T's BLAS syrk, bit for bit at any BLAS thread count (a subprocess test
+        # guards this), but releases the GIL, which numpy's @ holds
         dev = np.subtract(block, block[:, :1], order="C")
         offset = dev.mean(axis=1)
         dev -= offset[:, None]
-        return cls(block.shape[1], block[:, 0] + offset, np.dot(dev, dev.T))
+        return cls(block.shape[1], block[:, 0] + offset, np.dot(dev, dev.T), lo, hi)
 
     def __add__(self, other):
         # pairwise update of Chan, Golub & LeVeque (1979)
         n = self.n + other.n
         delta = other.mean - self.mean
         return _Moments(n, self.mean + delta * (other.n / n),
-                        self.c + other.c + np.outer(delta, delta) * (self.n * other.n / n))
+                        self.c + other.c + np.outer(delta, delta) * (self.n * other.n / n),
+                        np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
 
     def std(self):
         """Sample (n-1) standard deviation of each column; 0 for a constant one."""
@@ -650,36 +656,34 @@ def solve_normal_equations(c, mean, n, names):
 def _accumulate(dataset, rows=None, threads=None):
     """The moments of [1 | x | y] over ``rows`` (a range or an index array; None is
     every row, whose moments the first such pass leaves on the dataset), streamed
-    by blocks: worker j of ``threads`` (None: every usable CPU) reads blocks j,
-    j + threads, ..., and their moments join in block order, so ``threads`` never
-    changes the bits."""
+    by spans of ``_SPAN_BLOCKS`` blocks: worker j of ``threads`` (None: every usable
+    CPU) reads spans j, j + threads, ..., and their blocks' moments join in block
+    order, so ``threads`` never changes the bits."""
     if rows is None:
         if dataset.moments is None:
             dataset.moments = _accumulate(dataset, range(dataset.n), threads)
         return dataset.moments
-    n = len(rows)
+    n, span = len(rows), _SPAN_BLOCKS * _BLOCK_ROWS
     threads = usable_cpus() if threads is None else threads
 
     def stride(j):
-        # each worker gathers its blocks in place into one (17, _BLOCK_ROWS) buffer:
-        # a fresh array per block made _Moments.of twice as slow
-        buf, out = np.empty((K_PARAMETERS + 1, _BLOCK_ROWS)), []
-        for lo in range(j * _BLOCK_ROWS, n, threads * _BLOCK_ROWS):
-            block, sel = buf[:, :n - lo], rows[lo:lo + _BLOCK_ROWS]
+        # each worker gathers its spans in place into one (17, span) buffer, fewer and longer
+        # calls than a block's, then takes each block's moments from it
+        buf, out = np.empty((K_PARAMETERS + 1, span)), []
+        for lo in range(j * span, n, threads * span):
+            block, sel = buf[:, :n - lo], rows[lo:lo + span]
             sel = slice(sel.start, sel.stop) if isinstance(sel, range) else sel
             dataset.columns._block(sel, block)
             block[-1] = dataset.response[sel]
-            if not np.isfinite(block).all():
-                raise TradeDataError("non-finite entries in regression chunk")
-            out.append(_Moments.of(block))
+            out.append([_Moments.of(block[:, a:a + _BLOCK_ROWS])
+                        for a in range(0, block.shape[1], _BLOCK_ROWS)])
         return out
 
     nodes = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for blocks in zip_longest(*pool.map(stride, range(threads))):
-            for moments in blocks:
-                if moments is not None:
-                    _push(nodes, moments, _BLOCK_ROWS)
+        for spans in zip_longest(*pool.map(stride, range(threads)), fillvalue=()):
+            for moments in chain.from_iterable(spans):
+                _push(nodes, moments, _BLOCK_ROWS)
     return _total(nodes)
 
 
@@ -699,8 +703,10 @@ def _zscored(moments, standardize_response):
         raise TradeDataError(
             f"zero-variance column {_MOMENT_NAMES[zero[0]]} cannot be standardized")
     shift, scale = np.where(scaled, moments.mean, 0.0), np.where(scaled, std, 1.0)
+    # fl((x - shift) / scale) rises with x, so the z-scored min and max are those of the rows
     z = _Moments(moments.n, np.where(scaled, 0.0, moments.mean),
-                 moments.c / np.outer(scale, scale))
+                 moments.c / np.outer(scale, scale),
+                 (moments.lo - shift) / scale, (moments.hi - shift) / scale)
     return z, shift, scale
 
 
@@ -827,41 +833,28 @@ def run_split_regressions(dataset, split, periods=None, horizon=HORIZON, rca=Non
             raise TradeDataError("lall split needs a concordance")
         else:
             codes = lall_codes(dataset, concordance)
-        order = np.argsort(codes, kind="stable")  # each code's rows, ascending, as one slice
-        bounds = np.arange(len(LallCategory) + 1, dtype=np.uint8)  # the codes' dtype: no copy
-        edges = np.searchsorted(codes, bounds, sorter=order)
-        if edges[-1] > edges[-2]:  # EXCLUDED, the last Lall code, joins no cell
-            log.info("lall split: dropping %d special-transaction rows", edges[-1] - edges[-2])
+        if excluded := np.count_nonzero(codes == len(LALL_RANK_ORDER)):  # EXCLUDED joins no cell
+            log.info("lall split: dropping %d special-transaction rows", excluded)
         keys = tuple(ExporterClass) if split == "exporter" else LALL_RANK_ORDER
-        cells = ((key.value, order[a:b]) for key, a, b in zip(keys, edges, edges[1:]))
+        # a cell's rows, ascending and int32 as a row's position is, made as it is fitted
+        cells = ((key.value, np.flatnonzero(codes == c).astype(np.int32))
+                 for c, key in enumerate(keys))
     else:
         raise TradeDataError(f"unknown split {split!r}")
-    results = {}
-    for key, rows in cells:
-        res = fit_cell(key, rows)
-        if res is not None:
-            results[key] = res
-    return results
+    return {key: res for key, rows in cells if (res := fit_cell(key, rows)) is not None}
 
 
 def summary_stats(dataset):
-    """Per regressor: (name, n, mean, std, min, max); a constant column is flagged.
-    n, mean and std come from the co-moments, min and max from one pass over
-    blocks of rows gathered into one reused buffer."""
+    """Per regressor: (name, n, mean, std, min, max) from the moments of one pass over
+    the rows, none of its own after ``standardize``; a constant column is flagged."""
     moments = _accumulate(dataset)
     std = moments.std()
-    buf = np.empty((K_PARAMETERS, _BLOCK_ROWS))
-    low, high = np.full(K_PARAMETERS, np.inf), np.full(K_PARAMETERS, -np.inf)
-    for lo in range(0, dataset.n, _BLOCK_ROWS):
-        block = dataset.columns._block(slice(lo, lo + _BLOCK_ROWS), buf[:, :dataset.n - lo])
-        np.minimum(low, block.min(axis=1), out=low)
-        np.maximum(high, block.max(axis=1), out=high)
     rows = []
     for j, name in enumerate(REGRESSOR_NAMES, start=1):
         if std[j] == 0:
             log.warning("summary_stats: column %s has zero variance", name)
         rows.append((name, moments.n, float(moments.mean[j]), float(std[j]),
-                     float(low[j]), float(high[j])))
+                     float(moments.lo[j]), float(moments.hi[j])))
     return rows
 
 

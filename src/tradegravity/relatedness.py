@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import codes, floats, positions, read_table, repeated, repeats, write_rows
+from .csvio import codes, floats, positions, read_table, remap, repeated, repeats, write_rows
 from .errors import TradeDataError
 from .ingest import by_year, cell_keys, year_cell_keys
 
@@ -240,18 +240,18 @@ def read_relatedness_csv(path, countries, products):
     table = read_table(path, RELATEDNESS_COLUMNS,
                        numeric={"year": int, "omega": float, "omega_d": float, "omega_o": float})
     year = table["year"]
-    read_countries, origin, destination = table.codes("origin", "destination")
-    read_products, product = table.codes("product")
-    at = positions(read_countries, countries)
-    o, d, p = at[origin], at[destination], positions(read_products, products)[product]
+    read_countries, o, d = table.codes("origin", "destination")
+    read_products, p = table.codes("product")
+    at = positions(read_countries, countries)  # in place: a code j the caller lacks reads ~j
+    o, d, p = remap(o, at), remap(d, at), remap(p, positions(read_products, products))
     key = year_cell_keys(year, o, p, d, len(countries), len(products))
     table.check(
-        (o < 0, lambda i: f"unknown origin '{read_countries[origin[i]]}'"),
-        (p < 0, lambda i: f"unknown product '{read_products[product[i]]}'"),
-        (d < 0, lambda i: f"unknown destination '{read_countries[destination[i]]}'"),
+        (o < 0, lambda i: f"unknown origin '{read_countries[~o[i]]}'"),
+        (p < 0, lambda i: f"unknown product '{read_products[~p[i]]}'"),
+        (d < 0, lambda i: f"unknown destination '{read_countries[~d[i]]}'"),
         *[(~((table[m] >= 0) & (table[m] <= 1)),
            lambda i, m=m: f"{m} {float(table[m][i])} outside [0, 1]") for m in measures],
-        (repeats(key), lambda i: f"duplicate cell {int(year[i])},{read_countries[origin[i]]},"
-                                 f"{read_products[product[i]]},{read_countries[destination[i]]}"))
+        (repeats(key), lambda i: f"duplicate cell {int(year[i])},{countries[o[i]]},"
+                                 f"{products[p[i]]},{countries[d[i]]}"))
     cells = by_year(key, year, o, p, d, *(table[m] for m in measures))
     return {y: RelatednessValues(y, *arrays, countries, products) for y, arrays in cells.items()}

@@ -10,7 +10,7 @@ import tradegravity as tg
 from tradegravity.cli import build_parser
 from tradegravity.gravity import (BINARY_COLUMNS, LALL_CODES, LALL_RANK_ORDER,
                                   REGRESSOR_NAMES, StreamingOLS, _accumulate, _Moments,
-                                  _zscored, exporter_class_codes, lall_codes,
+                                  _push, _total, _zscored, exporter_class_codes, lall_codes,
                                   solve_normal_equations, trend_over_lall)
 
 from conftest import dataset_from_rows, make_dataset, write_lall_concordance
@@ -641,6 +641,9 @@ def test_positional_dataset_is_bitwise_its_stored_columns(tmp_path, exits_pool):
                    rng.permutation(ds.n)[:5000]]  # any order, every year
         blocks += [slice(7, 8), np.array([edges[1]]), np.array([], dtype=np.intp)]  # 1 row, 0
         blocks += [slice(edges[2] + 9, ds.n - 3), np.arange(ds.n - 1, edges[2], -5)]  # last year
+        # unordered runs over three base years: down across an edge, up, up across an edge
+        blocks.append(np.r_[edges[2] + 20:edges[2] - 20:-1, edges[0] + 3:edges[0] + 40,
+                            edges[1] - 30:edges[1] + 30:4])
         pos = ds.columns._pos[0]  # four rows whose cell positions are one run, out of order
         blocks.append(np.flatnonzero(pos[3:] - pos[:-3] == 3)[0] + np.array([0, 2, 1, 3]))
         for rows in blocks:
@@ -656,6 +659,55 @@ def test_positional_dataset_is_bitwise_its_stored_columns(tmp_path, exits_pool):
                     assert g.beta.tobytes() == r.beta.tobytes(), (split, threads, key)
                     assert g.se.tobytes() == r.se.tobytes(), (split, threads, key)
                     assert (g.adj_r2, g.resid_se) == (r.adj_r2, r.resid_se), (split, key)
+
+
+def test_split_passes_are_bitwise_a_block_at_a_time(exits_pool, monkeypatch):
+    # blocks of 300 rows: spans of two blocks, and base-year edges, fall inside blocks
+    monkeypatch.setattr(tg.gravity, "_BLOCK_ROWS", 300)
+    w, rel = exits_pool
+    ds = tg.build_dataset(w.tensor, rel, w.country_meta, w.dyad_meta, (2000, 2005))
+    edges = np.flatnonzero(np.diff(ds.t)) + 1
+    assert edges.size == 3 and (edges % 300).all() and ds.n % 300
+    rca = tg.compute_rca(w.tensor, (2000, 2000))
+    conc = tg.LallConcordance((p, list(LALL_CODES.values())[i % 6])
+                              for i, p in enumerate(w.tensor.products))
+    periods = ((2000, 2003), (2001, 2005))
+    kwargs = {"none": {}, "period": {"periods": periods}, "exporter": {"rca": rca},
+              "lall": {"concordance": conc}}
+    exporter, lall = exporter_class_codes(ds, rca), lall_codes(ds, conc)
+    cells = {("none", "all"): np.arange(ds.n)}
+    cells.update({("period", f"{a}-{b}"): np.flatnonzero((ds.t >= a) & (ds.t <= b - 2))
+                  for a, b in periods})
+    cells.update({("exporter", key.value): np.flatnonzero(exporter == c)
+                  for c, key in enumerate(tg.ExporterClass)})
+    cells.update({("lall", key.value): np.flatnonzero(lall == c)
+                  for c, key in enumerate(LALL_RANK_ORDER)})
+    names, fits = ("const",) + REGRESSOR_NAMES, {}
+    for (split, key), rows in cells.items():
+        nodes = []  # the referee: one block at a time, gathered by design_matrix, in order
+        for lo in range(0, rows.size, 300):
+            sel = rows[lo:lo + 300]
+            _push(nodes, _Moments.of(np.vstack((ds.design_matrix(sel).T, ds.response[sel]))), 300)
+        want = _total(nodes)
+        every = np.vstack((ds.design_matrix(rows).T, ds.response[rows]))
+        assert want.lo.tobytes() == every.min(axis=1).tobytes(), (split, key)
+        assert want.hi.tobytes() == every.max(axis=1).tobytes(), (split, key)
+        fits[split, key] = _zscored(want, False)[0].solve(names)
+        for threads in (1, 2, None):
+            got = _accumulate(ds, rows, threads=threads)
+            assert got.n == want.n, (split, key)
+            for part in ("mean", "c", "lo", "hi"):
+                assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), \
+                    (split, key, threads, part)
+    for split, args in kwargs.items():
+        for threads in (1, 2, None):
+            results = tg.run_split_regressions(ds, split, threads=threads, **args)
+            assert {(split, key) for key in results} == {cell for cell in fits if cell[0] == split}
+            for key, res in results.items():
+                fit = fits[split, key]
+                assert res.n == fit.n and res.beta.tobytes() == fit.beta.tobytes(), (split, key)
+                assert res.se.tobytes() == fit.se.tobytes(), (split, key, threads)
+                assert (res.adj_r2, res.resid_se) == (fit.adj_r2, fit.resid_se), (split, key)
 
 
 def test_a_full_row_pass_leaves_the_datasets_own_moments(exits_pool):
@@ -947,6 +999,16 @@ def test_summary_min_max_are_the_columns_exactly(pool_200k):
             col = ds.columns.column(name)
             want = np.array([np.min(col), np.max(col)])
             assert np.array([lo, hi]).tobytes() == want.tobytes(), name
+
+
+def test_summaries_of_a_standardized_pool_read_no_block(small_dataset):
+    # n, mean, std, min, max and the correlations all come from standardize's moments
+    z, _ = tg.standardize(replace(small_dataset))
+    with mock.patch.object(tg.gravity.Columns, "_block", side_effect=AssertionError), \
+            mock.patch.object(tg.gravity._ZScored, "_block", side_effect=AssertionError):
+        stats, (_, corr) = tg.summary_stats(z), tg.correlation_matrix(z)
+    assert [row[1] for row in stats] == [z.n] * len(REGRESSOR_NAMES)
+    assert corr.shape == (len(REGRESSOR_NAMES),) * 2
 
 
 def test_summary_stats_flags_constant(caplog):

@@ -358,7 +358,8 @@ def test_vocabulary_matches_sorted_set(tmp_path_factory, rows, ascending):
         assert index.dtype == other.dtype == np.int32
     known = vocab[::2]
     position = {c: i for i, c in enumerate(known)}
-    assert csvio.positions(vocab, known).tolist() == [position.get(c, -1) for c in vocab]
+    assert csvio.positions(vocab, known).tolist() == [position.get(c, ~j)
+                                                       for j, c in enumerate(vocab)]
 
 
 BASE_CODE = st.text(st.characters(exclude_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),

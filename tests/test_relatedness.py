@@ -366,6 +366,10 @@ REL_GOOD = "2000,AAA,0101,BBB,0.5,0.25,0.125\n"
     ("2000,ZZZ,0102,BBB,0.5,0.25,0.125\n", "unknown origin 'ZZZ'"),
     ("2000,AAA,9999,BBB,0.5,0.25,0.125\n", "unknown product '9999'"),
     ("2000,AAA,0102,ZZZ,0.5,0.25,0.125\n", "unknown destination 'ZZZ'"),
+    # unknown codes first and amid the file's sorted codes
+    ("2000,AAB,0102,BBB,0.5,0.25,0.125\n", "unknown origin 'AAB'"),
+    ("2000,AAA,0100,A,0.5,0.25,0.125\n", "unknown product '0100'"),
+    ("2000,AAA,0102,A,0.5,0.25,0.125\n", "unknown destination 'A'"),
     ("2000,AAA,0102,BBB,-0.5,0.25,0.125\n", "omega -0.5 outside [0, 1]"),
     ("2000,AAA,0102,BBB,0.5,0.25,nan\n", "omega_o nan outside [0, 1]"),
     (REL_GOOD, "duplicate cell 2000,AAA,0101,BBB"),
